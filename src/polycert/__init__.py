@@ -3,12 +3,11 @@ irreducibility certificates from prime or prime-power values taken inside
 those regions."""
 
 from .arith import (FactorizationWitness, PrimalityResult, PrimalityStatus,
-                    extract_witness, extract_witness_report, has_rational_root,
-                    is_prime, p_adic_valuation)
-from .certify import (Certificate, Check, MalformedCertificateError,
+                    extract_witness_report, has_rational_root, is_prime,
+                    p_adic_valuation)
+from .certify import (Certificate, Certifier, Check, MalformedCertificateError,
                       SearchReport, certificate_verify, certify_any,
-                      certify_combined, certify_lens, certify_negative_m,
-                      certify_sector_pq, certify_sector_prime_power, search_m)
+                      certify_negative_m, search_m)
 from .lens import (AdmissibleInterval, CombinedRegion, Containment,
                    DegenerateLensError, Lens, combined_region,
                    interval_cot, interval_disk_in_lens, interval_effective,
@@ -20,7 +19,7 @@ from .poly import (ParseError, PartialSums, Polynomial, SignBlock,
                    partial_sums, shift_coeffs, sign_blocks, sign_index_sets)
 from .rounding import (BoundedReal, arctan_bounds, nth_root_bounds, pi_bounds,
                        trig_bounds)
-from .sectors import (Sector, SectorKind, best_sector, sector_candidates,
+from .sectors import (Sector, SectorKind, best_of, best_sector, sector_candidates,
                       sector_min_over_positives, sector_neg_sum, sector_nonneg,
                       sector_parametrized, sector_shifted, sector_sign_blocks,
                       sector_summed_denominator)

@@ -302,10 +302,6 @@ class FactorizationWitness:
         default=PrimalityResult(PrimalityStatus.UNIT, "unset"), compare=False)
     alternatives: tuple[tuple[int, int, int], ...] = ()
 
-    def bound_base(self) -> tuple[int, Fraction, int]:
-        """(p, s, q) with s = 0 when unset; the disk radius is p^s * q."""
-        return self.p, (self.s if self.s is not None else Fraction(0)), self.q
-
 
 def _strip_small(value: int, q_max: int) -> tuple[int, dict[int, int], int]:
     """Split value into a q_max-smooth part (as factor dict) and a cofactor."""
@@ -384,12 +380,6 @@ def extract_witness_report(value: int, derivative_value: int, q_max: int = 1,
     s = min(Fraction(ell), Fraction(k, 2))
     return FactorizationWitness(p, k, q, ell, abs(r), s, primality=res,
                                 alternatives=alternatives), "ok"
-
-
-def extract_witness(value: int, derivative_value: int, q_max: int = 1,
-                    mode: str = "pq") -> Optional[FactorizationWitness]:
-    witness, _ = extract_witness_report(value, derivative_value, q_max, mode)
-    return witness
 
 
 def has_rational_root(f: Polynomial) -> tuple[bool, Optional[Fraction]]:

@@ -1,6 +1,15 @@
 """Irreducibility certificates from prime or prime-power values taken inside
 a zero-free region.
 
+Only the value witness of a certificate depends on the argument m: the
+sector angle depends only on deg f, its vertex only on the coefficients of
+f, and the lens comes from the reciprocal's sector.  A Certifier holds that
+per-polynomial part for one f (the best sector, the lens or why there is
+none, the lens's admissible intervals, the sin and tan bounds, and whether f
+has a rational root), builds each piece at most once, and tries the
+criteria at each m in one fixed order.  certify_any, search_m,
+certify_negative_m and replay all run through it.
+
 Every certificate records the region used, the factorization witness, and
 each real-number inequality together with its conservatively rounded bounds
 and a strictly positive margin.  certificate_verify re-derives everything
@@ -12,16 +21,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .arith import (FactorizationWitness, PrimalityStatus,
                     extract_witness_report, has_rational_root)
-from .lens import (DegenerateLensError, Lens, interval_cot,
+from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
                    interval_disk_in_lens, lens_of)
 from .poly import Polynomial, sign_blocks, sign_index_sets
 from .rounding import (DEFAULT_DIGITS, format_decimal, nth_root_bounds,
                        pow_upper, sin_pi_frac, tan_pi_frac)
-from .sectors import Sector, best_sector
+from .sectors import Sector, best_of, sector_candidates
 
 SCHEMA_VERSION = 1
 
@@ -155,86 +165,153 @@ def _validate_sector_input(f: Polynomial, m: int) -> None:
         raise ValueError("certification needs m >= 1")
 
 
-def certify_sector_pq(f: Polynomial, m: int, q_max: int = 1,
-                      digits: int = DEFAULT_DIGITS,
-                      alphas: Optional[Sequence] = None,
-                      _sector: Optional[Sector] = None,
-                      ) -> Optional[Certificate]:
-    cert, _ = certify_sector_pq_report(f, m, q_max, digits, alphas, _sector)
-    return cert
+# The order criteria are tried in: the lens admits the smallest arguments.
+DEFAULT_MODES = ("lens", "pq", "prime_power")
 
 
-def certify_sector_pq_report(f: Polynomial, m: int, q_max: int = 1,
-                             digits: int = DEFAULT_DIGITS,
-                             alphas: Optional[Sequence] = None,
-                             _sector: Optional[Sector] = None,
-                             ) -> tuple[Optional[Certificate], str]:
+class Certifier:
+    """Everything certifying f needs that does not depend on the argument m.
+
+    Each region and constant is built at most once, when a criterion first
+    asks for it.  f(m) and its witnesses are kept for the latest m only, so
+    memory stays flat over any range of arguments.
+    """
+
+    def __init__(self, f: Polynomial, q_max: int = 1, digits: int = DEFAULT_DIGITS):
+        self.f = f
+        self.q_max = q_max
+        self.digits = digits
+        self._m: Optional[int] = None  # the argument f(m) and _witnesses belong to
+        self._value = 0
+        self._witnesses: dict = {}
+
+    @cached_property
+    def sectors(self) -> list[Sector]:
+        """Every applicable producer's sector, in preference order."""
+        return sector_candidates(self.f, digits=self.digits)
+
+    @cached_property
+    def sector(self) -> Sector:
+        return best_of(self.sectors)
+
+    @cached_property
+    def lens_status(self) -> tuple[Optional[Lens], str, Optional[str]]:
+        """(lens, reason, note): the zero-free lens of f, or None with the
+        reason tag ("lens-inapplicable" or "lens-degenerate") and a note that
+        says why in words."""
+        f = self.f
+        if f.degree() < 3:
+            return None, "lens-inapplicable", "degree below 3; no lens"
+        if f.coefficient(0) == 0:
+            return None, "lens-inapplicable", "zero constant term; no lens"
+        try:
+            return lens_of(f, digits=self.digits), "ok", None
+        except DegenerateLensError as exc:
+            return None, "lens-degenerate", str(exc)
+
+    @cached_property
+    def lens_intervals(self) -> Optional[tuple[AdmissibleInterval, AdmissibleInterval]]:
+        """The lens's disk-in-lens and cot intervals, or None when the
+        reciprocal vertex is too large for them."""
+        lens = self.lens_status[0]
+        try:
+            return interval_disk_in_lens(lens, self.digits), interval_cot(lens, self.digits)
+        except ValueError:
+            return None
+
+    @cached_property
+    def sin_lo(self) -> Fraction:
+        """Lower bound on sin(pi/n), n = deg f."""
+        return sin_pi_frac(Fraction(1, self.f.degree()), self.digits).lower
+
+    @cached_property
+    def tan_lo(self) -> Fraction:
+        """Lower bound on tan(pi/(2n)), n = deg f."""
+        return tan_pi_frac(Fraction(1, 2 * self.f.degree()), self.digits).lower
+
+    @cached_property
+    def rational_root_exists(self) -> bool:
+        """Whether f has a rational root; the square-root radii need none."""
+        return has_rational_root(self.f)[0]
+
+    def _witness(self, m: int, q_max: int, mode: str,
+                 ) -> tuple[Optional[FactorizationWitness], str]:
+        """extract_witness_report on f(m), computed once per (m, q_max, mode)."""
+        if self._m != m:
+            self._m, self._value, self._witnesses = m, self.f.evaluate(m), {}
+        key = (q_max, mode)
+        if key not in self._witnesses:
+            deriv = self.f.derivative().evaluate(m) if mode == "prime_power" else 0
+            self._witnesses[key] = extract_witness_report(self._value, deriv, q_max, mode)
+        return self._witnesses[key]
+
+    def certify(self, m: int, modes: Optional[Sequence[str]] = None,
+                ) -> tuple[Optional[Certificate], list[str]]:
+        """The first certificate at m from the enabled criteria, tried in
+        DEFAULT_MODES order, and the reason of each criterion that failed."""
+        modes = DEFAULT_MODES if modes is None else tuple(modes)
+        # looked up per call, so wrappers installed on this module's functions apply
+        criteria = {"lens": certify_lens_report, "pq": certify_sector_pq_report,
+                    "prime_power": certify_sector_prime_power_report}
+        reasons: list[str] = []
+        for mode in DEFAULT_MODES:
+            if mode in modes:
+                cert, reason = criteria[mode](self, m)
+                if cert is not None:
+                    return cert, reasons
+                reasons.append(reason)
+        return None, reasons
+
+
+# -- criteria ------------------------------------------------------------------
+
+
+def certify_sector_pq_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], str]:
     """f(m) = p*q with p prime and a disk of radius q (or sqrt(q) when f has
     no rational roots) around m inside the zero-free sector."""
+    f, digits = ctx.f, ctx.digits
     _validate_sector_input(f, m)
-    value = f.evaluate(m)
-    witness, reason = extract_witness_report(value, 0, q_max, "pq")
+    witness, reason = ctx._witness(m, ctx.q_max, "pq")
     if witness is None:
         return None, reason
-    sector = _sector if _sector is not None else best_sector(f, alphas, digits)
-    sin_lo = sin_pi_frac(Fraction(1, sector.angle_denominator), digits).lower
-    threshold = sector.vertex.upper + Fraction(witness.q) / sin_lo
+    vertex = ctx.sector.vertex.upper
+    threshold = vertex + Fraction(witness.q) / ctx.sin_lo
     used_sqrt = False
     if not m > threshold:
-        if witness.q == 1:
+        if witness.q == 1 or ctx.rational_root_exists:
             return None, "outside-region"
-        has_root, _ = has_rational_root(f)
-        if has_root:
-            return None, "outside-region"
-        threshold = sector.vertex.upper + nth_root_bounds(witness.q, 2, digits).upper / sin_lo
+        threshold = vertex + nth_root_bounds(witness.q, 2, digits).upper / ctx.sin_lo
         if not m > threshold:
             return None, "outside-region"
         used_sqrt = True
     desc = ("m exceeds vertex + sqrt(q)/sin(pi/n)" if used_sqrt
             else "m exceeds vertex + q/sin(pi/n)")
     checks = [Check(desc, threshold, Fraction(m))]
-    tag = _sector_tag(f, sector, witness, used_sqrt)
-    region = {"kind": "sector", "sector": sector.to_json(_PLACES)}
-    return _finish(f, m, tag, region, witness, checks, q_max, digits), "ok"
+    tag = _sector_tag(f, ctx.sector, witness, used_sqrt)
+    region = {"kind": "sector", "sector": ctx.sector.to_json(_PLACES)}
+    return _finish(f, m, tag, region, witness, checks, ctx.q_max, digits), "ok"
 
 
-def certify_sector_prime_power(f: Polynomial, m: int, q_max: int = 1,
-                               digits: int = DEFAULT_DIGITS,
-                               alphas: Optional[Sequence] = None,
-                               _sector: Optional[Sector] = None,
-                               ) -> Optional[Certificate]:
-    cert, _ = certify_sector_prime_power_report(f, m, q_max, digits, alphas, _sector)
-    return cert
-
-
-def certify_sector_prime_power_report(f: Polynomial, m: int, q_max: int = 1,
-                                      digits: int = DEFAULT_DIGITS,
-                                      alphas: Optional[Sequence] = None,
-                                      _sector: Optional[Sector] = None,
+def certify_sector_prime_power_report(ctx: Certifier, m: int,
                                       ) -> tuple[Optional[Certificate], str]:
     """f(m) = p^k*q with the derivative's p-valuation bounding the disk radius
     p^s*q, s = min(ell, k/2)."""
+    f, digits = ctx.f, ctx.digits
     _validate_sector_input(f, m)
-    value = f.evaluate(m)
-    deriv = f.derivative().evaluate(m)
-    witness, reason = extract_witness_report(value, deriv, q_max, "prime_power")
+    witness, reason = ctx._witness(m, ctx.q_max, "prime_power")
     if witness is None:
         return None, reason
-    sector = _sector if _sector is not None else best_sector(f, alphas, digits)
-    sin_lo = sin_pi_frac(Fraction(1, sector.angle_denominator), digits).lower
+    vertex = ctx.sector.vertex.upper
     radius_up = pow_upper(witness.p, witness.s, digits) * witness.q
-    threshold = sector.vertex.upper + radius_up / sin_lo
+    threshold = vertex + radius_up / ctx.sin_lo
     used_sqrt = False
     if not m > threshold:
-        if radius_up <= 1:
-            return None, "outside-region"
-        has_root, _ = has_rational_root(f)
-        if has_root:
+        if radius_up <= 1 or ctx.rational_root_exists:
             return None, "outside-region"
         a, b = witness.s.numerator, witness.s.denominator
         sqrt_radius_up = nth_root_bounds(
             Fraction(witness.p**a * witness.q**b), 2 * b, digits).upper
-        threshold = sector.vertex.upper + sqrt_radius_up / sin_lo
+        threshold = vertex + sqrt_radius_up / ctx.sin_lo
         if not m > threshold:
             return None, "outside-region"
         used_sqrt = True
@@ -242,48 +319,33 @@ def certify_sector_prime_power_report(f: Polynomial, m: int, q_max: int = 1,
             else "m exceeds vertex + p^s*q/sin(pi/n)")
     checks = [Check(desc, threshold, Fraction(m))]
     tag = CRIT_THM_POWER_SQRT if used_sqrt else CRIT_THM_POWER
-    region = {"kind": "sector", "sector": sector.to_json(_PLACES)}
-    return _finish(f, m, tag, region, witness, checks, q_max, digits), "ok"
+    region = {"kind": "sector", "sector": ctx.sector.to_json(_PLACES)}
+    return _finish(f, m, tag, region, witness, checks, ctx.q_max, digits), "ok"
 
 
-def certify_lens(f: Polynomial, m: int, digits: int = DEFAULT_DIGITS,
-                 alphas: Optional[Sequence] = None,
-                 _lens: Optional[Lens] = None,
-                 ) -> Optional[Certificate]:
-    cert, _ = certify_lens_report(f, m, digits, alphas, _lens)
-    return cert
-
-
-def certify_lens_report(f: Polynomial, m: int, digits: int = DEFAULT_DIGITS,
-                        alphas: Optional[Sequence] = None,
-                        _lens: Optional[Lens] = None,
-                        ) -> tuple[Optional[Certificate], str]:
+def certify_lens_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], str]:
     """f(m) prime with a unit disk around m inside the zero-free lens; m must
     lie in the inward-rounded admissible interval.  The cot-based interval is
-    recorded as a cross-check and names the criterion when it also contains m."""
-    if f.degree() < 3 or f.coefficient(0) == 0:
-        return None, "lens-inapplicable"
+    recorded as a cross-check and names the criterion when it also contains m.
+    The certificate records q_max 1 whatever the context's."""
+    lens, reason, _ = ctx.lens_status
+    if reason == "lens-inapplicable":
+        return None, reason
     if m < 1:
         raise ValueError("certification needs m >= 1")
-    try:
-        lens = _lens if _lens is not None else lens_of(f, alphas, digits)
-    except DegenerateLensError:
-        return None, "lens-degenerate"
-    try:
-        disk = interval_disk_in_lens(lens, digits)
-        cot = interval_cot(lens, digits)
-    except ValueError:
+    if lens is None:
+        return None, reason
+    if ctx.lens_intervals is None:
         return None, "vertex-too-large"
-    value = f.evaluate(m)
-    witness, reason = extract_witness_report(value, 0, 1, "pq")
+    disk, cot = ctx.lens_intervals
+    witness, reason = ctx._witness(m, 1, "pq")
     if witness is None:
         return None, reason
     if not disk.contains_int(m):
         return None, "outside-region"
-    tan_lo = tan_pi_frac(Fraction(1, 2 * lens.n), digits).lower
     checks = [
         Check("reciprocal vertex below tan(pi/(2n))/2",
-              lens.v_tilde.upper, tan_lo / 2),
+              lens.v_tilde.upper, ctx.tan_lo / 2),
         Check("m above disk-in-lens interval lower end", disk.lo.upper, Fraction(m)),
         Check("m below disk-in-lens interval upper end", Fraction(m), disk.hi.lower),
     ]
@@ -297,47 +359,41 @@ def certify_lens_report(f: Polynomial, m: int, digits: int = DEFAULT_DIGITS,
         "lens": lens.to_json(_PLACES),
         "intervals": [disk.to_json(_PLACES), cot.to_json(_PLACES)],
     }
-    return _finish(f, m, tag, region, witness, checks, 1, digits), "ok"
+    return _finish(ctx.f, m, tag, region, witness, checks, 1, ctx.digits), "ok"
 
 
-def certify_combined(f: Polynomial, m: int, q_max: int = 1,
-                     digits: int = DEFAULT_DIGITS,
-                     alphas: Optional[Sequence] = None,
-                     ) -> Optional[Certificate]:
-    cert, _ = certify_combined_report(f, m, q_max, digits, alphas)
-    return cert
-
-
-def certify_combined_report(f: Polynomial, m: int, q_max: int = 1,
-                            digits: int = DEFAULT_DIGITS,
-                            alphas: Optional[Sequence] = None,
-                            ) -> tuple[Optional[Certificate], str]:
+def certify_combined_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], str]:
     """Union region: the lens interval or the ray beyond vertex + 1/sin(pi/n);
-    dispatches to the lens criterion first, then the prime-value sector
-    criterion with q = 1, and records the branch that succeeded."""
-    lens_cert, lens_reason = certify_lens_report(f, m, digits, alphas)
+    tries the lens criterion first, then the prime-value sector criterion
+    with q = 1 (the context's q_max is only recorded), and records the branch
+    that succeeded."""
+    lens_cert, lens_reason = certify_lens_report(ctx, m)
     if lens_cert is not None:
-        region = dict(lens_cert.region)
-        region["kind"] = "combined"
-        region["branch"] = "lens"
-        return dataclasses.replace(lens_cert, criterion=CRIT_COMBINED,
-                                   region=region, q_max=q_max), "ok"
-    ray_cert, ray_reason = certify_sector_pq_report(f, m, 1, digits, alphas)
+        return _as_combined(lens_cert, "lens", ctx.q_max), "ok"
+    ray = ctx if ctx.q_max == 1 else Certifier(ctx.f, 1, ctx.digits)
+    ray_cert, ray_reason = certify_sector_pq_report(ray, m)
     if ray_cert is not None:
-        region = dict(ray_cert.region)
-        region["kind"] = "combined"
-        region["branch"] = "ray"
-        return dataclasses.replace(ray_cert, criterion=CRIT_COMBINED,
-                                   region=region, q_max=q_max), "ok"
+        return _as_combined(ray_cert, "ray", ctx.q_max), "ok"
     for preferred in ("value-composite", "outside-region"):
         if preferred in (lens_reason, ray_reason):
             return None, preferred
     return None, ray_reason
 
 
-# -- search -------------------------------------------------------------------
+def _as_combined(cert: Certificate, branch: str, q_max: int) -> Certificate:
+    region = dict(cert.region, kind="combined", branch=branch)
+    return dataclasses.replace(cert, criterion=CRIT_COMBINED, region=region, q_max=q_max)
 
-DEFAULT_MODES = ("lens", "pq", "prime_power")
+
+# -- entry points ----------------------------------------------------------------
+
+
+def certify_any(f: Polynomial, m: int, q_max: int = 1,
+                digits: int = DEFAULT_DIGITS,
+                modes: Optional[Sequence[str]] = None,
+                ) -> Optional[Certificate]:
+    """First certificate from the enabled criteria in the standard order."""
+    return Certifier(f, q_max, digits).certify(m, modes)[0]
 
 
 @dataclass(frozen=True)
@@ -357,10 +413,6 @@ class SearchReport:
     certificate: Optional[Certificate]
 
 
-_WITNESS_ABSENT = {"value-nonpositive", "no-split", "q-exceeds", "derivative-zero",
-                   "lens-degenerate", "lens-inapplicable", "vertex-too-large"}
-
-
 def _classify(reasons: list[str]) -> tuple[str, str]:
     if "outside-region" in reasons:
         return "outside-region", "outside-region"
@@ -372,11 +424,9 @@ def _classify(reasons: list[str]) -> tuple[str, str]:
 def search_m(f: Polynomial, lo: int, hi: int, q_max: int = 1,
              modes: Optional[Sequence[str]] = None,
              digits: int = DEFAULT_DIGITS,
-             alphas: Optional[Sequence] = None,
              exhaustive: bool = False) -> SearchReport:
-    """Scan m ascending, trying the enabled criteria in a fixed order (lens
-    first, then prime-value sector, then prime-power sector); stops at the
-    first certificate unless exhaustive."""
+    """Scan m ascending through one Certifier; stops at the first
+    certificate unless exhaustive."""
     if not 1 <= lo <= hi:
         raise ValueError("search range must satisfy 1 <= lo <= hi")
     modes = tuple(DEFAULT_MODES if modes is None else modes)
@@ -385,49 +435,22 @@ def search_m(f: Polynomial, lo: int, hi: int, q_max: int = 1,
         raise ValueError(f"unknown search modes {sorted(unknown)}")
     _validate_sector_input(f, lo)
 
-    sector = best_sector(f, alphas, digits)
-    lens = None
-    if "lens" in modes and f.degree() >= 3 and f.coefficient(0) != 0:
-        try:
-            lens = lens_of(f, alphas, digits)
-        except (DegenerateLensError, ValueError):
-            lens = None
-
+    ctx = Certifier(f, q_max, digits)
     outcomes: list[SearchOutcome] = []
     certificate = None
     scanned_hi = lo - 1
     for m in range(lo, hi + 1):
         scanned_hi = m
-        reasons = []
-        cert = None
-        if "lens" in modes:
-            cert, reason = certify_lens_report(f, m, digits, alphas, _lens=lens) \
-                if lens is not None else (None, "lens-degenerate")
-            if cert is None:
-                reasons.append(reason)
-        if cert is None and "pq" in modes:
-            cert, reason = certify_sector_pq_report(f, m, q_max, digits, alphas,
-                                                    _sector=sector)
-            if cert is None:
-                reasons.append(reason)
-        if cert is None and "prime_power" in modes:
-            cert, reason = certify_sector_prime_power_report(f, m, q_max, digits,
-                                                             alphas, _sector=sector)
-            if cert is None:
-                reasons.append(reason)
-        if cert is not None:
-            outcomes.append(SearchOutcome(m, "certified", cert.criterion))
-            if certificate is None:
-                certificate = cert
-            if not exhaustive:
-                break
-        else:
-            outcome, detail = _classify(reasons)
-            outcomes.append(SearchOutcome(m, outcome, detail))
+        cert, reasons = ctx.certify(m, modes)
+        if cert is None:
+            outcomes.append(SearchOutcome(m, *_classify(reasons)))
+            continue
+        outcomes.append(SearchOutcome(m, "certified", cert.criterion))
+        if certificate is None:
+            certificate = cert
+        if not exhaustive:
+            break
     return SearchReport(lo, hi, scanned_hi, q_max, tuple(outcomes), certificate)
-
-
-# -- negative-argument wrapper -------------------------------------------------
 
 
 def _negated_form(f: Polynomial) -> Polynomial:
@@ -435,6 +458,13 @@ def _negated_form(f: Polynomial) -> Polynomial:
     irreducibility with f."""
     g = f.negate_argument()
     return -g if g.leading_coefficient() < 0 else g
+
+
+def _restated(cert: Optional[Certificate], f: Polynomial, m: int) -> Optional[Certificate]:
+    """A certificate for +-f(-X) at -m restated for f at m."""
+    if cert is None:
+        return None
+    return dataclasses.replace(cert, polynomial=f, m=m, negated_argument=True)
 
 
 def certify_negative_m(f: Polynomial, m: int, q_max: int = 1,
@@ -445,31 +475,8 @@ def certify_negative_m(f: Polynomial, m: int, q_max: int = 1,
     certificate references the original polynomial and argument."""
     if m >= 0:
         raise ValueError("certify_negative_m expects m < 0")
-    inner = certify_any(_negated_form(f), -m, q_max, digits, modes)
-    if inner is None:
-        return None
-    return dataclasses.replace(inner, polynomial=f, m=m, negated_argument=True)
-
-
-def certify_any(f: Polynomial, m: int, q_max: int = 1,
-                digits: int = DEFAULT_DIGITS,
-                modes: Optional[Sequence[str]] = None,
-                ) -> Optional[Certificate]:
-    """First certificate from the enabled criteria in the standard order."""
-    modes = tuple(DEFAULT_MODES if modes is None else modes)
-    if "lens" in modes:
-        cert = certify_lens(f, m, digits)
-        if cert is not None:
-            return cert
-    if "pq" in modes:
-        cert = certify_sector_pq(f, m, q_max, digits)
-        if cert is not None:
-            return cert
-    if "prime_power" in modes:
-        cert = certify_sector_prime_power(f, m, q_max, digits)
-        if cert is not None:
-            return cert
-    return None
+    cert, _ = Certifier(_negated_form(f), q_max, digits).certify(-m, modes)
+    return _restated(cert, f, m)
 
 
 # -- replay -------------------------------------------------------------------
@@ -481,20 +488,19 @@ _REQUIRED_FIELDS = ("schema", "polynomial", "m", "criterion", "region", "witness
 
 def _rebuild(f: Polynomial, m: int, criterion: str, q_max: int, digits: int,
              negated: bool) -> Optional[Certificate]:
-    if negated:
-        inner = _rebuild(_negated_form(f), -m, criterion, q_max, digits, False)
-        if inner is None:
-            return None
-        return dataclasses.replace(inner, polynomial=f, m=m, negated_argument=True)
+    g, k = (_negated_form(f), -m) if negated else (f, m)
     if criterion in SECTOR_PQ_TAGS:
-        return certify_sector_pq(f, m, q_max, digits)
-    if criterion in POWER_TAGS:
-        return certify_sector_prime_power(f, m, q_max, digits)
-    if criterion in LENS_TAGS:
-        return certify_lens(f, m, digits)
-    if criterion == CRIT_COMBINED:
-        return certify_combined(f, m, q_max, digits)
-    raise MalformedCertificateError(f"unknown criterion {criterion!r}")
+        attempt = certify_sector_pq_report
+    elif criterion in POWER_TAGS:
+        attempt = certify_sector_prime_power_report
+    elif criterion in LENS_TAGS:
+        attempt = certify_lens_report
+    elif criterion == CRIT_COMBINED:
+        attempt = certify_combined_report
+    else:
+        raise MalformedCertificateError(f"unknown criterion {criterion!r}")
+    cert, _ = attempt(Certifier(g, q_max, digits), k)
+    return _restated(cert, f, m) if negated else cert
 
 
 def certificate_verify(cert) -> bool:

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arith import is_prime, next_prime
-from .certify import (DEFAULT_MODES, Certificate, MalformedCertificateError,
-                      certificate_verify, certify_any, certify_negative_m,
-                      search_m)
-from .lens import (DegenerateLensError, combined_region, interval_cot,
-                   interval_disk_in_lens, interval_effective, lens_of)
+from .certify import (DEFAULT_MODES, Certificate, Certifier,
+                      MalformedCertificateError, certificate_verify,
+                      certify_any, certify_negative_m, search_m)
+from .lens import (combined_region, interval_cot, interval_disk_in_lens,
+                   interval_effective)
 from .oracles import roots_numeric
 from .poly import ParseError, Polynomial, parse_polynomial, sign_blocks
 from .rounding import DEFAULT_DIGITS
-from .sectors import best_sector, sector_candidates
 
 ENV_DIGITS = "POLYCERT_DIGITS"
 
@@ -106,32 +105,21 @@ def _parse_poly_args(args) -> Polynomial:
 # -- analyze -------------------------------------------------------------------
 
 
-def _analyze_payload(f: Polynomial, digits: int) -> dict:
+def _analyze_payload(ctx: Certifier) -> dict:
+    f, digits = ctx.f, ctx.digits
     payload: dict = {"polynomial": list(f.coeffs), "degree": f.degree()}
-    sectors = sector_candidates(f, digits=digits)
-    best = best_sector(f, digits=digits)
-    payload["sectors"] = [s.to_json() for s in sectors]
-    payload["best_sector"] = best.to_json()
+    payload["sectors"] = [s.to_json() for s in ctx.sectors]
+    payload["best_sector"] = ctx.sector.to_json()
     if f.leading_coefficient() > 0:
         payload["sign_blocks"] = [
             {"pos_hi": b.pos_hi, "pos_lo": b.pos_lo, "neg_hi": b.neg_hi,
              "neg_lo": b.neg_lo, "pos_sum": b.pos_sum, "neg_sum": b.neg_sum}
             for b in sign_blocks(f).blocks
         ]
-    payload["lens"] = None
-    payload["lens_note"] = None
+    lens, _, note = ctx.lens_status
+    payload["lens"] = None if lens is None else lens.to_json()
+    payload["lens_note"] = note
     payload["intervals"] = []
-    lens = None
-    if f.degree() >= 3 and f.coefficient(0) != 0:
-        try:
-            lens = lens_of(f, digits=digits)
-            payload["lens"] = lens.to_json()
-        except DegenerateLensError as exc:
-            payload["lens_note"] = str(exc)
-    elif f.degree() < 3:
-        payload["lens_note"] = "degree below 3; no lens"
-    else:
-        payload["lens_note"] = "zero constant term; no lens"
     if lens is not None:
         for fn in (interval_disk_in_lens, interval_cot, interval_effective):
             try:
@@ -139,7 +127,7 @@ def _analyze_payload(f: Polynomial, digits: int) -> dict:
             except ValueError as exc:
                 payload["intervals"].append({"source": fn.__name__, "note": str(exc)})
     if f.degree() >= 2:
-        payload["combined"] = combined_region(best, lens, digits).to_json()
+        payload["combined"] = combined_region(ctx.sector, lens, digits).to_json()
     else:
         payload["combined"] = None
     return payload
@@ -181,9 +169,10 @@ def _print_analysis(payload: dict) -> None:
 
 
 def _cmd_analyze(cfg: RunConfig) -> int:
-    payload = _analyze_payload(cfg.poly, cfg.digits)
+    ctx = Certifier(cfg.poly, digits=cfg.digits)
+    payload = _analyze_payload(ctx)
     if cfg.plot:
-        svg = render_svg(cfg.poly, cfg.digits)
+        svg = _svg(ctx)
         with open(cfg.plot, "w", encoding="utf-8") as fh:
             fh.write(svg)
         payload["plot"] = cfg.plot
@@ -368,16 +357,15 @@ def render_svg(f: Polynomial, digits: int = DEFAULT_DIGITS,
                width: int = 800, height: int = 600) -> str:
     """Deterministic SVG of the best sector, the lens (when defined), and the
     numerically approximated roots."""
-    best = best_sector(f, digits=digits)
+    return _svg(Certifier(f, digits=digits), width, height)
+
+
+def _svg(ctx: Certifier, width: int = 800, height: int = 600) -> str:
+    best = ctx.sector
     v = float(best.vertex.upper)
     theta = best.half_angle_radians()
-    lens = None
-    if f.degree() >= 3 and f.coefficient(0) != 0:
-        try:
-            lens = lens_of(f, digits=digits)
-        except DegenerateLensError:
-            lens = None
-    roots = roots_numeric(f).roots
+    lens = ctx.lens_status[0]
+    roots = roots_numeric(ctx.f).roots
 
     xs = [0.0, v * 1.3 + 1] + [z.real for z in roots]
     ys = [1.0] + [abs(z.imag) for z in roots]
@@ -488,7 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "scan": _cmd_scan, "verify": _cmd_verify}
     try:
         return dispatch[cfg.command](cfg)
-    except (ParseError, DegenerateLensError) as exc:
+    except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

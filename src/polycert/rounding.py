@@ -54,9 +54,6 @@ class BoundedReal:
         scale = max(Fraction(1), abs(self.upper))
         return self.width() * 10**digits <= scale
 
-    def midpoint_float(self) -> float:
-        return float((self.lower + self.upper) / 2)
-
     # -- arithmetic (exact endpoints, outward by monotonicity) ---------------
 
     def _coerce(self, other) -> "BoundedReal":

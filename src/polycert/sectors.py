@@ -209,12 +209,13 @@ def sector_candidates(f: Polynomial, alphas: Optional[Sequence] = None,
     return out
 
 
+def best_of(sectors: Sequence[Sector]) -> Sector:
+    """The sector with the smallest conservative vertex; ties go to the one
+    listed earliest."""
+    return min(sectors, key=lambda s: s.vertex.upper)
+
+
 def best_sector(f: Polynomial, alphas: Optional[Sequence] = None,
                 digits: int = DEFAULT_DIGITS) -> Sector:
-    """The candidate with the smallest conservative vertex; ties go to the
-    producer listed earliest."""
-    best = None
-    for s in sector_candidates(f, alphas, digits):
-        if best is None or s.vertex.upper < best.vertex.upper:
-            best = s
-    return best
+    """The best of sector_candidates."""
+    return best_of(sector_candidates(f, alphas, digits))

@@ -12,10 +12,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from polycert.arith import is_prime, next_prime
-from polycert.certify import (certificate_verify, certify_any,
-                              certify_combined, certify_lens,
-                              certify_negative_m, certify_sector_pq,
-                              certify_sector_prime_power, search_m)
+from polycert.certify import (Certifier, certificate_verify, certify_any,
+                              certify_combined_report, certify_negative_m,
+                              search_m)
 from polycert.cli import main
 from polycert.lens import (DegenerateLensError, Lens, interval_cot,
                            interval_disk_in_lens, interval_effective, lens_of)
@@ -212,14 +211,14 @@ def test_acceptance_8_partial_sum_shift_exhaustive():
 def _acceptance_certificates():
     digit_poly = Polynomial([3, 7, 9, 1])
     certs = [
-        certify_lens(FLAGSHIP, 3),
-        certify_combined(FLAGSHIP, 13),
-        certify_sector_pq(digit_poly, 10),
-        certify_sector_pq(parse_polynomial("3*X^5+X^4-2*X^3+X^2-3*X+1"), 3),
-        certify_sector_pq(parse_polynomial("2*X^4+2*X^3-2*X-1"), 4),
-        certify_sector_pq(parse_polynomial("X^2+3"), 3, q_max=4),
-        certify_sector_prime_power(parse_polynomial("X^3+3*X+29"), 5),
-        certify_sector_prime_power(parse_polynomial("X^2+2"), 5),
+        certify_any(FLAGSHIP, 3, modes=("lens",)),
+        certify_combined_report(Certifier(FLAGSHIP), 13)[0],
+        certify_any(digit_poly, 10, modes=("pq",)),
+        certify_any(parse_polynomial("3*X^5+X^4-2*X^3+X^2-3*X+1"), 3, modes=("pq",)),
+        certify_any(parse_polynomial("2*X^4+2*X^3-2*X-1"), 4, modes=("pq",)),
+        certify_any(parse_polynomial("X^2+3"), 3, q_max=4, modes=("pq",)),
+        certify_any(parse_polynomial("X^3+3*X+29"), 5, modes=("prime_power",)),
+        certify_any(parse_polynomial("X^2+2"), 5, modes=("prime_power",)),
         certify_negative_m(parse_polynomial("X^2+X+1"), -3),
     ]
     rng = random.Random(4)

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from polycert.arith import (DETERMINISTIC_LIMIT, PrimalityStatus, divisors,
-                            extract_witness, extract_witness_report, factorize,
+                            extract_witness_report, factorize,
                             has_rational_root, is_prime, next_prime,
                             p_adic_valuation, prime_power_decomposition,
                             primes_up_to, _sieve)
@@ -93,26 +93,26 @@ def test_prime_power_decomposition():
 
 
 def test_witness_prime_value():
-    w = extract_witness(1973, 0, 1, "pq")
+    w = extract_witness_report(1973, 0, 1, "pq")[0]
     assert (w.p, w.k, w.q) == (1973, 1, 1)
     assert w.primality.status is PrimalityStatus.PROVEN_PRIME
 
 
 def test_witness_prime_power_with_cofactor():
-    w = extract_witness(12, 6, 3, "prime_power")
+    w = extract_witness_report(12, 6, 3, "prime_power")[0]
     assert (w.p, w.k, w.q, w.ell, w.r) == (2, 2, 3, 1, 3)
     assert w.s == 1
 
 
 def test_witness_square_coprime_derivative():
-    w = extract_witness(49, 5, 1, "prime_power")
+    w = extract_witness_report(49, 5, 1, "prime_power")[0]
     assert (w.p, w.k, w.q, w.ell, w.r) == (7, 2, 1, 0, 5)
     assert w.s == 0
 
 
 def test_witness_smooth_value_minimizes_q():
     # 10 = 2*5 with q_max 7: p=5, q=2 beats p=2, q=5
-    w = extract_witness(10, 0, 7, "pq")
+    w = extract_witness_report(10, 0, 7, "pq")[0]
     assert (w.p, w.q) == (5, 2)
     assert w.alternatives == ((2, 1, 5),)
 
@@ -133,7 +133,7 @@ def test_witness_reconstruction_fuzz():
         deriv = rng.randrange(1, 10**6)
         q_max = rng.choice([1, 2, 3, 10])
         mode = rng.choice(["pq", "prime_power"])
-        w = extract_witness(value, deriv, q_max, mode)
+        w = extract_witness_report(value, deriv, q_max, mode)[0]
         if w is None:
             continue
         assert w.p**w.k * w.q == value

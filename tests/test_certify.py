@@ -9,11 +9,10 @@ from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
                               CRIT_LENS_COT, CRIT_NONNEG, CRIT_PARTIAL_SUMS,
                               CRIT_SINGLE_VARIATION, CRIT_THM_POWER,
                               CRIT_THM_POWER_SQRT, CRIT_THM_PQ,
-                              CRIT_THM_PQ_SQRT, MalformedCertificateError,
-                              certificate_verify, certify_any,
-                              certify_combined, certify_lens,
+                              CRIT_THM_PQ_SQRT, Certifier,
+                              MalformedCertificateError, certificate_verify,
+                              certify_any, certify_combined_report,
                               certify_lens_report, certify_negative_m,
-                              certify_sector_pq, certify_sector_prime_power,
                               search_m)
 from polycert.oracles import irreducible_bruteforce
 from polycert.poly import Polynomial, parse_polynomial
@@ -24,68 +23,68 @@ FLAGSHIP = parse_polynomial("X^4-10*X^3+2162")
 
 
 def test_digit_cubic_nonneg_path():
-    cert = certify_sector_pq(parse_polynomial("X^3+9*X^2+7*X+3"), 10)
+    cert = certify_any(parse_polynomial("X^3+9*X^2+7*X+3"), 10, modes=("pq",))
     assert cert is not None and cert.criterion == CRIT_NONNEG
     assert cert.witness.p == 1973 and not cert.conditional
 
 
 def test_dominant_leading_coefficient_path():
-    cert = certify_sector_pq(parse_polynomial("2*X^3+X-1"), 4)
+    cert = certify_any(parse_polynomial("2*X^3+X-1"), 4, modes=("pq",))
     assert cert is not None and cert.criterion == CRIT_LEADING_DOMINANT
 
 
 def test_partial_sums_path():
-    cert = certify_sector_pq(parse_polynomial("3*X^5+X^4-2*X^3+X^2-3*X+1"), 3)
+    cert = certify_any(parse_polynomial("3*X^5+X^4-2*X^3+X^2-3*X+1"), 3, modes=("pq",))
     assert cert is not None and cert.criterion == CRIT_PARTIAL_SUMS
     assert cert.region["sector"]["method"] == "shifted:1"
 
 
 def test_single_variation_path():
-    cert = certify_sector_pq(parse_polynomial("2*X^4+2*X^3-2*X-1"), 4)
+    cert = certify_any(parse_polynomial("2*X^4+2*X^3-2*X-1"), 4, modes=("pq",))
     assert cert is not None and cert.criterion == CRIT_SINGLE_VARIATION
 
 
 def test_sqrt_variant_needs_no_rational_root():
-    cert = certify_sector_pq(parse_polynomial("X^2+3"), 3, q_max=4)
+    cert = certify_any(parse_polynomial("X^2+3"), 3, q_max=4, modes=("pq",))
     assert cert is not None and cert.criterion == CRIT_THM_PQ_SQRT
     assert (cert.witness.p, cert.witness.q) == (3, 4)
     # with a rational root the sqrt variant must not fire: (X-1)(X-5)+small...
     # f = X^2-2X-3 has roots 3 and -1; nothing should certify anywhere
-    assert certify_sector_pq(parse_polynomial("X^2-2*X-3"), 9, q_max=4) is None
+    assert certify_any(parse_polynomial("X^2-2*X-3"), 9, q_max=4, modes=("pq",)) is None
 
 
 def test_plain_pq_with_cofactor():
-    cert = certify_sector_pq(parse_polynomial("X^2+1"), 5, q_max=2)
+    cert = certify_any(parse_polynomial("X^2+1"), 5, q_max=2, modes=("pq",))
     assert cert is not None and cert.criterion == CRIT_THM_PQ
     assert (cert.witness.p, cert.witness.q) == (13, 2)
 
 
 def test_prime_power_small_square():
-    cert = certify_sector_prime_power(parse_polynomial("X^2+X+1"), 2)
+    cert = certify_any(parse_polynomial("X^2+X+1"), 2, modes=("prime_power",))
     assert cert is not None and cert.criterion == CRIT_THM_POWER
     w = cert.witness
     assert (w.p, w.k, w.q, w.ell, w.r) == (7, 1, 1, 0, 5)
 
 
 def test_prime_power_insufficient_margin():
-    assert certify_sector_prime_power(parse_polynomial("X^2+3"), 3) is None
+    assert certify_any(parse_polynomial("X^2+3"), 3, modes=("prime_power",)) is None
 
 
 def test_prime_power_cube():
-    cert = certify_sector_prime_power(parse_polynomial("X^2+2"), 5)
+    cert = certify_any(parse_polynomial("X^2+2"), 5, modes=("prime_power",))
     assert cert is not None and cert.criterion == CRIT_THM_POWER
     assert (cert.witness.p, cert.witness.k) == (3, 3)
 
 
 def test_prime_power_sqrt_variant():
-    cert = certify_sector_prime_power(parse_polynomial("X^3+3*X+29"), 5)
+    cert = certify_any(parse_polynomial("X^3+3*X+29"), 5, modes=("prime_power",))
     assert cert is not None and cert.criterion == CRIT_THM_POWER_SQRT
     w = cert.witness
     assert (w.p, w.k, w.ell) == (13, 2, 1) and w.s == 1
 
 
 def test_lens_flagship():
-    cert = certify_lens(FLAGSHIP, 3)
+    cert = certify_any(FLAGSHIP, 3, modes=("lens",))
     assert cert is not None and cert.criterion == CRIT_LENS_COT
     assert cert.witness.p == 1973
     assert cert.primality_status == "proven_prime"
@@ -93,9 +92,9 @@ def test_lens_flagship():
 
 
 def test_lens_rejects_outside_interval():
-    cert, reason = certify_lens_report(FLAGSHIP, 5)
+    cert, reason = certify_lens_report(Certifier(FLAGSHIP), 5)
     assert cert is None and reason in ("outside-region", "value-composite")
-    assert certify_sector_pq(FLAGSHIP, 5) is None
+    assert certify_any(FLAGSHIP, 5, modes=("pq",)) is None
 
 
 def test_lens_quartic_family_instance():
@@ -103,12 +102,12 @@ def test_lens_quartic_family_instance():
     a, b = 4, 1004  # f(3) = 977, prime
     f = parse_polynomial(f"X^4-{a}*X^3+{b}")
     assert b > 216 * a and is_prime(81 - 27 * a + b).is_prime
-    cert = certify_lens(f, 3)
+    cert = certify_any(f, 3, modes=("lens",))
     assert cert is not None
 
 
 def test_combined_lens_branch():
-    cert = certify_combined(FLAGSHIP, 3)
+    cert = certify_combined_report(Certifier(FLAGSHIP), 3)[0]
     assert cert is not None and cert.criterion == CRIT_COMBINED
     assert cert.region["branch"] == "lens"
 
@@ -117,13 +116,13 @@ def test_combined_ray_branch():
     # exact evaluation gives f(13) = 8753, a prime, and 13 > 10 + sqrt(2)
     assert FLAGSHIP.evaluate(13) == 8753
     assert is_prime(8753).status.value == "proven_prime"
-    cert = certify_combined(FLAGSHIP, 13)
+    cert = certify_combined_report(Certifier(FLAGSHIP), 13)[0]
     assert cert is not None and cert.region["branch"] == "ray"
 
 
 def test_combined_nonneg_equals_sector_path():
     f = parse_polynomial("X^3+9*X^2+7*X+3")
-    cert = certify_combined(f, 10)
+    cert = certify_combined_report(Certifier(f), 10)[0]
     assert cert is not None and cert.region["branch"] == "ray"
 
 
@@ -153,6 +152,44 @@ def test_search_reducible_is_never_certified():
     assert {o.m for o in report.outcomes} == set(range(1, 51))
 
 
+def test_search_reports_missing_lens_as_inapplicable():
+    # degree 2 and a zero constant term give no lens at all, not a degenerate one
+    for expr in ("X^2-10", "X^3-10*X"):
+        report = search_m(parse_polynomial(expr), 1, 2)
+        assert [o.detail for o in report.outcomes] == \
+            ["lens-inapplicable;value-nonpositive"] * 2, expr
+    report = search_m(parse_polynomial("(X^2+1)*(X^2+3)"), 1, 30, q_max=3)
+    assert "lens-degenerate;q-exceeds" in {o.detail for o in report.outcomes}
+
+
+def test_certifier_builds_each_region_once(monkeypatch):
+    import polycert.certify as certify_module
+    calls = {}
+
+    def counting(name):
+        original = getattr(certify_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(certify_module, name, wrapper)
+
+    for name in ("sector_candidates", "lens_of", "interval_disk_in_lens",
+                 "has_rational_root", "extract_witness_report"):
+        counting(name)
+    ctx = Certifier(parse_polynomial("(X-3)*(X^2+X+7)"), q_max=3)
+    for m in range(1, 31):
+        assert ctx.certify(m)[0] is None
+    assert calls["lens_of"] == calls["interval_disk_in_lens"] == 1
+    assert calls["sector_candidates"] == calls["has_rational_root"] == 1
+    # with q_max 1 the lens and prime-value criteria share one witness per m
+    calls.clear()
+    ctx = Certifier(FLAGSHIP)
+    assert ctx.certify(2, ("lens", "pq"))[1] == ["value-composite"] * 2
+    assert calls == {"lens_of": 1, "interval_disk_in_lens": 1,
+                     "extract_witness_report": 1}
+
+
 def test_search_validates_range():
     with pytest.raises(ValueError):
         search_m(FLAGSHIP, 5, 4)
@@ -172,11 +209,11 @@ def test_monotone_in_m_for_prime_values():
     f = parse_polynomial("X^3+9*X^2+7*X+3")
     threshold_seen = False
     for m in range(2, 120):
-        cert = certify_sector_pq(f, m)
+        cert = certify_any(f, m, modes=("pq",))
         if cert is not None:
             threshold_seen = True
         if threshold_seen and is_prime(f.evaluate(m)).is_prime:
-            assert certify_sector_pq(f, m) is not None
+            assert certify_any(f, m, modes=("pq",)) is not None
 
 
 def test_negative_m_round_trip():
@@ -208,7 +245,7 @@ def test_agreement_with_bruteforce_on_certified(fuzz_corpus):
         if checked >= 25 or f.degree() > 6:
             continue
         m = rng.randint(1, 30)
-        cert = certify_sector_pq(f, m)
+        cert = certify_any(f, m, modes=("pq",))
         if cert is None or cert.witness.q != 1:
             continue
         assert irreducible_bruteforce(f).status == "irreducible"
@@ -221,11 +258,11 @@ def test_agreement_with_bruteforce_on_certified(fuzz_corpus):
 
 def _certificate_pile():
     return [
-        certify_lens(FLAGSHIP, 3),
-        certify_sector_pq(parse_polynomial("X^3+9*X^2+7*X+3"), 10),
-        certify_sector_pq(parse_polynomial("X^2+3"), 3, q_max=4),
-        certify_sector_prime_power(parse_polynomial("X^3+3*X+29"), 5),
-        certify_combined(FLAGSHIP, 13),
+        certify_any(FLAGSHIP, 3, modes=("lens",)),
+        certify_any(parse_polynomial("X^3+9*X^2+7*X+3"), 10, modes=("pq",)),
+        certify_any(parse_polynomial("X^2+3"), 3, q_max=4, modes=("pq",)),
+        certify_any(parse_polynomial("X^3+3*X+29"), 5, modes=("prime_power",)),
+        certify_combined_report(Certifier(FLAGSHIP), 13)[0],
         certify_negative_m(parse_polynomial("X^2+X+1"), -3),
     ]
 
@@ -238,7 +275,7 @@ def test_replay_round_trip():
 
 
 def test_replay_rejects_all_single_field_tampers():
-    cert = certify_lens(FLAGSHIP, 3)
+    cert = certify_any(FLAGSHIP, 3, modes=("lens",))
     base = cert.to_json()
 
     def tampered(path, value):
@@ -277,7 +314,7 @@ def test_replay_rejects_all_single_field_tampers():
 
 
 def test_replay_detects_missing_fields_and_schema():
-    cert = certify_lens(FLAGSHIP, 3).to_json()
+    cert = certify_any(FLAGSHIP, 3, modes=("lens",)).to_json()
     bad = copy.deepcopy(cert)
     del bad["witness"]
     with pytest.raises(MalformedCertificateError):

@@ -39,6 +39,12 @@ def test_certify_reducible_search_exit_one(capsys):
     assert "no certificate" in err
 
 
+def test_certify_search_names_missing_lens(capsys):
+    code, _, err = run(capsys, "certify", "X^2-10", "--search", "1..2")
+    assert code == 1
+    assert "m=1: witness-absent (lens-inapplicable;value-nonpositive)" in err
+
+
 def test_certify_search_finds_first(capsys):
     code, out, _ = run(capsys, "certify", "X^4-10*X^3+2162", "--search", "1..20",
                        "--json")
