@@ -250,6 +250,9 @@ class Certifier:
         """The first certificate at m from the enabled criteria, tried in
         DEFAULT_MODES order, and the reason of each criterion that failed."""
         modes = DEFAULT_MODES if modes is None else tuple(modes)
+        unknown = set(modes) - set(DEFAULT_MODES)
+        if unknown:
+            raise ValueError(f"unknown modes {sorted(unknown)}; known: {list(DEFAULT_MODES)}")
         # looked up per call, so wrappers installed on this module's functions apply
         criteria = {"lens": certify_lens_report, "pq": certify_sector_pq_report,
                     "prime_power": certify_sector_prime_power_report}
@@ -429,10 +432,6 @@ def search_m(f: Polynomial, lo: int, hi: int, q_max: int = 1,
     certificate unless exhaustive."""
     if not 1 <= lo <= hi:
         raise ValueError("search range must satisfy 1 <= lo <= hi")
-    modes = tuple(DEFAULT_MODES if modes is None else modes)
-    unknown = set(modes) - set(DEFAULT_MODES)
-    if unknown:
-        raise ValueError(f"unknown search modes {sorted(unknown)}")
     _validate_sector_input(f, lo)
 
     ctx = Certifier(f, q_max, digits)

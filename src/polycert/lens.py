@@ -14,9 +14,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .poly import Polynomial
-from .rounding import (DEFAULT_DIGITS, BoundedReal, arctan_bounds, cot_pi_frac,
-                       format_decimal, pi_bounds, root_of_enclosure,
-                       sin_pi_frac, tan_pi_frac)
+from .rounding import (DEFAULT_DIGITS, BoundedReal, _refine, arctan_bounds,
+                       cot_pi_frac, format_decimal, pi_bounds,
+                       root_of_enclosure, sin_pi_frac, tan_pi_frac)
 from .sectors import Sector, best_sector
 
 
@@ -184,27 +184,20 @@ def union_angle(v: BoundedReal, v_tilde: BoundedReal, n: int,
         raise ValueError("union_angle expects non-negative vertices")
     if not v.upper * v_tilde.upper < 1:
         raise ValueError("union angle formula needs v * v_tilde < 1")
-    work = digits + 4
-    while True:
-        pi_n = pi_bounds(work) * Fraction(1, n)
-        s = sin_pi_frac(Fraction(1, n), work)
-        product = v * v_tilde
-        if product.upper == 0:
-            out = pi_n
-        else:
-            rad_lo = 1 / product.upper - s.upper * s.upper
-            arg_hi = s.upper / root_of_enclosure(BoundedReal.exact(rad_lo), 2, work).lower
-            term_hi = arctan_bounds(BoundedReal.exact(arg_hi), work).upper
-            if product.lower == 0:
-                term_lo = Fraction(0)
-            else:
-                rad_hi = 1 / product.lower - s.lower * s.lower
-                arg_lo = s.lower / root_of_enclosure(BoundedReal.exact(rad_hi), 2, work).upper
-                term_lo = arctan_bounds(BoundedReal.exact(arg_lo), work).lower
-            out = BoundedReal(pi_n.lower - term_hi, pi_n.upper - term_lo)
-        if out.meets_target(digits) or work > 16 * digits:
-            return out
-        work *= 2
+    c = Fraction(1, n)
+
+    def at(p: Fraction) -> BoundedReal:
+        def build(work: int) -> BoundedReal:
+            pi_n = pi_bounds(work) * c
+            if p == 0:
+                return pi_n
+            s = sin_pi_frac(c, work)
+            return pi_n - arctan_bounds(s / root_of_enclosure(1 / p - s * s, 2, work), work)
+        return _refine(build, digits + 4, digits)
+
+    # the angle decreases as v*vt grows: each end comes from an exact product
+    product = v * v_tilde
+    return BoundedReal(at(product.upper).lower, at(product.lower).upper)
 
 
 @dataclass(frozen=True)

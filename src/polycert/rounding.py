@@ -4,8 +4,17 @@ by the region computations (radicals, pi, sin, tan, cot, arctan).
 Every value is carried as an exact rational enclosure [lower, upper].  All
 operations round outward, so an inequality verified against the appropriate
 endpoint of an enclosure holds for the enclosed real number.  Producers
-tighten until the width is at most 10^-digits relative to max(1, |upper|),
-doubling the working precision as needed.
+tighten until the width is at most 10^-digits relative to max(1, |upper|).
+
+Two private routines hold the numerics.  `_alternating` sums every series:
+sin, cos and arctan, each given as a first term and a term ratio, and pi
+through Machin's arctan formula.  `_refine` is the one precision loop: it
+doubles the working precision until an enclosure meets the digits target.
+Every producer here and `lens.union_angle` call it.  Its one precondition:
+each doubling must make the enclosure narrower, with no lower limit on the
+width, or the loop never ends.  The width of an interval argument is such a
+limit, so a monotone function of an interval is evaluated at the ends of the
+interval, each end tightened on its own.
 """
 from __future__ import annotations
 
@@ -150,6 +159,18 @@ def _iroot_ceil(n: int, k: int) -> int:
     return r if r**k == n else r + 1
 
 
+def _refine(build, start: int, digits: int, positive: bool = False) -> BoundedReal:
+    """build(p) for p = start, 2*start, 4*start, ... until the enclosure meets
+    the digits target (and, if positive, has a lower end above 0).  The width
+    of build(p) must go to 0 as p grows."""
+    p = start
+    while True:
+        out = build(p)
+        if out.meets_target(digits) and (out.lower > 0 or not positive):
+            return out
+        p *= 2
+
+
 def nth_root_bounds(x: Rat, k: int, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     """Enclosure of x^(1/k) for x >= 0; exact for perfect rational powers."""
     x = Fraction(x)
@@ -165,15 +186,12 @@ def nth_root_bounds(x: Rat, k: int, digits: int = DEFAULT_DIGITS) -> BoundedReal
     rn, rd = iroot(num, k), iroot(den, k)
     if rn**k == num and rd**k == den:
         return BoundedReal.exact(Fraction(rn, rd))
-    s = max(16, 4 * digits)
-    while True:
+
+    def build(s: int) -> BoundedReal:
         shifted = num << (k * s)
-        lo_i = iroot(shifted // den, k)
-        hi_i = _iroot_ceil(-(-shifted // den), k)
-        out = BoundedReal(Fraction(lo_i, 1 << s), Fraction(hi_i, 1 << s))
-        if lo_i > 0 and out.meets_target(digits):
-            return out
-        s *= 2
+        return BoundedReal(Fraction(iroot(shifted // den, k), 1 << s),
+                           Fraction(_iroot_ceil(-(-shifted // den), k), 1 << s))
+    return _refine(build, max(16, 4 * digits), digits, positive=True)
 
 
 def root_of_enclosure(v: BoundedReal, k: int, digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -199,86 +217,59 @@ def pow_upper(base: int, exponent: Fraction, digits: int = DEFAULT_DIGITS) -> Fr
 # -- pi and trig enclosures ---------------------------------------------------
 
 
-def _alternating_bracket(terms) -> tuple[Fraction, Fraction]:
-    """Bracket the limit of an alternating series with decreasing term
-    magnitudes; `terms` yields signed terms and a final sentinel None after
-    the cutoff.  Consecutive partial sums bracket the limit."""
-    total = Fraction(0)
-    prev = None
-    for t in terms:
-        if t is None:
-            break
-        prev = total
-        total += t
-    assert prev is not None
-    return (total, prev) if total <= prev else (prev, total)
-
-
-def _atan_inv_terms(m: int, bits: int):
-    # arctan(1/m) = 1/m - 1/(3 m^3) + 1/(5 m^5) - ...
+def _alternating(first: Fraction, ratio, bits: int) -> tuple[Fraction, Fraction]:
+    """Bracket the limit of first - t_1 + t_2 - ..., t_j = t_(j-1) * ratio(j),
+    whose term magnitudes decrease from the start.  Stops at the first term
+    after `first` that is below 2^-bits and returns the partial sums on either
+    side of it; consecutive partial sums bracket the limit."""
+    total = term = first
     j = 0
     while True:
-        term = Fraction(1, (2 * j + 1) * m ** (2 * j + 1))
-        yield -term if j % 2 else term
-        if term * (1 << bits) < 1:
-            yield None
         j += 1
+        term *= ratio(j)
+        nxt = total - term if j % 2 else total + term
+        if term * (1 << bits) < 1:
+            return (total, nxt) if total <= nxt else (nxt, total)
+        total = nxt
+
+
+def _sin_series(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Bracket sin(x) = x - x^3/3! + x^5/5! - ... for 0 <= x <= 2."""
+    x2 = x * x
+    return _alternating(x, lambda j: x2 / ((2 * j) * (2 * j + 1)), bits)
+
+
+def _cos_series(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Bracket cos(x) = 1 - x^2/2! + x^4/4! - ... for 0 <= x < sqrt(2)."""
+    x2 = x * x
+    return _alternating(Fraction(1), lambda j: x2 / ((2 * j - 1) * (2 * j)), bits)
+
+
+def _atan_series(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Bracket arctan(x) = x - x^3/3 + x^5/5 - ... for 0 <= x <= 1/2."""
+    x2 = x * x
+    return _alternating(x, lambda j: x2 * (2 * j - 1) / (2 * j + 1), bits)
 
 
 @lru_cache(maxsize=None)
 def _pi_bits(bits: int) -> BoundedReal:
     # Machin: pi = 16*arctan(1/5) - 4*arctan(1/239)
-    a_lo, a_hi = _alternating_bracket(_atan_inv_terms(5, bits + 8))
-    b_lo, b_hi = _alternating_bracket(_atan_inv_terms(239, bits + 8))
+    a_lo, a_hi = _atan_series(Fraction(1, 5), bits + 8)
+    b_lo, b_hi = _atan_series(Fraction(1, 239), bits + 8)
     return BoundedReal(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo).rounded(bits)
 
 
 def pi_bounds(digits: int = DEFAULT_DIGITS) -> BoundedReal:
-    bits = 4 * digits + 16
-    while True:
-        out = _pi_bits(bits)
-        if out.meets_target(digits):
-            return out
-        bits *= 2
-
-
-def _sin_bracket(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Bracket sin(x) for 0 <= x <= 2 (terms decrease from the start)."""
-    total = Fraction(0)
-    term = x
-    j = 0
-    while True:
-        total += term if j % 2 == 0 else -term
-        j += 1
-        term = term * x * x / ((2 * j) * (2 * j + 1))
-        if term * (1 << bits) < 1:
-            nxt = total + (term if j % 2 == 0 else -term)
-            return (total, nxt) if total <= nxt else (nxt, total)
-
-
-def _cos_bracket(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Bracket cos(x) for 0 <= x < sqrt(2) (terms decrease from the start)."""
-    total = Fraction(0)
-    term = Fraction(1)
-    j = 0
-    while True:
-        total += term if j % 2 == 0 else -term
-        j += 1
-        term = term * x * x / ((2 * j - 1) * (2 * j))
-        if term * (1 << bits) < 1:
-            nxt = total + (term if j % 2 == 0 else -term)
-            return (total, nxt) if total <= nxt else (nxt, total)
+    return _refine(_pi_bits, 4 * digits + 16, digits)
 
 
 @lru_cache(maxsize=None)
 def _sin_pi_frac_bits(num: int, den: int, bits: int) -> BoundedReal:
     # sin(pi*num/den) on (0, 1/2]: increasing, so evaluate at the endpoints of
     # an enclosure of the argument.
-    c = Fraction(num, den)
-    pi = _pi_bits(bits + 8)
-    x = (pi * c).rounded(bits + 8)
-    lo = _sin_bracket(x.lower, bits)[0]
-    hi = _sin_bracket(x.upper, bits)[1]
+    x = (_pi_bits(bits + 8) * Fraction(num, den)).rounded(bits + 8)
+    lo = _sin_series(x.lower, bits)[0]
+    hi = _sin_series(x.upper, bits)[1]
     return BoundedReal(lo, min(hi, Fraction(1))).rounded(bits)
 
 
@@ -291,31 +282,21 @@ def sin_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
         return BoundedReal.exact(1)
     if c == Fraction(1, 6):
         return BoundedReal.exact(Fraction(1, 2))
-    bits = 4 * digits + 16
-    while True:
-        out = _sin_pi_frac_bits(c.numerator, c.denominator, bits)
-        if out.meets_target(digits):
-            return out
-        bits *= 2
+    return _refine(lambda bits: _sin_pi_frac_bits(c.numerator, c.denominator, bits),
+                   4 * digits + 16, digits)
 
 
 @lru_cache(maxsize=None)
 def _cos_pi_frac_bits(num: int, den: int, bits: int) -> BoundedReal:
-    c = Fraction(num, den)
-    pi = _pi_bits(bits + 8)
-    x = (pi * c).rounded(bits + 8)
-    lo = _cos_bracket(x.upper, bits)[0]  # decreasing
-    hi = _cos_bracket(x.lower, bits)[1]
+    x = (_pi_bits(bits + 8) * Fraction(num, den)).rounded(bits + 8)
+    lo = _cos_series(x.upper, bits)[0]  # decreasing
+    hi = _cos_series(x.lower, bits)[1]
     return BoundedReal(lo, min(hi, Fraction(1))).rounded(bits)
 
 
 def _cos_pi_frac(c: Fraction, digits: int) -> BoundedReal:
-    bits = 4 * digits + 16
-    while True:
-        out = _cos_pi_frac_bits(c.numerator, c.denominator, bits)
-        if out.meets_target(digits):
-            return out
-        bits *= 2
+    return _refine(lambda bits: _cos_pi_frac_bits(c.numerator, c.denominator, bits),
+                   4 * digits + 16, digits)
 
 
 def tan_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -325,12 +306,8 @@ def tan_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
         raise ValueError("tan_pi_frac expects c in (0, 1/4]")
     if c == Fraction(1, 4):
         return BoundedReal.exact(1)
-    digits_work = digits + 2
-    while True:
-        out = sin_pi_frac(c, digits_work) / _cos_pi_frac(c, digits_work)
-        if out.meets_target(digits):
-            return out
-        digits_work *= 2
+    return _refine(lambda work: sin_pi_frac(c, work) / _cos_pi_frac(c, work),
+                   digits + 2, digits)
 
 
 def cot_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -342,12 +319,8 @@ def cot_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
         return BoundedReal.exact(0)
     if c == Fraction(1, 4):
         return BoundedReal.exact(1)
-    digits_work = digits + 2
-    while True:
-        out = _cos_pi_frac(c, digits_work) / sin_pi_frac(c, digits_work)
-        if out.meets_target(digits):
-            return out
-        digits_work *= 2
+    return _refine(lambda work: _cos_pi_frac(c, work) / sin_pi_frac(c, work),
+                   digits + 2, digits)
 
 
 def trig_bounds(kind: str, n: int, digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -372,41 +345,32 @@ def trig_bounds(kind: str, n: int, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     raise ValueError(f"unknown trig kind {kind!r}")
 
 
-def _atan_bracket(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Bracket arctan(x) for 0 <= x <= 1/2 by the alternating series."""
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    total = Fraction(0)
-    term = x
-    j = 0
-    while True:
-        total += term if j % 2 == 0 else -term
-        j += 1
-        term = term * x * x * (2 * j - 1) / (2 * j + 1)
-        if term * (1 << bits) < 1:
-            nxt = total + (term if j % 2 == 0 else -term)
-            return (total, nxt) if total <= nxt else (nxt, total)
-
-
-def arctan_bounds(x: BoundedReal, digits: int = DEFAULT_DIGITS) -> BoundedReal:
-    """Enclosure of arctan(x) for x >= 0 (argument-halving plus series)."""
-    if x.lower < 0:
-        raise ValueError("arctan_bounds expects x >= 0")
-    bits = 4 * digits + 24
-    while True:
-        t = x
+def _arctan_point(x: Fraction, digits: int) -> BoundedReal:
+    """Enclosure of arctan(x) for exact x >= 0 (argument-halving plus series)."""
+    def build(bits: int) -> BoundedReal:
+        t = BoundedReal.exact(x)
         halvings = 0
         while t.upper > Fraction(1, 2):
-            # arctan(t) = 2*arctan(t / (1 + sqrt(1 + t^2)))
+            # arctan(t) = 2*arctan(t / (1 + sqrt(1 + t^2))); the root's fixed
+            # 10^-(digits+8) width stays far below the target
             s = root_of_enclosure(1 + t * t, 2, digits + 8)
             t = (t / (1 + s)).rounded(bits)
             halvings += 1
-        lo = _atan_bracket(t.lower, bits)[0]
-        hi = _atan_bracket(t.upper, bits)[1]
-        out = BoundedReal((1 << halvings) * lo, (1 << halvings) * hi).rounded(bits)
-        if out.meets_target(digits):
-            return out
-        bits *= 2
+        lo = _atan_series(t.lower, bits)[0]
+        hi = _atan_series(t.upper, bits)[1]
+        return BoundedReal((1 << halvings) * lo, (1 << halvings) * hi).rounded(bits)
+    return _refine(build, 4 * digits + 24, digits)
+
+
+def arctan_bounds(x: BoundedReal, digits: int = DEFAULT_DIGITS) -> BoundedReal:
+    """Enclosure of arctan(x) for x >= 0.  arctan is increasing, so each end
+    comes from the matching end of x, tightened to the target."""
+    if x.lower < 0:
+        raise ValueError("arctan_bounds expects x >= 0")
+    lo = _arctan_point(x.lower, digits)
+    if x.is_exact():
+        return lo
+    return BoundedReal(lo.lower, _arctan_point(x.upper, digits).upper)
 
 
 # -- decimal rendering --------------------------------------------------------

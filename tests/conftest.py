@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -19,3 +20,16 @@ def fuzz_corpus():
     """1000 random polynomials, degrees 2..8, coefficients in [-20, 20]."""
     rng = random.Random(20260810)
     return [random_polynomial(rng) for _ in range(1000)]
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) fails the test once it has run that many whole
+    seconds longer, so a hang shows up as a failure instead of a stall."""
+    def expire(signum, frame):
+        pytest.fail("test ran past its deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

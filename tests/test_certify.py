@@ -204,6 +204,18 @@ def test_search_modes_restriction():
     assert report.certificate.criterion == CRIT_THM_POWER
 
 
+@pytest.mark.parametrize("modes", [("lense",), "pq", ("pq", "prime-power")])
+def test_unknown_modes_are_rejected_everywhere(modes):
+    # a misspelt mode must not read as "no certificate"
+    f = parse_polynomial("X^4-10*X^3+2162")
+    for attempt in (lambda: certify_any(f, 3, modes=modes),
+                    lambda: certify_negative_m(f, -3, modes=modes),
+                    lambda: Certifier(f).certify(3, modes),
+                    lambda: search_m(f, 1, 3, modes=modes)):
+        with pytest.raises(ValueError, match="unknown modes"):
+            attempt()
+
+
 def test_monotone_in_m_for_prime_values():
     # once past the fixed threshold, every later prime value certifies too
     f = parse_polynomial("X^3+9*X^2+7*X+3")

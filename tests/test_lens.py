@@ -122,6 +122,23 @@ def test_union_angle_against_oracle():
     assert alpha.lower - SLACK <= oracle <= alpha.upper + SLACK
 
 
+def test_union_angle_on_interval_vertices(deadline):
+    # sectors come with interval vertices; the angle decreases as v*vt grows,
+    # so the ends are the angles at the largest and the smallest product
+    deadline(5)
+    v, vt, n = BoundedReal.of(Fraction(1, 3), Fraction(1, 2)), \
+        BoundedReal.of(Fraction(1, 9), Fraction(1, 8)), 4
+    alpha = union_angle(v, vt, n, digits=12)
+    s = mpmath.sin(mpmath.pi / n)
+
+    def oracle(p):
+        return mp_frac(mpmath.pi / n - mpmath.atan(s / mpmath.sqrt(1 / mpmath.mpf(p) - s**2)))
+    at_upper = oracle(1 / mpmath.mpf(16))
+    at_lower = oracle(1 / mpmath.mpf(27))
+    assert alpha.lower - SLACK <= at_upper <= alpha.lower + Fraction(1, 10**12)
+    assert alpha.upper - Fraction(1, 10**12) <= at_lower <= alpha.upper + SLACK
+
+
 def test_union_angle_containment_claim():
     # every point of the origin sector with half-angle alpha.lower lies in
     # the vertex sector or in the lens (numeric spot check)

@@ -129,6 +129,16 @@ def test_arctan_bounds():
         assert b.meets_target(12)
 
 
+def test_arctan_bounds_of_an_interval(deadline):
+    # arctan is increasing: each end comes from the matching end of x
+    deadline(5)
+    b = arctan_bounds(BoundedReal.of(Fraction(1, 5), Fraction(3, 4)))
+    assert b.lower == arctan_bounds(BoundedReal.exact(Fraction(1, 5))).lower
+    assert b.upper == arctan_bounds(BoundedReal.exact(Fraction(3, 4))).upper
+    assert in_mp_bounds(b, mpmath.atan(mpmath.mpf(1) / 5))
+    assert in_mp_bounds(b, mpmath.atan(mpmath.mpf(3) / 4))
+
+
 def test_interval_arithmetic_directions():
     a = BoundedReal.of(Fraction(1, 3), Fraction(1, 2))
     b = BoundedReal.of(Fraction(-2), Fraction(3))
