@@ -8,12 +8,15 @@ tighten until the width is at most 10^-digits relative to max(1, |upper|).
 
 Two private routines hold the numerics.  `_alternating` sums every series:
 sin, cos and arctan, each given as a first term and a term ratio, and pi
-through Machin's arctan formula.  `_refine` is the one precision loop: it
-doubles the working precision until an enclosure meets the digits target.
-Every producer here and `lens.union_angle` call it.  Its one precondition:
-each doubling must make the enclosure narrower, with no lower limit on the
-width, or the loop never ends.  The width of an interval argument is such a
-limit, so a monotone function of an interval is evaluated at the ends of the
+through Machin's arctan formula.  It keeps the exact partial sums as
+unreduced integers over one common denominator, and `_rounded` puts each
+endpoint on the 2^-bits grid with one integer floor or ceiling division, so
+the series take no gcd.  `_refine` is the one precision loop: it doubles the
+working precision until an enclosure meets the digits target.  Every
+producer here and `lens.union_angle` call it.  Its one precondition: each
+doubling must make the enclosure narrower, with no lower limit on the width,
+or the loop never ends.  The width of an interval argument is such a limit,
+so a monotone function of an interval is evaluated at the ends of the
 interval, each end tightened on its own.
 """
 from __future__ import annotations
@@ -217,46 +220,62 @@ def pow_upper(base: int, exponent: Fraction, digits: int = DEFAULT_DIGITS) -> Fr
 # -- pi and trig enclosures ---------------------------------------------------
 
 
-def _alternating(first: Fraction, ratio, bits: int) -> tuple[Fraction, Fraction]:
-    """Bracket the limit of first - t_1 + t_2 - ..., t_j = t_(j-1) * ratio(j),
-    whose term magnitudes decrease from the start.  Stops at the first term
-    after `first` that is below 2^-bits and returns the partial sums on either
-    side of it; consecutive partial sums bracket the limit."""
-    total = term = first
+def _alternating(first: Fraction, ratio, bits: int) -> tuple[int, int, int]:
+    """Bracket the limit of first - t_1 + t_2 - ..., t_j = t_(j-1) * p/q with
+    (p, q) = ratio(j), whose term magnitudes decrease from the start.  Stops
+    at the first term after `first` that is below 2^-bits and returns
+    (lo, hi, d): the partial sums lo/d <= hi/d on either side of it, which
+    bracket the limit.  The sums are kept over one common denominator d and
+    never reduced, so no gcd is taken."""
+    term = total = first.numerator
+    d = first.denominator
     j = 0
     while True:
         j += 1
-        term *= ratio(j)
+        p, q = ratio(j)
+        term *= p
+        total *= q
+        d *= q
         nxt = total - term if j % 2 else total + term
-        if term * (1 << bits) < 1:
-            return (total, nxt) if total <= nxt else (nxt, total)
+        if term << bits < d:
+            return (total, nxt, d) if total <= nxt else (nxt, total, d)
         total = nxt
 
 
-def _sin_series(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+def _rounded(lo: int, lo_d: int, hi: int, hi_d: int, bits: int) -> BoundedReal:
+    """BoundedReal(lo/lo_d, hi/hi_d).rounded(bits) for lo_d, hi_d > 0, by one
+    integer floor and one ceiling division; neither fraction is reduced."""
+    scale = 1 << bits
+    return BoundedReal(Fraction((lo << bits) // lo_d, scale),
+                       Fraction(-((-hi << bits) // hi_d), scale))
+
+
+def _sin_series(x: Fraction, bits: int) -> tuple[int, int, int]:
     """Bracket sin(x) = x - x^3/3! + x^5/5! - ... for 0 <= x <= 2."""
-    x2 = x * x
-    return _alternating(x, lambda j: x2 / ((2 * j) * (2 * j + 1)), bits)
+    a, b = x.numerator ** 2, x.denominator ** 2
+    return _alternating(x, lambda j: (a, b * (2 * j) * (2 * j + 1)), bits)
 
 
-def _cos_series(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+def _cos_series(x: Fraction, bits: int) -> tuple[int, int, int]:
     """Bracket cos(x) = 1 - x^2/2! + x^4/4! - ... for 0 <= x < sqrt(2)."""
-    x2 = x * x
-    return _alternating(Fraction(1), lambda j: x2 / ((2 * j - 1) * (2 * j)), bits)
+    a, b = x.numerator ** 2, x.denominator ** 2
+    return _alternating(Fraction(1), lambda j: (a, b * (2 * j - 1) * (2 * j)), bits)
 
 
-def _atan_series(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+def _atan_series(x: Fraction, bits: int) -> tuple[int, int, int]:
     """Bracket arctan(x) = x - x^3/3 + x^5/5 - ... for 0 <= x <= 1/2."""
-    x2 = x * x
-    return _alternating(x, lambda j: x2 * (2 * j - 1) / (2 * j + 1), bits)
+    a, b = x.numerator ** 2, x.denominator ** 2
+    return _alternating(x, lambda j: (a * (2 * j - 1), b * (2 * j + 1)), bits)
 
 
 @lru_cache(maxsize=None)
 def _pi_bits(bits: int) -> BoundedReal:
-    # Machin: pi = 16*arctan(1/5) - 4*arctan(1/239)
-    a_lo, a_hi = _atan_series(Fraction(1, 5), bits + 8)
-    b_lo, b_hi = _atan_series(Fraction(1, 239), bits + 8)
-    return BoundedReal(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo).rounded(bits)
+    # Machin: pi = 16*arctan(1/5) - 4*arctan(1/239), over one denominator
+    a_lo, a_hi, a_d = _atan_series(Fraction(1, 5), bits + 8)
+    b_lo, b_hi, b_d = _atan_series(Fraction(1, 239), bits + 8)
+    d = a_d * b_d
+    return _rounded(16 * a_lo * b_d - 4 * b_hi * a_d, d,
+                    16 * a_hi * b_d - 4 * b_lo * a_d, d, bits)
 
 
 def pi_bounds(digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -268,9 +287,9 @@ def _sin_pi_frac_bits(num: int, den: int, bits: int) -> BoundedReal:
     # sin(pi*num/den) on (0, 1/2]: increasing, so evaluate at the endpoints of
     # an enclosure of the argument.
     x = (_pi_bits(bits + 8) * Fraction(num, den)).rounded(bits + 8)
-    lo = _sin_series(x.lower, bits)[0]
-    hi = _sin_series(x.upper, bits)[1]
-    return BoundedReal(lo, min(hi, Fraction(1))).rounded(bits)
+    lo, _, d = _sin_series(x.lower, bits)
+    _, hi, e = _sin_series(x.upper, bits)
+    return _rounded(lo, d, min(hi, e), e, bits)  # upper end at most 1
 
 
 def sin_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -289,9 +308,9 @@ def sin_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
 @lru_cache(maxsize=None)
 def _cos_pi_frac_bits(num: int, den: int, bits: int) -> BoundedReal:
     x = (_pi_bits(bits + 8) * Fraction(num, den)).rounded(bits + 8)
-    lo = _cos_series(x.upper, bits)[0]  # decreasing
-    hi = _cos_series(x.lower, bits)[1]
-    return BoundedReal(lo, min(hi, Fraction(1))).rounded(bits)
+    lo, _, d = _cos_series(x.upper, bits)  # decreasing
+    _, hi, e = _cos_series(x.lower, bits)
+    return _rounded(lo, d, min(hi, e), e, bits)
 
 
 def _cos_pi_frac(c: Fraction, digits: int) -> BoundedReal:
@@ -356,9 +375,9 @@ def _arctan_point(x: Fraction, digits: int) -> BoundedReal:
             s = root_of_enclosure(1 + t * t, 2, digits + 8)
             t = (t / (1 + s)).rounded(bits)
             halvings += 1
-        lo = _atan_series(t.lower, bits)[0]
-        hi = _atan_series(t.upper, bits)[1]
-        return BoundedReal((1 << halvings) * lo, (1 << halvings) * hi).rounded(bits)
+        lo, _, d = _atan_series(t.lower, bits)
+        _, hi, e = _atan_series(t.upper, bits)
+        return _rounded(lo << halvings, d, hi << halvings, e, bits)
     return _refine(build, 4 * digits + 24, digits)
 
 
