@@ -424,14 +424,26 @@ def _classify(reasons: list[str]) -> tuple[str, str]:
     return "witness-absent", ";".join(sorted(set(reasons)))
 
 
+# search_m keeps one outcome per scanned m, so the span of one search is capped.
+MAX_SEARCH_SPAN = 10**5
+
+
+def _check_search_range(lo: int, hi: int) -> None:
+    if not 1 <= lo <= hi:
+        raise ValueError("search range must satisfy 1 <= lo <= hi")
+    if hi - lo + 1 > MAX_SEARCH_SPAN:
+        raise ValueError(f"search range spans {hi - lo + 1} values; "
+                         f"at most {MAX_SEARCH_SPAN} are allowed")
+
+
 def search_m(f: Polynomial, lo: int, hi: int, q_max: int = 1,
              modes: Optional[Sequence[str]] = None,
              digits: int = DEFAULT_DIGITS,
              exhaustive: bool = False) -> SearchReport:
     """Scan m ascending through one Certifier; stops at the first
-    certificate unless exhaustive."""
-    if not 1 <= lo <= hi:
-        raise ValueError("search range must satisfy 1 <= lo <= hi")
+    certificate unless exhaustive.  The range may span at most
+    MAX_SEARCH_SPAN values."""
+    _check_search_range(lo, hi)
     _validate_sector_input(f, lo)
 
     ctx = Certifier(f, q_max, digits)

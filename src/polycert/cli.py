@@ -16,8 +16,9 @@ from typing import Optional, Sequence
 
 from .arith import is_prime, next_prime
 from .certify import (DEFAULT_MODES, Certificate, Certifier,
-                      MalformedCertificateError, certificate_verify,
-                      certify_any, certify_negative_m, search_m)
+                      MalformedCertificateError, _check_search_range,
+                      certificate_verify, certify_any, certify_negative_m,
+                      search_m)
 from .lens import (combined_region, interval_cot, interval_disk_in_lens,
                    interval_effective)
 from .oracles import roots_numeric
@@ -446,6 +447,7 @@ def _config_from_args(args) -> RunConfig:
                 cfg.search = (int(lo), int(hi))
             except ValueError:
                 raise ValueError("--search wants LO..HI") from None
+            _check_search_range(*cfg.search)
     if args.command == "scan":
         if (args.family is None) == (args.family_json is None):
             raise ValueError("provide exactly one family source")

@@ -7,6 +7,7 @@ import pytest
 from polycert.arith import is_prime
 from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
                               CRIT_LENS_COT, CRIT_NONNEG, CRIT_PARTIAL_SUMS,
+                              MAX_SEARCH_SPAN,
                               CRIT_SINGLE_VARIATION, CRIT_THM_POWER,
                               CRIT_THM_POWER_SQRT, CRIT_THM_PQ,
                               CRIT_THM_PQ_SQRT, Certifier,
@@ -348,3 +349,14 @@ def test_checks_have_positive_margins():
     for cert in _certificate_pile():
         for c in cert.checks:
             assert c.margin > 0
+
+
+def test_search_span_is_bounded(deadline):
+    reducible = parse_polynomial("(X^2+1)*(X^2+3)")
+    deadline(1)
+    with pytest.raises(ValueError, match="search range spans"):
+        search_m(reducible, 1, 10**8)
+    with pytest.raises(ValueError, match="search range spans"):
+        search_m(reducible, 5, 5 + MAX_SEARCH_SPAN)
+    report = search_m(reducible, 5, 104, modes=("pq",))
+    assert report.certificate is None and len(report.outcomes) == 100

@@ -176,3 +176,9 @@ def test_digits_env_default(monkeypatch, capsys):
     code, out, _ = run(capsys, "certify", "X^4-10*X^3+2162", "--m", "3", "--json")
     assert code == 0
     assert json.loads(out)["digits"] == 15
+
+
+def test_certify_search_span_is_an_input_error(capsys):
+    code, _, err = run(capsys, "certify", "(X^2+1)*(X^2+3)", "--search", "1..100000000")
+    assert code == 2
+    assert "input error" in err and "search range spans" in err
