@@ -47,12 +47,6 @@ CRIT_PARTIAL_SUMS = "cor34_partial_sums"
 CRIT_LEADING_DOMINANT = "cor35_fujiwara"
 CRIT_SINGLE_VARIATION = "cor38_single_variation"
 
-SECTOR_PQ_TAGS = frozenset({CRIT_THM_PQ, CRIT_THM_PQ_SQRT, CRIT_NONNEG,
-                            CRIT_PARTIAL_SUMS, CRIT_LEADING_DOMINANT,
-                            CRIT_SINGLE_VARIATION})
-POWER_TAGS = frozenset({CRIT_THM_POWER, CRIT_THM_POWER_SQRT})
-LENS_TAGS = frozenset({CRIT_LENS, CRIT_LENS_COT})
-
 _PLACES = 18
 
 
@@ -253,9 +247,7 @@ class Certifier:
         unknown = set(modes) - set(DEFAULT_MODES)
         if unknown:
             raise ValueError(f"unknown modes {sorted(unknown)}; known: {list(DEFAULT_MODES)}")
-        # looked up per call, so wrappers installed on this module's functions apply
-        criteria = {"lens": certify_lens_report, "pq": certify_sector_pq_report,
-                    "prime_power": certify_sector_prime_power_report}
+        criteria = _criteria()
         reasons: list[str] = []
         for mode in DEFAULT_MODES:
             if mode in modes:
@@ -269,61 +261,53 @@ class Certifier:
 # -- criteria ------------------------------------------------------------------
 
 
-def certify_sector_pq_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], str]:
-    """f(m) = p*q with p prime and a disk of radius q (or sqrt(q) when f has
-    no rational roots) around m inside the zero-free sector."""
+def _sector_report(ctx: Certifier, m: int, mode: str, q_max: int,
+                   ) -> tuple[Optional[Certificate], str]:
+    """The sector criterion: f(m) = p^k*q and a disk of radius p^s*q around m
+    inside the zero-free sector, or of radius (p^s*q)^(1/2) when f has no
+    rational root.  Mode "prime_power" takes s = min(ell, k/2) from the
+    derivative's p-valuation; mode "pq" is the prime-value case s = 0."""
     f, digits = ctx.f, ctx.digits
     _validate_sector_input(f, m)
-    witness, reason = ctx._witness(m, ctx.q_max, "pq")
+    witness, reason = ctx._witness(m, q_max, mode)
     if witness is None:
         return None, reason
+    s = Fraction(0) if mode == "pq" else witness.s
     vertex = ctx.sector.vertex.upper
-    threshold = vertex + Fraction(witness.q) / ctx.sin_lo
-    used_sqrt = False
-    if not m > threshold:
-        if witness.q == 1 or ctx.rational_root_exists:
-            return None, "outside-region"
-        threshold = vertex + nth_root_bounds(witness.q, 2, digits).upper / ctx.sin_lo
-        if not m > threshold:
-            return None, "outside-region"
-        used_sqrt = True
-    desc = ("m exceeds vertex + sqrt(q)/sin(pi/n)" if used_sqrt
-            else "m exceeds vertex + q/sin(pi/n)")
-    checks = [Check(desc, threshold, Fraction(m))]
-    tag = _sector_tag(f, ctx.sector, witness, used_sqrt)
-    region = {"kind": "sector", "sector": ctx.sector.to_json(_PLACES)}
-    return _finish(f, m, tag, region, witness, checks, ctx.q_max, digits), "ok"
-
-
-def certify_sector_prime_power_report(ctx: Certifier, m: int,
-                                      ) -> tuple[Optional[Certificate], str]:
-    """f(m) = p^k*q with the derivative's p-valuation bounding the disk radius
-    p^s*q, s = min(ell, k/2)."""
-    f, digits = ctx.f, ctx.digits
-    _validate_sector_input(f, m)
-    witness, reason = ctx._witness(m, ctx.q_max, "prime_power")
-    if witness is None:
-        return None, reason
-    vertex = ctx.sector.vertex.upper
-    radius_up = pow_upper(witness.p, witness.s, digits) * witness.q
+    radius_up = pow_upper(witness.p, s, digits) * witness.q
     threshold = vertex + radius_up / ctx.sin_lo
     used_sqrt = False
     if not m > threshold:
         if radius_up <= 1 or ctx.rational_root_exists:
             return None, "outside-region"
-        a, b = witness.s.numerator, witness.s.denominator
+        a, b = s.numerator, s.denominator
         sqrt_radius_up = nth_root_bounds(
             Fraction(witness.p**a * witness.q**b), 2 * b, digits).upper
         threshold = vertex + sqrt_radius_up / ctx.sin_lo
         if not m > threshold:
             return None, "outside-region"
         used_sqrt = True
-    desc = ("m exceeds vertex + sqrt(p^s*q)/sin(pi/n)" if used_sqrt
-            else "m exceeds vertex + p^s*q/sin(pi/n)")
+    radius = "q" if mode == "pq" else "p^s*q"
+    desc = (f"m exceeds vertex + sqrt({radius})/sin(pi/n)" if used_sqrt
+            else f"m exceeds vertex + {radius}/sin(pi/n)")
     checks = [Check(desc, threshold, Fraction(m))]
-    tag = CRIT_THM_POWER_SQRT if used_sqrt else CRIT_THM_POWER
+    if mode == "pq":
+        tag = _sector_tag(f, ctx.sector, witness, used_sqrt)
+    else:
+        tag = CRIT_THM_POWER_SQRT if used_sqrt else CRIT_THM_POWER
     region = {"kind": "sector", "sector": ctx.sector.to_json(_PLACES)}
-    return _finish(f, m, tag, region, witness, checks, ctx.q_max, digits), "ok"
+    return _finish(f, m, tag, region, witness, checks, q_max, digits), "ok"
+
+
+def certify_sector_pq_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], str]:
+    """f(m) = p*q with p prime: the sector criterion at s = 0."""
+    return _sector_report(ctx, m, "pq", ctx.q_max)
+
+
+def certify_sector_prime_power_report(ctx: Certifier, m: int,
+                                      ) -> tuple[Optional[Certificate], str]:
+    """f(m) = p^k*q: the sector criterion at s = min(ell, k/2)."""
+    return _sector_report(ctx, m, "prime_power", ctx.q_max)
 
 
 def certify_lens_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], str]:
@@ -373,8 +357,7 @@ def certify_combined_report(ctx: Certifier, m: int) -> tuple[Optional[Certificat
     lens_cert, lens_reason = certify_lens_report(ctx, m)
     if lens_cert is not None:
         return _as_combined(lens_cert, "lens", ctx.q_max), "ok"
-    ray = ctx if ctx.q_max == 1 else Certifier(ctx.f, 1, ctx.digits)
-    ray_cert, ray_reason = certify_sector_pq_report(ray, m)
+    ray_cert, ray_reason = _sector_report(ctx, m, "pq", 1)
     if ray_cert is not None:
         return _as_combined(ray_cert, "ray", ctx.q_max), "ok"
     for preferred in ("value-composite", "outside-region"):
@@ -386,6 +369,14 @@ def certify_combined_report(ctx: Certifier, m: int) -> tuple[Optional[Certificat
 def _as_combined(cert: Certificate, branch: str, q_max: int) -> Certificate:
     region = dict(cert.region, kind="combined", branch=branch)
     return dataclasses.replace(cert, criterion=CRIT_COMBINED, region=region, q_max=q_max)
+
+
+def _criteria() -> dict:
+    """Mode -> criterion.  Looked up per call, so wrappers installed on this
+    module's functions apply."""
+    return {"lens": certify_lens_report, "pq": certify_sector_pq_report,
+            "prime_power": certify_sector_prime_power_report,
+            "combined": certify_combined_report}
 
 
 # -- entry points ----------------------------------------------------------------
@@ -497,20 +488,22 @@ _REQUIRED_FIELDS = ("schema", "polynomial", "m", "criterion", "region", "witness
                     "negated_argument")
 
 
+# The mode of the criterion that issues each tag.
+_MODE_OF_TAG = {
+    **dict.fromkeys((CRIT_THM_PQ, CRIT_THM_PQ_SQRT, CRIT_NONNEG, CRIT_PARTIAL_SUMS,
+                     CRIT_LEADING_DOMINANT, CRIT_SINGLE_VARIATION), "pq"),
+    **dict.fromkeys((CRIT_THM_POWER, CRIT_THM_POWER_SQRT), "prime_power"),
+    **dict.fromkeys((CRIT_LENS, CRIT_LENS_COT), "lens"),
+    CRIT_COMBINED: "combined",
+}
+
+
 def _rebuild(f: Polynomial, m: int, criterion: str, q_max: int, digits: int,
              negated: bool) -> Optional[Certificate]:
     g, k = (_negated_form(f), -m) if negated else (f, m)
-    if criterion in SECTOR_PQ_TAGS:
-        attempt = certify_sector_pq_report
-    elif criterion in POWER_TAGS:
-        attempt = certify_sector_prime_power_report
-    elif criterion in LENS_TAGS:
-        attempt = certify_lens_report
-    elif criterion == CRIT_COMBINED:
-        attempt = certify_combined_report
-    else:
+    if criterion not in _MODE_OF_TAG:
         raise MalformedCertificateError(f"unknown criterion {criterion!r}")
-    cert, _ = attempt(Certifier(g, q_max, digits), k)
+    cert, _ = _criteria()[_MODE_OF_TAG[criterion]](Certifier(g, q_max, digits), k)
     return _restated(cert, f, m) if negated else cert
 
 

@@ -44,15 +44,19 @@ class RunConfig:
     cert_path: Optional[str] = None
 
 
-def _default_digits() -> int:
+def _env_digits() -> int:
+    """The default --digits: POLYCERT_DIGITS when set, which must then be an
+    integer in 1..200."""
     raw = os.environ.get(ENV_DIGITS)
     if raw is None:
         return DEFAULT_DIGITS
     try:
         val = int(raw)
     except ValueError:
-        return DEFAULT_DIGITS
-    return val if 1 <= val <= 200 else DEFAULT_DIGITS
+        val = 0
+    if not 1 <= val <= 200:
+        raise ValueError(f"{ENV_DIGITS} must be an integer in 1..200, got {raw!r}")
+    return val
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("polynomial", nargs="?",
                        help="expression in X, e.g. \"X^4-10*X^3+2162\"")
         p.add_argument("--coeffs", help="comma-separated coefficients a0,a1,...,an")
-        p.add_argument("--digits", type=int, default=_default_digits(),
-                       help="relative precision of all rounded bounds (10^-digits)")
+        p.add_argument("--digits", type=int,
+                       help="relative precision of all rounded bounds (10^-digits); "
+                            f"default ${ENV_DIGITS} or {DEFAULT_DIGITS}")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     pa = sub.add_parser("analyze", help="report zero-free sectors, lens, intervals")
@@ -88,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("scan", help="certify a declarative family of polynomials")
     ps.add_argument("family", nargs="?", help="path to a family descriptor JSON file")
     ps.add_argument("--family-json", help="inline family descriptor JSON")
-    ps.add_argument("--digits", type=int, default=_default_digits())
+    ps.add_argument("--digits", type=int)
     ps.add_argument("--json", action="store_true")
 
     pv = sub.add_parser("verify", help="replay a certificate file")
@@ -237,6 +242,71 @@ def _cmd_certify(cfg: RunConfig) -> int:
 # -- scan ----------------------------------------------------------------------
 
 
+# Budgets on one family descriptor, checked before any certification: the
+# rows it may produce (and the values of a that quartic_reciprocal walks) ...
+MAX_SCAN_ROWS = 1000
+# ... and the exponent K of value_shift, whose rows cost more than K^2: on a
+# 2 vCPU Xeon with Python 3.11, X^2+X+1 at m = 4 takes ~0.01 s a row at
+# K = 256 and ~0.2 s at K = 1024.
+MAX_SHIFT_EXPONENT = 1024
+
+# family -> (required fields, optional integer fields with their defaults)
+_FAMILY_FIELDS = {
+    "digit_polynomials": (("prime_lo", "prime_hi"), {"base": 10, "limit": 100}),
+    "value_shift": (("polynomial", "m"), {"exponent": 1, "count": 10, "prime_lo": 2}),
+    "quartic_reciprocal": (("a_lo", "a_hi"), {"per_a": 1}),
+}
+
+
+def _family_params(desc) -> tuple[str, dict]:
+    """The family kind and its fields, defaults filled in.  Raises ValueError
+    when the descriptor is malformed or over budget."""
+    if not isinstance(desc, dict):
+        raise ValueError("family descriptor must be a JSON object")
+    kind = desc.get("family")
+    if not isinstance(kind, str) or kind not in _FAMILY_FIELDS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    required, optional = _FAMILY_FIELDS[kind]
+    missing = [k for k in required if k not in desc]
+    if missing:
+        raise ValueError(f"{kind} family needs {missing}")
+    params = {**optional, **{k: v for k, v in desc.items() if k in required or k in optional}}
+    for k, v in params.items():
+        if k != "polynomial" and type(v) is not int:
+            raise ValueError(f"{kind} field {k!r} must be an integer, got {v!r}")
+    if kind == "digit_polynomials":
+        if params["base"] < 2:
+            raise ValueError("base must be >= 2")
+        if params["prime_lo"] < params["base"] ** 2:
+            raise ValueError("prime_lo must be >= base^2, so every digit "
+                             "polynomial has degree >= 2")
+        rows = params["limit"]
+    elif kind == "value_shift":
+        if not isinstance(params["polynomial"], str):
+            raise ValueError("value_shift field 'polynomial' must be a string")
+        f = params["polynomial"] = parse_polynomial(params["polynomial"])
+        if f.degree() < 2 or f.leading_coefficient() <= 0:
+            raise ValueError("value_shift needs a polynomial of degree >= 2 with "
+                             "a positive leading coefficient")
+        if params["m"] < 1:
+            raise ValueError("value_shift needs m >= 1")
+        if not 1 <= params["exponent"] <= MAX_SHIFT_EXPONENT:
+            raise ValueError(f"exponent must be in 1..{MAX_SHIFT_EXPONENT}")
+        rows = params["count"]
+    else:
+        if params["a_lo"] < 1:
+            raise ValueError("quartic_reciprocal needs a_lo >= 1")
+        span = max(0, params["a_hi"] - params["a_lo"] + 1)
+        if span > MAX_SCAN_ROWS:
+            raise ValueError(f"a range spans {span} values; at most {MAX_SCAN_ROWS} "
+                             "are allowed")
+        rows = span * params["per_a"]
+    if rows > MAX_SCAN_ROWS:
+        raise ValueError(f"family asks for {rows} rows; at most {MAX_SCAN_ROWS} "
+                         "are allowed")
+    return kind, params
+
+
 def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
     """Run a declarative family and report one row per instance.
 
@@ -247,17 +317,16 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
        "count": N, "prime_lo": optional} g = f + p^K - f(M) certified at M
       {"family": "quartic_reciprocal", "a_lo": .., "a_hi": .., "per_a": N}
                                          X^4 - a*X^3 + b certified at m = 3
+
+    The descriptor is checked before any certification: a malformed one, or
+    one over MAX_SCAN_ROWS rows or MAX_SHIFT_EXPONENT, raises ValueError.
     """
-    kind = desc.get("family")
+    kind, params = _family_params(desc)
     rows = []
     if kind == "digit_polynomials":
-        base = int(desc.get("base", 10))
-        if base < 2:
-            raise ValueError("base must be >= 2")
-        lo, hi = int(desc["prime_lo"]), int(desc["prime_hi"])
-        limit = int(desc.get("limit", 100))
-        p = lo - 1
-        while len(rows) < limit:
+        base, hi = params["base"], params["prime_hi"]
+        p = params["prime_lo"] - 1
+        while len(rows) < params["limit"]:
             p = next_prime(p)
             if p > hi:
                 break
@@ -272,10 +341,7 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
                          "status": "certified" if cert else "not-certified",
                          "criterion": cert.criterion if cert else None})
     elif kind == "value_shift":
-        f = parse_polynomial(desc["polynomial"])
-        m = int(desc["m"])
-        k = int(desc.get("exponent", 1))
-        count = int(desc.get("count", 10))
+        f, m, k = params["polynomial"], params["m"], params["exponent"]
         fm = f.evaluate(m)
         if k == 1:
             # large enough to keep both the non-negative-coefficient and the
@@ -283,23 +349,21 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
             start = max(2, fm - min(f.evaluate(0), f.evaluate(1)))
         else:
             start = max(2, f.derivative().evaluate(m) + 1)
-        start = max(start, int(desc.get("prime_lo", 2)))
+        start = max(start, params["prime_lo"])
         p = start - 1
         modes = ("lens", "pq") if k == 1 else ("prime_power",)
-        for _ in range(count):
+        for _ in range(params["count"]):
             p = next_prime(p)
             g = f + (p**k - fm)
             cert = certify_any(g, m, 1, digits, modes)
             rows.append({"p": p, "polynomial": g.coeffs_csv(),
                          "status": "certified" if cert else "not-certified",
                          "criterion": cert.criterion if cert else None})
-    elif kind == "quartic_reciprocal":
-        a_lo, a_hi = int(desc["a_lo"]), int(desc["a_hi"])
-        per_a = int(desc.get("per_a", 1))
-        for a in range(a_lo, a_hi + 1):
+    else:
+        for a in range(params["a_lo"], params["a_hi"] + 1):
             found = 0
             b = 216 * a
-            while found < per_a:
+            while found < params["per_a"]:
                 b += 1
                 if 81 - 27 * a + b <= 1:
                     continue
@@ -311,8 +375,6 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
                 rows.append({"a": a, "b": b, "polynomial": f.coeffs_csv(),
                              "status": "certified" if cert else "not-certified",
                              "criterion": cert.criterion if cert else None})
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
     certified = sum(1 for r in rows if r["status"] == "certified")
     return {"family": kind, "rows": rows, "certified": certified,
             "total": len(rows)}
@@ -423,9 +485,10 @@ def _svg(ctx: Certifier, width: int = 800, height: int = 600) -> str:
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
-    cfg.digits = getattr(args, "digits", _default_digits())
-    if not 1 <= cfg.digits <= 200:
-        raise ValueError("--digits must be between 1 and 200")
+    if args.command != "verify":
+        cfg.digits = _env_digits() if args.digits is None else args.digits
+        if not 1 <= cfg.digits <= 200:
+            raise ValueError("--digits must be between 1 and 200")
     cfg.json_out = getattr(args, "json", False)
     if args.command in ("analyze", "certify"):
         cfg.poly = _parse_poly_args(args)
@@ -456,6 +519,7 @@ def _config_from_args(args) -> RunConfig:
         else:
             with open(args.family, "r", encoding="utf-8") as fh:
                 cfg.family = json.load(fh)
+        _family_params(cfg.family)
     if args.command == "verify":
         cfg.cert_path = args.certificate
     return cfg

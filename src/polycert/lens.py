@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .poly import Polynomial
 from .rounding import (DEFAULT_DIGITS, BoundedReal, _refine, arctan_bounds,
@@ -55,8 +55,7 @@ class Lens:
         }
 
 
-def lens_of(f: Polynomial, alphas: Optional[Sequence] = None,
-            digits: int = DEFAULT_DIGITS) -> Lens:
+def lens_of(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Lens:
     """Lens built from the best zero-free sector of the reciprocal of f."""
     n = f.degree()
     if n < 3:
@@ -66,7 +65,7 @@ def lens_of(f: Polynomial, alphas: Optional[Sequence] = None,
     g = f.reciprocal()
     if g.leading_coefficient() < 0:
         g = -g  # same roots; sector producers want a positive leading coefficient
-    sector = best_sector(g, alphas, digits)
+    sector = best_sector(g, digits)
     if sector.vertex.upper == 0:
         raise DegenerateLensError(
             "reciprocal sector vertex is 0; the region is the origin wedge "

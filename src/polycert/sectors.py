@@ -183,10 +183,9 @@ def sector_shifted(f: Polynomial, alpha) -> Optional[Sector]:
                   f"shifted:{alpha}")
 
 
-def sector_candidates(f: Polynomial, alphas: Optional[Sequence] = None,
-                      digits: int = DEFAULT_DIGITS) -> list[Sector]:
+def sector_candidates(f: Polynomial, digits: int = DEFAULT_DIGITS) -> list[Sector]:
     """Every applicable producer's sector, in the fixed preference order used
-    for tie-breaking."""
+    for tie-breaking.  The shifted sectors use alpha in {0, 1}."""
     _require_analyzable(f)
     sets = sign_index_sets(f)
     ell = len(sets.neg_indices)
@@ -199,7 +198,7 @@ def sector_candidates(f: Polynomial, alphas: Optional[Sequence] = None,
         out.append(sector_summed_denominator(f, digits))
     if sign_blocks(f).sign_changes >= 1:
         out.append(sector_sign_blocks(f, digits))
-    for alpha in ([0, 1] if alphas is None else alphas):
+    for alpha in (0, 1):
         s = sector_shifted(f, alpha)
         if s is not None:
             out.append(s)
@@ -215,7 +214,6 @@ def best_of(sectors: Sequence[Sector]) -> Sector:
     return min(sectors, key=lambda s: s.vertex.upper)
 
 
-def best_sector(f: Polynomial, alphas: Optional[Sequence] = None,
-                digits: int = DEFAULT_DIGITS) -> Sector:
+def best_sector(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
     """The best of sector_candidates."""
-    return best_of(sector_candidates(f, alphas, digits))
+    return best_of(sector_candidates(f, digits))

@@ -3,8 +3,9 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from polycert.arith import is_prime
+from polycert.arith import extract_witness_report, is_prime
 from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
                               CRIT_LENS_COT, CRIT_NONNEG, CRIT_PARTIAL_SUMS,
                               MAX_SEARCH_SPAN,
@@ -14,7 +15,8 @@ from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
                               MalformedCertificateError, certificate_verify,
                               certify_any, certify_combined_report,
                               certify_lens_report, certify_negative_m,
-                              search_m)
+                              certify_sector_prime_power_report,
+                              certify_sector_pq_report, search_m)
 from polycert.oracles import irreducible_bruteforce
 from polycert.poly import Polynomial, parse_polynomial
 
@@ -189,6 +191,33 @@ def test_certifier_builds_each_region_once(monkeypatch):
     assert ctx.certify(2, ("lens", "pq"))[1] == ["value-composite"] * 2
     assert calls == {"lens_of": 1, "interval_disk_in_lens": 1,
                      "extract_witness_report": 1}
+    # the combined criterion's ray branch runs on the caller's context too
+    calls.clear()
+    ctx = Certifier(parse_polynomial("X^3-X^2-3*X-3"), q_max=3)
+    for m in range(1, 31):
+        ctx.certify(m)
+        certify_combined_report(ctx, m)
+    assert calls["sector_candidates"] == calls["has_rational_root"] == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=6),
+       st.integers(1, 20), st.integers(1, 40), st.sampled_from([1, 3, 10]))
+@example([-3, -3, -1], 1, 5, 4)  # X^3-X^2-3X-3 at 5: 41*2, the square-root radius
+def test_prime_value_criterion_is_prime_power_criterion_at_s_zero(low, lead, m, q_max):
+    f = Polynomial(low + [lead])
+    witness, _ = extract_witness_report(f.evaluate(m), f.derivative().evaluate(m),
+                                        q_max, "prime_power")
+    assume(witness is not None and witness.k == 1 and witness.ell == 0)
+    ctx = Certifier(f, q_max)
+    pq, pq_reason = certify_sector_pq_report(ctx, m)
+    power, power_reason = certify_sector_prime_power_report(ctx, m)
+    assert (pq is None) == (power is None)
+    if pq is None:
+        assert pq_reason == power_reason == "outside-region"
+        return
+    assert pq.checks[0].left == power.checks[0].left
+    assert (pq.criterion == CRIT_THM_PQ_SQRT) == (power.criterion == CRIT_THM_POWER_SQRT)
 
 
 def test_search_validates_range():

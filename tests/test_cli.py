@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polycert.certify import certificate_verify
 from polycert.cli import main, render_svg, scan_family
 from polycert.poly import parse_polynomial
@@ -171,11 +173,65 @@ def test_scan_bad_family(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("desc", [
+    '{"family": "digit_polynomials"}',
+    '[1]',
+    '{"family": ["digit_polynomials"]}',
+    '{"family": "digit_polynomials", "prime_lo": 2, "prime_hi": 1000}',
+    '{"family": "digit_polynomials", "prime_lo": 1000.5, "prime_hi": 2000}',
+    '{"family": "value_shift", "polynomial": "X+1", "m": 3}',
+    '{"family": "value_shift", "polynomial": "X^2+1", "m": 0}',
+    '{"family": "quartic_reciprocal", "a_lo": 1, "a_hi": "4"}',
+])
+def test_scan_malformed_descriptor_is_an_input_error(capsys, desc):
+    code, out, err = run(capsys, "scan", "--family-json", desc)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("desc", [
+    {"family": "value_shift", "polynomial": "X^2+X+1", "m": 4,
+     "exponent": 16384, "count": 3},
+    {"family": "value_shift", "polynomial": "X^2+X+1", "m": 4, "count": 10**9},
+    {"family": "digit_polynomials", "prime_lo": 1000, "prime_hi": 10**12,
+     "limit": 10**9},
+    {"family": "quartic_reciprocal", "a_lo": 1, "a_hi": 10**12, "per_a": 0},
+    {"family": "quartic_reciprocal", "a_lo": 1, "a_hi": 100, "per_a": 11},
+])
+def test_scan_over_budget_descriptor_fails_fast(capsys, deadline, desc):
+    deadline(1)
+    code, _, err = run(capsys, "scan", "--family-json", json.dumps(desc))
+    assert code == 2 and err.startswith("input error: ")
+    with pytest.raises(ValueError):
+        scan_family(desc)
+
+
 def test_digits_env_default(monkeypatch, capsys):
     monkeypatch.setenv("POLYCERT_DIGITS", "15")
     code, out, _ = run(capsys, "certify", "X^4-10*X^3+2162", "--m", "3", "--json")
     assert code == 0
     assert json.loads(out)["digits"] == 15
+
+
+@pytest.mark.parametrize("value", ["abc", "5000", "0", ""])
+@pytest.mark.parametrize("argv", [
+    ["certify", "X^4-10*X^3+2162", "--m", "3", "--json"],
+    ["analyze", "X^4-10*X^3+2162"],
+    ["scan", "--family-json", '{"family": "quartic_reciprocal", "a_lo": 1, "a_hi": 1}'],
+])
+def test_bad_digits_env_is_an_input_error(monkeypatch, capsys, value, argv):
+    monkeypatch.setenv("POLYCERT_DIGITS", value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: POLYCERT_DIGITS")
+
+
+def test_verify_ignores_digits_env(monkeypatch, tmp_path, capsys):
+    code, out, _ = run(capsys, "certify", "X^4-10*X^3+2162", "--m", "3", "--json")
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    monkeypatch.setenv("POLYCERT_DIGITS", "abc")
+    assert run(capsys, "verify", str(path))[:2] == (0, "certificate verified\n")
 
 
 def test_certify_search_span_is_an_input_error(capsys):
