@@ -4,6 +4,11 @@ and extraction of the factorization witnesses used by the certifier.
 Primality is deterministic (hence "proven") below a fixed strong-base
 threshold of about 3.317e24; beyond that a combined strong-probable-prime
 test reports "probable" and certificates built on it are marked conditional.
+
+Nothing on the certify or verify path factors an integer: the rational-root
+test isolates real roots (has_rational_root), and witness extraction divides
+out the primes up to q_max, sieved once per q_max.  factorize, divisors and
+Pollard-Brent are for the brute-force oracle and the tests only.
 """
 from __future__ import annotations
 
@@ -11,10 +16,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
-from .poly import Polynomial
+from .poly import Polynomial, divide_exact
 from .rounding import iroot
 
 # Strong-pseudoprime bases valid for every n below this bound.
@@ -38,10 +44,19 @@ def _sieve(limit: int) -> list[int]:
 _SMALL_PRIMES = _sieve(1000)
 
 
+@lru_cache(maxsize=1)
+def _sieved(limit: int) -> list[int]:
+    """The primes up to limit > 1000, sieved once per limit.  One list is
+    held at a time (q_max may be 10^7: 664579 primes); callers must not
+    mutate it."""
+    return _sieve(limit)
+
+
 def primes_up_to(limit: int) -> list[int]:
+    """A fresh list of the primes up to limit."""
     if limit <= 1000:
         return [p for p in _SMALL_PRIMES if p <= limit]
-    return _sieve(limit)
+    return list(_sieved(limit))
 
 
 class PrimalityStatus(Enum):
@@ -209,7 +224,7 @@ def prime_power_decomposition(c: int) -> Optional[tuple[int, int, PrimalityResul
     return None
 
 
-# -- integer factorization at desk scale -------------------------------------
+# -- integer factorization at desk scale, for the oracles -------------------
 
 
 def _pollard_brent(n: int) -> int:
@@ -309,8 +324,8 @@ def _strip_small(value: int, q_max: int) -> tuple[int, dict[int, int], int]:
     exps: dict[int, int] = {}
     rest = value
     if q_max >= 2:
-        for p in primes_up_to(q_max):
-            if p > rest:
+        for p in _SMALL_PRIMES if q_max <= 1000 else _sieved(q_max):
+            if p > rest or p > q_max:
                 break
             e = 0
             while rest % p == 0:
@@ -382,21 +397,123 @@ def extract_witness_report(value: int, derivative_value: int, q_max: int = 1,
                                 alternatives=alternatives), "ok"
 
 
+# -- rational roots by real-root isolation -------------------------------------
+
+
+def _integer_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The primitive gcd of two nonzero integer polynomials, up to its sign
+    (primitive pseudo-remainder sequence)."""
+    b = b.primitive_part()
+    while b.degree() > 0:
+        r, lead, db = list(a.coeffs), b.leading_coefficient(), b.degree()
+        while len(r) > db:
+            top, pos = r[-1], len(r) - 1 - db
+            r = [lead * c for c in r]
+            for j, c in enumerate(b.coeffs):
+                r[pos + j] -= top * c
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, Polynomial(r).primitive_part()
+    return Polynomial([1])
+
+
+def _homogeneous(cs: tuple[int, ...], u: int, w: int) -> int:
+    """w^n * p(u/w) for p of degree n and w > 0: an integer with the sign of
+    p(u/w)."""
+    acc, scale = 0, 1
+    for c in reversed(cs):
+        acc = acc * u + c * scale
+        scale *= w
+    return acc
+
+
+def _taylor_shift_1(cs: list[int]) -> list[int]:
+    """Coefficients of p(X + 1), constant term first."""
+    cs = list(cs)
+    n = len(cs) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            cs[j] += cs[j + 1]
+    return cs
+
+
+def _variations(cs: list[int]) -> int:
+    signs = [c > 0 for c in cs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _positive_rational_root(cs: tuple[int, ...]) -> Optional[Fraction]:
+    """A positive rational root of the square-free p with coefficients cs
+    (constant term first, p(0) != 0), or None.
+
+    The positive roots lie below 2^b (Cauchy's bound), so q(X) = p(2^b X)
+    has them in (0, 1).  Bisection with the Descartes test of Vincent,
+    Collins and Akritas isolates each one: the node (c, k) stands for the
+    interval (c/2^k, (c+1)/2^k) and for the polynomial Q that maps (0, 1)
+    onto it; the sign variations of (X+1)^n Q(1/(X+1)) bound its roots there,
+    and 0 or 1 is exact.  Each one-root interval is then halved by the sign
+    of p until it is narrower than 1/(2 L^2), L the leading coefficient of p
+    in absolute value.  A rational root u/v in lowest terms has v | L, and
+    two fractions with denominators at most L differ by at least 1/L^2, so
+    the only candidate is the fraction nearest the midpoint with denominator
+    at most L, and it is tested exactly.  A root on a bisection point is
+    returned when it is met."""
+    n, lead = len(cs) - 1, abs(cs[-1])
+    b = (max(abs(c) for c in cs[:-1]) // lead + 2).bit_length()
+    stack = [([c << (b * i) for i, c in enumerate(cs)], 0, 0)]
+    while stack:
+        q, c, k = stack.pop()
+        v = _variations(_taylor_shift_1(q[::-1]))
+        if v > 1:
+            left = [a << (n - i) for i, a in enumerate(q)]
+            right = _taylor_shift_1(left)
+            if right[0] == 0:
+                return Fraction((2 * c + 1) << b, 1 << (k + 1))
+            stack += [(left, 2 * c, k + 1), (right, 2 * c + 1, k + 1)]
+        elif v == 1:
+            # the root lies in (lo, hi) / 2^e
+            if b >= k:
+                lo, hi, e = c << (b - k), (c + 1) << (b - k), 0
+            else:
+                lo, hi, e = c, c + 1, k - b
+            lo_positive = _homogeneous(cs, lo, 1 << e) > 0
+            while (hi - lo) * 2 * lead * lead >= 1 << e:
+                if hi - lo == 1:
+                    lo, hi, e = 2 * lo, 2 * hi, e + 1
+                mid = (lo + hi) // 2
+                value = _homogeneous(cs, mid, 1 << e)
+                if value == 0:
+                    return Fraction(mid, 1 << e)
+                if (value > 0) == lo_positive:
+                    lo = mid
+                else:
+                    hi = mid
+            cand = Fraction(lo + hi, 1 << (e + 1)).limit_denominator(lead)
+            if _homogeneous(cs, cand.numerator, cand.denominator) == 0:
+                return cand
+    return None
+
+
 def has_rational_root(f: Polynomial) -> tuple[bool, Optional[Fraction]]:
-    """Rational-root search over +-(divisor of a_0)/(divisor of a_n)."""
+    """Whether f has a rational root, and one such root.
+
+    The roots of f are those of its square-free part f / gcd(f, f'), whose
+    positive and negative roots are isolated on the integers
+    (_positive_rational_root); nothing is factored."""
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.degree() == 0:
         return False, None
     if f.coefficient(0) == 0:
         return True, Fraction(0)
-    nums = divisors(abs(f.coefficient(0)))
-    dens = divisors(abs(f.leading_coefficient()))
-    for den in dens:
-        for num in nums:
-            if math.gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if f.evaluate(cand) == 0:
-                    return True, cand
+    p = f.primitive_part()
+    g = _integer_gcd(p, p.derivative())
+    if g.degree() > 0:
+        p = divide_exact(p, g)
+    for sign, q in ((1, p), (-1, p.negate_argument())):
+        root = _positive_rational_root(q.coeffs)
+        if root is not None:
+            return True, sign * root
     return False, None

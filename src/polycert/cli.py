@@ -249,6 +249,10 @@ MAX_SCAN_ROWS = 1000
 # 2 vCPU Xeon with Python 3.11, X^2+X+1 at m = 4 takes ~0.01 s a row at
 # K = 256 and ~0.2 s at K = 1024.
 MAX_SHIFT_EXPONENT = 1024
+# ... and the bit length of m, prime_lo, prime_hi, a_lo and a_hi: a row's
+# cost grows with the size of the numbers it certifies (value_shift of
+# X^8+X+1 at one m of 64 bits: ~0.08 s a row, on the same machine).
+MAX_DESCRIPTOR_BITS = 64
 
 # family -> (required fields, optional integer fields with their defaults)
 _FAMILY_FIELDS = {
@@ -256,6 +260,7 @@ _FAMILY_FIELDS = {
     "value_shift": (("polynomial", "m"), {"exponent": 1, "count": 10, "prime_lo": 2}),
     "quartic_reciprocal": (("a_lo", "a_hi"), {"per_a": 1}),
 }
+_SIZED_FIELDS = ("m", "prime_lo", "prime_hi", "a_lo", "a_hi")
 
 
 def _family_params(desc) -> tuple[str, dict]:
@@ -274,6 +279,9 @@ def _family_params(desc) -> tuple[str, dict]:
     for k, v in params.items():
         if k != "polynomial" and type(v) is not int:
             raise ValueError(f"{kind} field {k!r} must be an integer, got {v!r}")
+        if k in _SIZED_FIELDS and v.bit_length() > MAX_DESCRIPTOR_BITS:
+            raise ValueError(f"{kind} field {k!r} has {v.bit_length()} bits; at most "
+                             f"{MAX_DESCRIPTOR_BITS} are allowed")
     if kind == "digit_polynomials":
         if params["base"] < 2:
             raise ValueError("base must be >= 2")
@@ -319,7 +327,8 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
                                          X^4 - a*X^3 + b certified at m = 3
 
     The descriptor is checked before any certification: a malformed one, or
-    one over MAX_SCAN_ROWS rows or MAX_SHIFT_EXPONENT, raises ValueError.
+    one over MAX_SCAN_ROWS rows, MAX_SHIFT_EXPONENT or MAX_DESCRIPTOR_BITS,
+    raises ValueError.
     """
     kind, params = _family_params(desc)
     rows = []

@@ -1,14 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from polycert import arith
 from polycert.arith import (DETERMINISTIC_LIMIT, PrimalityStatus, divisors,
                             extract_witness_report, factorize,
                             has_rational_root, is_prime, next_prime,
                             p_adic_valuation, prime_power_decomposition,
-                            primes_up_to, _sieve)
+                            primes_up_to, _sieve, _strip_small)
 from polycert.poly import parse_polynomial
 
 
@@ -158,6 +161,70 @@ def test_factorize_and_divisors():
 def test_primes_up_to():
     assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert next_prime(1000) == 1009
+
+
+def test_sieve_runs_once_per_q_max(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arith, "_sieve", lambda n: calls.append(n) or _sieve(n))
+    arith._sieved.cache_clear()
+    rng = random.Random(3)
+    for _ in range(20):
+        extract_witness_report(rng.randrange(2, 10**15), rng.randrange(1, 10**6), 10**5,
+                               rng.choice(["pq", "prime_power"]))
+    assert calls == [10**5]
+    arith._sieved.cache_clear()
+
+
+def test_primes_up_to_returns_a_fresh_list():
+    for limit in (20, 10**5):
+        expected = _sieve(limit)
+        first = primes_up_to(limit)
+        assert first == expected
+        first[0] = 4
+        first.append(1)
+        assert primes_up_to(limit) == expected
+    assert len(expected) == 9592
+
+
+def reference_strip_small(value, q_max):
+    """_strip_small as it was when every call sieved afresh."""
+    smooth = 1
+    exps = {}
+    rest = value
+    if q_max >= 2:
+        for p in _sieve(q_max):
+            if p > rest:
+                break
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            if e:
+                exps[p] = e
+                smooth *= p**e
+    return smooth, exps, rest
+
+
+smooth_times_large = st.builds(
+    lambda ps, big: math.prod(ps) * big,
+    st.lists(st.sampled_from([2, 3, 5, 7, 997, 1009, 99991, 100003]), max_size=6),
+    st.sampled_from([1, 2**61 - 1, 10**12 + 39, 100003**2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.integers(1, 10**30), smooth_times_large),
+       st.integers(-10**9, 10**9),
+       st.sampled_from([1, 2, 3, 10, 997, 1000, 1001, 1009, 10**4, 99991, 10**5]),
+       st.sampled_from(["pq", "prime_power"]))
+def test_witnesses_match_a_fresh_sieve(value, derivative, q_max, mode):
+    assert _strip_small(value, q_max) == reference_strip_small(value, q_max)
+    memoised = extract_witness_report(value, derivative, q_max, mode)
+    real = arith._strip_small
+    try:
+        arith._strip_small = reference_strip_small
+        assert extract_witness_report(value, derivative, q_max, mode) == memoised
+    finally:
+        arith._strip_small = real
 
 
 def test_rational_root_examples():

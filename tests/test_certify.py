@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from polycert.arith import extract_witness_report, is_prime
 from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
@@ -200,7 +200,10 @@ def test_certifier_builds_each_region_once(monkeypatch):
     assert calls["sector_candidates"] == calls["has_rational_root"] == 1
 
 
-@settings(max_examples=150, deadline=None)
+# Most draws are filtered out (f(m) must be a prime times a q_max-smooth q),
+# which Hypothesis's filter health check reports on about half of all seeds.
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6),
        st.integers(1, 20), st.integers(1, 40), st.sampled_from([1, 3, 10]))
 @example([-3, -3, -1], 1, 5, 4)  # X^3-X^2-3X-3 at 5: 41*2, the square-root radius

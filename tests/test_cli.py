@@ -3,7 +3,7 @@ import json
 import pytest
 
 from polycert.certify import certificate_verify
-from polycert.cli import main, render_svg, scan_family
+from polycert.cli import MAX_DESCRIPTOR_BITS, main, render_svg, scan_family
 from polycert.poly import parse_polynomial
 
 
@@ -204,6 +204,29 @@ def test_scan_over_budget_descriptor_fails_fast(capsys, deadline, desc):
     assert code == 2 and err.startswith("input error: ")
     with pytest.raises(ValueError):
         scan_family(desc)
+
+
+@pytest.mark.parametrize("desc", [
+    {"family": "value_shift", "polynomial": "X^8+X+1", "m": 10**60, "count": 1},
+    {"family": "value_shift", "polynomial": "X^2+X+1", "m": 4, "prime_lo": 2**64},
+    {"family": "digit_polynomials", "prime_lo": 10**30, "prime_hi": 10**30 + 10**6},
+    {"family": "digit_polynomials", "prime_lo": 1000, "prime_hi": 2**64, "limit": 5},
+    {"family": "quartic_reciprocal", "a_lo": 2**64, "a_hi": 2**64},
+    {"family": "quartic_reciprocal", "a_lo": 1, "a_hi": 2**70},
+])
+def test_scan_oversized_numbers_are_an_input_error(capsys, deadline, desc):
+    deadline(1)
+    code, out, err = run(capsys, "scan", "--family-json", json.dumps(desc))
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ")
+    assert f"bits; at most {MAX_DESCRIPTOR_BITS} are allowed" in err
+    with pytest.raises(ValueError, match="bits"):
+        scan_family(desc)
+
+
+def test_scan_numbers_of_the_largest_size_are_accepted():
+    desc = {"family": "value_shift", "polynomial": "X^2+X+1", "m": 2**64 - 1, "count": 1}
+    assert scan_family(desc)["total"] == 1
 
 
 def test_digits_env_default(monkeypatch, capsys):
