@@ -211,17 +211,32 @@ def p_adic_valuation(x: int, p: int) -> tuple[int, int]:
 
 
 def prime_power_decomposition(c: int) -> Optional[tuple[int, int, PrimalityResult]]:
-    """(p, k, primality of p) when c = p^k with p prime and k maximal."""
+    """(p, k, primality of p) when c = p^k with p prime and k maximal.
+
+    Trial division by the primes up to 1000 settles any c with such a
+    factor.  Otherwise every prime factor of c is at least 1009 > 2^9, so
+    k <= bit_length(c) // 9, and c is reduced to its root-free base by
+    taking e-th roots for the prime exponents e up to that bound, the bound
+    shrinking with the base (after Bernstein, "Detecting perfect powers in
+    essentially linear time", Math. Comp. 1998).  Roots come first: the one
+    primality test is made on that base, never on a large power of it.
+    """
     if c < 2:
         return None
-    for k in range(c.bit_length() - 1, 0, -1):
-        r = iroot(c, k)
-        if r**k == c:
-            res = is_prime(r)
-            if res.is_prime:
-                return r, k, res
-            return None  # maximal-exponent base is composite, so c is not p^k
-    return None
+    for p in _SMALL_PRIMES:
+        if c % p == 0:
+            k, rest = p_adic_valuation(c, p)
+            return (p, k, is_prime(p)) if rest == 1 else None
+    k = 1
+    for e in _SMALL_PRIMES:
+        if e > c.bit_length() // 9:
+            break
+        r = iroot(c, e)
+        while r**e == c:
+            c, k = r, k * e
+            r = iroot(c, e)
+    res = is_prime(c)
+    return (c, k, res) if res.is_prime else None
 
 
 # -- integer factorization at desk scale, for the oracles -------------------

@@ -224,6 +224,11 @@ class Certifier:
         return tan_pi_frac(Fraction(1, 2 * self.f.degree()), self.digits).lower
 
     @cached_property
+    def derivative(self) -> Polynomial:
+        """f', whose value at m prime-power witnesses need."""
+        return self.f.derivative()
+
+    @cached_property
     def rational_root_exists(self) -> bool:
         """Whether f has a rational root; the square-root radii need none."""
         return has_rational_root(self.f)[0]
@@ -235,7 +240,7 @@ class Certifier:
             self._m, self._value, self._witnesses = m, self.f.evaluate(m), {}
         key = (q_max, mode)
         if key not in self._witnesses:
-            deriv = self.f.derivative().evaluate(m) if mode == "prime_power" else 0
+            deriv = self.derivative.evaluate(m) if mode == "prime_power" else 0
             self._witnesses[key] = extract_witness_report(self._value, deriv, q_max, mode)
         return self._witnesses[key]
 

@@ -245,14 +245,20 @@ def _cmd_certify(cfg: RunConfig) -> int:
 # Budgets on one family descriptor, checked before any certification: the
 # rows it may produce (and the values of a that quartic_reciprocal walks) ...
 MAX_SCAN_ROWS = 1000
-# ... and the exponent K of value_shift, whose rows cost more than K^2: on a
-# 2 vCPU Xeon with Python 3.11, X^2+X+1 at m = 4 takes ~0.01 s a row at
-# K = 256 and ~0.2 s at K = 1024.
+# ... and the exponent K of value_shift: on a 2 vCPU Xeon with Python 3.11,
+# X^2+X+1 at m = 4 takes ~0.4 ms a row at K = 256 and ~2 ms at K = 1024.
 MAX_SHIFT_EXPONENT = 1024
 # ... and the bit length of m, prime_lo, prime_hi, a_lo and a_hi: a row's
 # cost grows with the size of the numbers it certifies (value_shift of
 # X^8+X+1 at one m of 64 bits: ~0.08 s a row, on the same machine).
 MAX_DESCRIPTOR_BITS = 64
+# ... and the bits of p^exponent in a value_shift row, estimated as
+# exponent * (bit_length(first p tried) + 1).  The cap keeps every row below
+# Python's 4300-digit limit on int -> str conversion (~14000 bits).  It
+# bounds the size of the numbers, not the time of a row: X^94+X+1 at
+# m = 2^64 - 1 with exponent 2 (~11900 bits) takes ~10 min a row, nearly all
+# of it in next_prime on a p of 5960 bits.
+MAX_SHIFT_BITS = 12000
 
 # family -> (required fields, optional integer fields with their defaults)
 _FAMILY_FIELDS = {
@@ -261,6 +267,17 @@ _FAMILY_FIELDS = {
     "quartic_reciprocal": (("a_lo", "a_hi"), {"per_a": 1}),
 }
 _SIZED_FIELDS = ("m", "prime_lo", "prime_hi", "a_lo", "a_hi")
+
+
+def _shift_start(f: Polynomial, m: int, k: int, prime_lo: int) -> int:
+    """The first p a value_shift scan tries is the next prime from here."""
+    if k == 1:
+        # large enough to keep both the non-negative-coefficient and the
+        # non-negative-partial-sums constructions valid
+        start = f.evaluate(m) - min(f.evaluate(0), f.evaluate(1))
+    else:
+        start = f.derivative().evaluate(m) + 1
+    return max(2, start, prime_lo)
 
 
 def _family_params(desc) -> tuple[str, dict]:
@@ -298,8 +315,13 @@ def _family_params(desc) -> tuple[str, dict]:
                              "a positive leading coefficient")
         if params["m"] < 1:
             raise ValueError("value_shift needs m >= 1")
-        if not 1 <= params["exponent"] <= MAX_SHIFT_EXPONENT:
+        k = params["exponent"]
+        if not 1 <= k <= MAX_SHIFT_EXPONENT:
             raise ValueError(f"exponent must be in 1..{MAX_SHIFT_EXPONENT}")
+        bits = k * (_shift_start(f, params["m"], k, params["prime_lo"]).bit_length() + 1)
+        if bits > MAX_SHIFT_BITS:
+            raise ValueError(f"p^exponent would have about {bits} bits; at most "
+                             f"{MAX_SHIFT_BITS} are allowed")
         rows = params["count"]
     else:
         if params["a_lo"] < 1:
@@ -327,8 +349,9 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
                                          X^4 - a*X^3 + b certified at m = 3
 
     The descriptor is checked before any certification: a malformed one, or
-    one over MAX_SCAN_ROWS rows, MAX_SHIFT_EXPONENT or MAX_DESCRIPTOR_BITS,
-    raises ValueError.
+    one over MAX_SCAN_ROWS rows, MAX_SHIFT_EXPONENT, MAX_DESCRIPTOR_BITS or
+    MAX_SHIFT_BITS, raises ValueError, and so does a value_shift row whose
+    p^K outgrows MAX_SHIFT_BITS.
     """
     kind, params = _family_params(desc)
     rows = []
@@ -352,17 +375,14 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
     elif kind == "value_shift":
         f, m, k = params["polynomial"], params["m"], params["exponent"]
         fm = f.evaluate(m)
-        if k == 1:
-            # large enough to keep both the non-negative-coefficient and the
-            # non-negative-partial-sums constructions valid
-            start = max(2, fm - min(f.evaluate(0), f.evaluate(1)))
-        else:
-            start = max(2, f.derivative().evaluate(m) + 1)
-        start = max(start, params["prime_lo"])
-        p = start - 1
+        p = _shift_start(f, m, k, params["prime_lo"]) - 1
         modes = ("lens", "pq") if k == 1 else ("prime_power",)
         for _ in range(params["count"]):
             p = next_prime(p)
+            if k * p.bit_length() > MAX_SHIFT_BITS:
+                # the estimate counts one bit of growth in p; a long scan can grow more
+                raise ValueError(f"p = {p} makes p^exponent longer than "
+                                 f"{MAX_SHIFT_BITS} bits")
             g = f + (p**k - fm)
             cert = certify_any(g, m, 1, digits, modes)
             rows.append({"p": p, "polynomial": g.coeffs_csv(),

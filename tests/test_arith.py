@@ -4,15 +4,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polycert import arith
 from polycert.arith import (DETERMINISTIC_LIMIT, PrimalityStatus, divisors,
                             extract_witness_report, factorize,
                             has_rational_root, is_prime, next_prime,
                             p_adic_valuation, prime_power_decomposition,
-                            primes_up_to, _sieve, _strip_small)
+                            primes_up_to, _SMALL_PRIMES, _sieve, _strip_small)
 from polycert.poly import parse_polynomial
+from polycert.rounding import iroot
 
 
 def test_is_prime_flagship_value():
@@ -93,6 +94,48 @@ def test_prime_power_decomposition():
     assert prime_power_decomposition(36) is None
     assert prime_power_decomposition(97)[:2] == (97, 1)
     assert prime_power_decomposition(1) is None
+
+
+def reference_prime_power_decomposition(c):
+    """prime_power_decomposition as it was: an iroot for every k from
+    bit_length(c) - 1 down to 1."""
+    if c < 2:
+        return None
+    for k in range(c.bit_length() - 1, 0, -1):
+        r = iroot(c, k)
+        if r**k == c:
+            res = is_prime(r)
+            if res.is_prime:
+                return r, k, res
+            return None  # maximal-exponent base is composite, so c is not p^k
+    return None
+
+
+small_or_large_prime = st.one_of(st.sampled_from(_SMALL_PRIMES),
+                                 st.integers(1000, 10**6).map(next_prime))
+prime_powers = st.builds(pow, small_or_large_prime, st.integers(1, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    prime_powers,
+    st.builds(lambda c, u: c * u, prime_powers, st.integers(2, 10**6)),
+    st.builds(lambda a, b, e: (a * b)**e, st.integers(2, 10**4),
+              st.integers(2, 10**4), st.integers(1, 30)),
+    st.integers(0, 2),
+    st.integers(0, 2**300)))
+@example(1009**7 * 1013**7)
+@example((2**61 - 1)**6)
+def test_prime_power_decomposition_matches_the_root_loop(c):
+    assert prime_power_decomposition(c) == reference_prime_power_decomposition(c)
+
+
+def test_prime_power_decomposition_of_large_powers_is_fast(deadline):
+    deadline(1)
+    assert prime_power_decomposition(1009**1000)[:2] == (1009, 1000)
+    mersenne = 2**61 - 1
+    assert prime_power_decomposition(mersenne**64)[:2] == (mersenne, 64)
+    assert prime_power_decomposition(3 * 2**4000) is None
 
 
 def test_witness_prime_value():

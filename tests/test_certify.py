@@ -383,6 +383,21 @@ def test_checks_have_positive_margins():
             assert c.margin > 0
 
 
+def test_certifier_builds_the_derivative_once(monkeypatch):
+    built = []
+    real = Polynomial.derivative
+
+    def counted(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Polynomial, "derivative", counted)
+    ctx = Certifier(parse_polynomial("X^3+2*X+1"))
+    certified = [ctx.certify(m, ("prime_power",))[0] is not None for m in range(1, 31)]
+    assert any(certified)
+    assert len(built) == 1
+
+
 def test_search_span_is_bounded(deadline):
     reducible = parse_polynomial("(X^2+1)*(X^2+3)")
     deadline(1)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from polycert.certify import certificate_verify
-from polycert.cli import MAX_DESCRIPTOR_BITS, main, render_svg, scan_family
+from polycert.cli import (MAX_DESCRIPTOR_BITS, MAX_SHIFT_BITS, main, render_svg,
+                          scan_family)
 from polycert.poly import parse_polynomial
 
 
@@ -197,6 +198,8 @@ def test_scan_malformed_descriptor_is_an_input_error(capsys, desc):
      "limit": 10**9},
     {"family": "quartic_reciprocal", "a_lo": 1, "a_hi": 10**12, "per_a": 0},
     {"family": "quartic_reciprocal", "a_lo": 1, "a_hi": 100, "per_a": 11},
+    {"family": "value_shift", "polynomial": "X^2+X+1", "m": 65536,
+     "exponent": 1024, "count": 1},
 ])
 def test_scan_over_budget_descriptor_fails_fast(capsys, deadline, desc):
     deadline(1)
@@ -227,6 +230,22 @@ def test_scan_oversized_numbers_are_an_input_error(capsys, deadline, desc):
 def test_scan_numbers_of_the_largest_size_are_accepted():
     desc = {"family": "value_shift", "polynomial": "X^2+X+1", "m": 2**64 - 1, "count": 1}
     assert scan_family(desc)["total"] == 1
+
+
+def test_scan_stops_when_p_outgrows_the_shift_budget():
+    # the estimate (p from 512, 10 bits + 1) fits; p past 2048 does not
+    desc = {"family": "value_shift", "polynomial": "X^2+X+1", "m": 255,
+            "exponent": 1024, "count": 220}
+    with pytest.raises(ValueError, match=f"longer than {MAX_SHIFT_BITS} bits"):
+        scan_family(desc)
+    assert scan_family(dict(desc, count=3))["certified"] == 3
+
+
+def test_certify_value_with_a_huge_constant_term_ends(capsys, deadline):
+    deadline(2)
+    code, out, err = run(capsys, "certify", "X^2+X+10^5000", "--m", "2", "--json")
+    assert code == 1 and out == ""
+    assert "no certificate found" in err
 
 
 def test_digits_env_default(monkeypatch, capsys):
