@@ -253,9 +253,11 @@ MAX_SHIFT_EXPONENT = 1024
 # X^8+X+1 at one m of 64 bits: ~0.08 s a row, on the same machine).
 MAX_DESCRIPTOR_BITS = 64
 # ... and the bits of p^exponent in a value_shift row, estimated as
-# exponent * (bit_length(first p tried) + 1).  The cap keeps every row below
-# Python's 4300-digit limit on int -> str conversion (~14000 bits).  It
-# bounds the size of the numbers, not the time of a row: X^94+X+1 at
+# exponent * (bit_length(first p tried) + 1).  Even with p grown over
+# MAX_SCAN_ROWS primes, p^exponent stays below Python's 4300-digit limit on
+# int -> str conversion (~14300 bits; at worst ~13500, from p < 1024 at
+# exponent 1024).  The polynomial's own coefficients have no such budget.
+# The cap bounds the size of the numbers, not the time of a row: X^94+X+1 at
 # m = 2^64 - 1 with exponent 2 (~11900 bits) takes ~10 min a row, nearly all
 # of it in next_prime on a p of 5960 bits.
 MAX_SHIFT_BITS = 12000
@@ -350,8 +352,7 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
 
     The descriptor is checked before any certification: a malformed one, or
     one over MAX_SCAN_ROWS rows, MAX_SHIFT_EXPONENT, MAX_DESCRIPTOR_BITS or
-    MAX_SHIFT_BITS, raises ValueError, and so does a value_shift row whose
-    p^K outgrows MAX_SHIFT_BITS.
+    MAX_SHIFT_BITS, raises ValueError.
     """
     kind, params = _family_params(desc)
     rows = []
@@ -379,10 +380,6 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
         modes = ("lens", "pq") if k == 1 else ("prime_power",)
         for _ in range(params["count"]):
             p = next_prime(p)
-            if k * p.bit_length() > MAX_SHIFT_BITS:
-                # the estimate counts one bit of growth in p; a long scan can grow more
-                raise ValueError(f"p = {p} makes p^exponent longer than "
-                                 f"{MAX_SHIFT_BITS} bits")
             g = f + (p**k - fm)
             cert = certify_any(g, m, 1, digits, modes)
             rows.append({"p": p, "polynomial": g.coeffs_csv(),

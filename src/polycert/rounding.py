@@ -144,7 +144,15 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # >= true root
+    # Newton from a float estimate of the root: one step from any x > 0
+    # lands at or above the floor of the root (AM-GM), and the descent from
+    # there takes a few steps, where a start at a power of two above the
+    # root would shrink by only a factor (k-1)/k a step
+    shift = max(0, n.bit_length() - 64)
+    q = (math.log2(n >> shift) + shift) / k
+    s = max(0, int(q) - 52)
+    x = (int(2.0 ** (q - s)) + 1) << s
+    x = ((k - 1) * x + n // x ** (k - 1)) // k
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

@@ -126,6 +126,8 @@ prime_powers = st.builds(pow, small_or_large_prime, st.integers(1, 60))
     st.integers(0, 2**300)))
 @example(1009**7 * 1013**7)
 @example((2**61 - 1)**6)
+@example(1009**1009)
+@example(1013**1021)
 def test_prime_power_decomposition_matches_the_root_loop(c):
     assert prime_power_decomposition(c) == reference_prime_power_decomposition(c)
 
@@ -136,6 +138,7 @@ def test_prime_power_decomposition_of_large_powers_is_fast(deadline):
     mersenne = 2**61 - 1
     assert prime_power_decomposition(mersenne**64)[:2] == (mersenne, 64)
     assert prime_power_decomposition(3 * 2**4000) is None
+    assert prime_power_decomposition(1009**1009)[:2] == (1009, 1009)
 
 
 def test_witness_prime_value():

@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 
+from polycert.arith import next_prime
 from polycert.certify import certificate_verify
-from polycert.cli import (MAX_DESCRIPTOR_BITS, MAX_SHIFT_BITS, main, render_svg,
-                          scan_family)
+from polycert.cli import (MAX_DESCRIPTOR_BITS, MAX_SCAN_ROWS, MAX_SHIFT_BITS,
+                          MAX_SHIFT_EXPONENT, main, render_svg, scan_family)
 from polycert.poly import parse_polynomial
 
 
@@ -232,13 +234,27 @@ def test_scan_numbers_of_the_largest_size_are_accepted():
     assert scan_family(desc)["total"] == 1
 
 
-def test_scan_stops_when_p_outgrows_the_shift_budget():
-    # the estimate (p from 512, 10 bits + 1) fits; p past 2048 does not
-    desc = {"family": "value_shift", "polynomial": "X^2+X+1", "m": 255,
-            "exponent": 1024, "count": 220}
-    with pytest.raises(ValueError, match=f"longer than {MAX_SHIFT_BITS} bits"):
-        scan_family(desc)
-    assert scan_family(dict(desc, count=3))["certified"] == 3
+def test_shift_budget_keeps_every_row_printable():
+    # The worst scan the budget admits: the largest start of b bits, the
+    # largest exponent its estimate allows, and MAX_SCAN_ROWS primes on from
+    # it.  Past b = 20 the primes grow by less than one bit, which the
+    # estimate already counts.
+    limit_bits = 4300 * math.log2(10)  # Python's int -> str limit
+    for b in range(1, 21):
+        k = min(MAX_SHIFT_EXPONENT, MAX_SHIFT_BITS // (b + 1))
+        p = (1 << b) - 1
+        for _ in range(MAX_SCAN_ROWS):
+            p = next_prime(p)
+        assert k * math.log2(p) < limit_bits
+        assert b < 14 or p.bit_length() <= b + 1
+
+
+def test_scan_of_a_prime_exponent_past_1000(deadline):
+    deadline(2)
+    desc = {"family": "value_shift", "polynomial": "X^2+X+1", "m": 4,
+            "prime_lo": 1009, "exponent": 1009, "count": 1}
+    row, = scan_family(desc)["rows"]
+    assert (row["p"], row["criterion"]) == (1009, "thm35_prime_power")
 
 
 def test_certify_value_with_a_huge_constant_term_ends(capsys, deadline):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polycert.rounding import (BoundedReal, arctan_bounds, enclose_max,
                                enclose_min, format_decimal, iroot,
@@ -33,6 +34,25 @@ def test_iroot_exact():
     assert iroot(7, 3) == 1
     assert iroot(10**30, 2) == 10**15
     assert iroot(2**100 - 1, 10) == 1023
+
+
+near_powers = st.builds(lambda r, k, d: r**k + d, st.integers(1, 2**200),
+                        st.integers(1, 60), st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(0, 2**3000), near_powers), st.integers(1, 1200))
+def test_iroot_is_the_floor_of_the_root(n, k):
+    r = iroot(n, k)
+    assert r**k <= n < (r + 1)**k
+
+
+def test_iroot_of_a_large_power_is_fast(deadline):
+    deadline(1)
+    c = 1009**1009
+    assert iroot(c, 1009) == 1009
+    for e in range(3, 1200, 2):
+        assert iroot(c + 1, e)**e <= c + 1
 
 
 def test_nth_root_perfect_cube():
