@@ -8,17 +8,15 @@ from .arith import (FactorizationWitness, PrimalityResult, PrimalityStatus,
 from .certify import (Certificate, Certifier, Check, MalformedCertificateError,
                       SearchReport, certificate_verify, certify_any,
                       certify_negative_m, search_m)
-from .lens import (AdmissibleInterval, CombinedRegion, Containment,
-                   DegenerateLensError, Lens, combined_region,
-                   interval_cot, interval_disk_in_lens, interval_effective,
-                   lens_contains, lens_of, union_angle)
+from .lens import (AdmissibleInterval, CombinedRegion, DegenerateLensError, Lens,
+                   combined_region, interval_cot, interval_disk_in_lens,
+                   interval_effective, lens_of)
 from .oracles import (FactorSearchResult, RootSet, in_sector,
                       irreducible_bruteforce, roots_numeric)
 from .poly import (ParseError, PartialSums, Polynomial, SignBlock,
                    SignBlockPartition, SignIndexSets, parse_polynomial,
                    partial_sums, shift_coeffs, sign_blocks, sign_index_sets)
-from .rounding import (BoundedReal, arctan_bounds, nth_root_bounds, pi_bounds,
-                       trig_bounds)
+from .rounding import BoundedReal, nth_root_bounds, pi_bounds, trig_bounds
 from .sectors import (Sector, SectorKind, best_of, best_sector, sector_candidates,
                       sector_min_over_positives, sector_neg_sum, sector_nonneg,
                       sector_parametrized, sector_shifted, sector_sign_blocks,

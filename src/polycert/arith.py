@@ -29,6 +29,10 @@ DETERMINISTIC_LIMIT = 3317044064679887385961981
 
 _EXTRA_PROBABLE_ROUNDS = 20
 
+# Largest supported cofactor bound: witness extraction sieves the primes up
+# to q_max (664579 of them at 10^7).
+MAX_Q_MAX = 10**7
+
 
 def _sieve(limit: int) -> list[int]:
     if limit < 2:
@@ -369,10 +373,8 @@ def extract_witness_report(value: int, derivative_value: int, q_max: int = 1,
     "value-composite", "q-exceeds", "no-split", or "derivative-zero"."""
     if mode not in ("pq", "prime_power"):
         raise ValueError(f"unknown witness mode {mode!r}")
-    if q_max < 1:
-        raise ValueError("q_max must be >= 1")
-    if q_max > 10**7:
-        raise ValueError("q_max above 10^7 is not supported")
+    if not 1 <= q_max <= MAX_Q_MAX:
+        raise ValueError(f"q_max must be in 1..{MAX_Q_MAX}")
     if value <= 0:
         return None, "value-nonpositive"
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .arith import (FactorizationWitness, PrimalityStatus,
+from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus,
                     extract_witness_report, has_rational_root)
 from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
                    interval_disk_in_lens, lens_of)
@@ -537,7 +537,7 @@ def certificate_verify(cert) -> bool:
         negated = bool(data["negated_argument"])
     except (TypeError, ValueError) as exc:
         raise MalformedCertificateError(f"bad field: {exc}") from None
-    if digits < 1 or digits > 200 or q_max < 1:
+    if not (1 <= digits <= 200 and 1 <= q_max <= MAX_Q_MAX):
         raise MalformedCertificateError("digits or q_max out of range")
     try:
         replay = _rebuild(f, m, criterion, q_max, digits, negated)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import is_prime, next_prime
+from .arith import MAX_Q_MAX, is_prime, next_prime
 from .certify import (DEFAULT_MODES, Certificate, Certifier,
                       MalformedCertificateError, _check_search_range,
                       certificate_verify, certify_any, certify_negative_m,
@@ -226,9 +226,6 @@ def _cmd_certify(cfg: RunConfig) -> int:
         return 1
     m = cfg.m
     if m < 0:
-        if not cfg.negative_m:
-            print("negative m requires --negative-m", file=sys.stderr)
-            return 2
         cert = certify_negative_m(f, m, cfg.q_max, cfg.digits, cfg.modes)
     else:
         cert = certify_any(f, m, cfg.q_max, cfg.digits, cfg.modes)
@@ -248,19 +245,21 @@ MAX_SCAN_ROWS = 1000
 # ... and the exponent K of value_shift: on a 2 vCPU Xeon with Python 3.11,
 # X^2+X+1 at m = 4 takes ~0.4 ms a row at K = 256 and ~2 ms at K = 1024.
 MAX_SHIFT_EXPONENT = 1024
-# ... and the bit length of m, prime_lo, prime_hi, a_lo and a_hi: a row's
-# cost grows with the size of the numbers it certifies (value_shift of
-# X^8+X+1 at one m of 64 bits: ~0.08 s a row, on the same machine).
+# ... and the bit length of m, prime_lo, prime_hi, a_lo, a_hi and of every
+# coefficient of the value_shift polynomial: a row's cost grows with the size
+# of the numbers it certifies (value_shift of X^8+X+1 at one m of 64 bits:
+# ~0.08 s a row, on the same machine).
 MAX_DESCRIPTOR_BITS = 64
 # ... and the bits of p^exponent in a value_shift row, estimated as
 # exponent * (bit_length(first p tried) + 1).  Even with p grown over
 # MAX_SCAN_ROWS primes, p^exponent stays below Python's 4300-digit limit on
 # int -> str conversion (~14300 bits; at worst ~13500, from p < 1024 at
-# exponent 1024).  The polynomial's own coefficients have no such budget.
-# The cap bounds the size of the numbers, not the time of a row: X^94+X+1 at
-# m = 2^64 - 1 with exponent 2 (~11900 bits) takes ~10 min a row, nearly all
-# of it in next_prime on a p of 5960 bits.
+# exponent 1024).
 MAX_SHIFT_BITS = 12000
+# ... and the bits of the first p itself, which bound the time of a row:
+# next_prime takes ~20 ms at 512 bits, ~0.5 s at 1024 and ~5 s at 2048.
+# X^8+X+1 at m = 2^64 - 1 starts at exactly 512 bits (~0.06 s a row).
+MAX_SHIFT_START_BITS = 512
 
 # family -> (required fields, optional integer fields with their defaults)
 _FAMILY_FIELDS = {
@@ -315,12 +314,20 @@ def _family_params(desc) -> tuple[str, dict]:
         if f.degree() < 2 or f.leading_coefficient() <= 0:
             raise ValueError("value_shift needs a polynomial of degree >= 2 with "
                              "a positive leading coefficient")
+        coeff_bits = max(abs(c).bit_length() for c in f.coeffs)
+        if coeff_bits > MAX_DESCRIPTOR_BITS:
+            raise ValueError(f"value_shift polynomial has a coefficient of {coeff_bits} "
+                             f"bits; at most {MAX_DESCRIPTOR_BITS} are allowed")
         if params["m"] < 1:
             raise ValueError("value_shift needs m >= 1")
         k = params["exponent"]
         if not 1 <= k <= MAX_SHIFT_EXPONENT:
             raise ValueError(f"exponent must be in 1..{MAX_SHIFT_EXPONENT}")
-        bits = k * (_shift_start(f, params["m"], k, params["prime_lo"]).bit_length() + 1)
+        start_bits = _shift_start(f, params["m"], k, params["prime_lo"]).bit_length()
+        if start_bits > MAX_SHIFT_START_BITS:
+            raise ValueError(f"the first p would have {start_bits} bits; at most "
+                             f"{MAX_SHIFT_START_BITS} are allowed")
+        bits = k * (start_bits + 1)
         if bits > MAX_SHIFT_BITS:
             raise ValueError(f"p^exponent would have about {bits} bits; at most "
                              f"{MAX_SHIFT_BITS} are allowed")
@@ -351,8 +358,8 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
                                          X^4 - a*X^3 + b certified at m = 3
 
     The descriptor is checked before any certification: a malformed one, or
-    one over MAX_SCAN_ROWS rows, MAX_SHIFT_EXPONENT, MAX_DESCRIPTOR_BITS or
-    MAX_SHIFT_BITS, raises ValueError.
+    one over MAX_SCAN_ROWS rows, MAX_SHIFT_EXPONENT, MAX_DESCRIPTOR_BITS,
+    MAX_SHIFT_BITS or MAX_SHIFT_START_BITS, raises ValueError.
     """
     kind, params = _family_params(desc)
     rows = []
@@ -522,14 +529,16 @@ def _config_from_args(args) -> RunConfig:
         cfg.plot = args.plot
     if args.command == "certify":
         cfg.q_max = args.q_max
-        if cfg.q_max < 1:
-            raise ValueError("--q-max must be >= 1")
+        if not 1 <= cfg.q_max <= MAX_Q_MAX:
+            raise ValueError(f"--q-max must be in 1..{MAX_Q_MAX}")
         cfg.negative_m = args.negative_m
         if args.prime_power:
             cfg.modes = ("prime_power",)
         if (args.m is None) == (args.search is None):
             raise ValueError("provide exactly one of --m or --search LO..HI")
         cfg.m = args.m
+        if cfg.m is not None and cfg.m < 0 and not cfg.negative_m:
+            raise ValueError("negative m requires --negative-m")
         if args.search is not None:
             try:
                 lo, hi = args.search.split("..")

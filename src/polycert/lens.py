@@ -9,14 +9,12 @@ the reciprocal's sector vertex.  All admissible intervals are rounded inward
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
 from .poly import Polynomial
-from .rounding import (DEFAULT_DIGITS, BoundedReal, _refine, arctan_bounds,
-                       cot_pi_frac, format_decimal, pi_bounds,
-                       root_of_enclosure, sin_pi_frac, tan_pi_frac)
+from .rounding import (DEFAULT_DIGITS, BoundedReal, cot_pi_frac, format_decimal,
+                       pi_bounds, root_of_enclosure, sin_pi_frac, tan_pi_frac)
 from .sectors import Sector, best_sector
 
 
@@ -71,37 +69,6 @@ def lens_of(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Lens:
             "reciprocal sector vertex is 0; the region is the origin wedge "
             "of half-angle pi/n itself, not a bounded lens")
     return Lens(sector.vertex, n, sector.method)
-
-
-class Containment(Enum):
-    INSIDE = "inside"
-    OUTSIDE = "outside"
-    UNDECIDED = "undecided"
-
-
-def lens_contains(lens: Lens, x, y, digits: int = DEFAULT_DIGITS) -> Containment:
-    """Three-valued membership of an exact rational point in the open lens."""
-    x, y = Fraction(x), Fraction(y)
-    r2 = lens.radius(digits)
-    r2 = r2 * r2
-    cx = lens.center_x()
-    cy = lens.center_y_abs(digits)
-    dx = BoundedReal.exact(x) - cx
-    verdicts = []
-    for sign in (1, -1):
-        dy = BoundedReal.exact(y) - sign * cy
-        d2 = dx * dx + dy * dy
-        if d2.upper < r2.lower:
-            verdicts.append(Containment.INSIDE)
-        elif d2.lower > r2.upper:
-            verdicts.append(Containment.OUTSIDE)
-        else:
-            verdicts.append(Containment.UNDECIDED)
-    if all(v is Containment.INSIDE for v in verdicts):
-        return Containment.INSIDE
-    if any(v is Containment.OUTSIDE for v in verdicts):
-        return Containment.OUTSIDE
-    return Containment.UNDECIDED
 
 
 @dataclass(frozen=True)
@@ -167,36 +134,6 @@ def interval_effective(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleIn
             f"below pi/(4*{lens.n})")
     bound = (2 * lens.n) / pi
     return AdmissibleInterval(bound, 1 / lens.v_tilde - bound, "cor_effective")
-
-
-def union_angle(v: BoundedReal, v_tilde: BoundedReal, n: int,
-                digits: int = DEFAULT_DIGITS) -> BoundedReal:
-    """Half-angle of an origin sector contained in the union of the vertex-v
-    sector and the lens: pi/n - arctan(sin(pi/n) / sqrt(1/(v*vt) - sin^2(pi/n))).
-
-    Requires v*vt < 1 (verified on the conservative side); in that regime the
-    polynomial also has no positive real roots.
-    """
-    if n < 2:
-        raise ValueError("union_angle needs n >= 2")
-    if v.lower < 0 or v_tilde.lower < 0:
-        raise ValueError("union_angle expects non-negative vertices")
-    if not v.upper * v_tilde.upper < 1:
-        raise ValueError("union angle formula needs v * v_tilde < 1")
-    c = Fraction(1, n)
-
-    def at(p: Fraction) -> BoundedReal:
-        def build(work: int) -> BoundedReal:
-            pi_n = pi_bounds(work) * c
-            if p == 0:
-                return pi_n
-            s = sin_pi_frac(c, work)
-            return pi_n - arctan_bounds(s / root_of_enclosure(1 / p - s * s, 2, work), work)
-        return _refine(build, digits + 4, digits)
-
-    # the angle decreases as v*vt grows: each end comes from an exact product
-    product = v * v_tilde
-    return BoundedReal(at(product.upper).lower, at(product.lower).upper)
 
 
 @dataclass(frozen=True)

@@ -191,9 +191,6 @@ class Polynomial:
         return hash(self.coeffs)
 
 
-X = Polynomial([0, 1])
-
-
 def shift_coeffs(coeffs: Sequence[Rat], alpha: Rat) -> tuple[Fraction, ...]:
     """Coefficients b_k of f(X + alpha): b_k = sum_i alpha^i a_{k+i} C(k+i, i)."""
     alpha = Fraction(alpha)

@@ -1,5 +1,5 @@
 """Directed-rounding rational enclosures for the irrational quantities used
-by the region computations (radicals, pi, sin, tan, cot, arctan).
+by the region computations (radicals, pi, sin, tan, cot).
 
 Every value is carried as an exact rational enclosure [lower, upper].  All
 operations round outward, so an inequality verified against the appropriate
@@ -7,17 +7,17 @@ endpoint of an enclosure holds for the enclosed real number.  Producers
 tighten until the width is at most 10^-digits relative to max(1, |upper|).
 
 Two private routines hold the numerics.  `_alternating` sums every series:
-sin, cos and arctan, each given as a first term and a term ratio, and pi
-through Machin's arctan formula.  It keeps the exact partial sums as
-unreduced integers over one common denominator, and `_rounded` puts each
-endpoint on the 2^-bits grid with one integer floor or ceiling division, so
-the series take no gcd.  `_refine` is the one precision loop: it doubles the
-working precision until an enclosure meets the digits target.  Every
-producer here and `lens.union_angle` call it.  Its one precondition: each
-doubling must make the enclosure narrower, with no lower limit on the width,
-or the loop never ends.  The width of an interval argument is such a limit,
-so a monotone function of an interval is evaluated at the ends of the
-interval, each end tightened on its own.
+sin and cos, each given as a first term and a term ratio, and pi through
+Machin's arctan formula.  It keeps the exact partial sums as unreduced
+integers over one common denominator, and `_rounded` puts each endpoint on
+the 2^-bits grid with one integer floor or ceiling division, so the series
+take no gcd.  `_refine` is the one precision loop: it doubles the working
+precision until an enclosure meets the digits target, and every producer
+here calls it.  Its one precondition: each doubling must make the enclosure
+narrower, with no lower limit on the width, or the loop never ends.  The
+width of an interval argument is such a limit, so `root_of_enclosure`
+evaluates the root at the two ends of its interval, each end tightened on
+its own.
 """
 from __future__ import annotations
 
@@ -54,12 +54,6 @@ class BoundedReal:
 
     def width(self) -> Fraction:
         return self.upper - self.lower
-
-    def is_exact(self) -> bool:
-        return self.lower == self.upper
-
-    def contains(self, x: Rat) -> bool:
-        return self.lower <= x <= self.upper
 
     def meets_target(self, digits: int) -> bool:
         """Width at most 10^-digits relative to max(1, |upper|)."""
@@ -370,34 +364,6 @@ def trig_bounds(kind: str, n: int, digits: int = DEFAULT_DIGITS) -> BoundedReal:
             raise ValueError("cot(pi/(2n)) bounds need n >= 1")
         return cot_pi_frac(Fraction(1, 2 * n), digits)
     raise ValueError(f"unknown trig kind {kind!r}")
-
-
-def _arctan_point(x: Fraction, digits: int) -> BoundedReal:
-    """Enclosure of arctan(x) for exact x >= 0 (argument-halving plus series)."""
-    def build(bits: int) -> BoundedReal:
-        t = BoundedReal.exact(x)
-        halvings = 0
-        while t.upper > Fraction(1, 2):
-            # arctan(t) = 2*arctan(t / (1 + sqrt(1 + t^2))); the root's fixed
-            # 10^-(digits+8) width stays far below the target
-            s = root_of_enclosure(1 + t * t, 2, digits + 8)
-            t = (t / (1 + s)).rounded(bits)
-            halvings += 1
-        lo, _, d = _atan_series(t.lower, bits)
-        _, hi, e = _atan_series(t.upper, bits)
-        return _rounded(lo << halvings, d, hi << halvings, e, bits)
-    return _refine(build, 4 * digits + 24, digits)
-
-
-def arctan_bounds(x: BoundedReal, digits: int = DEFAULT_DIGITS) -> BoundedReal:
-    """Enclosure of arctan(x) for x >= 0.  arctan is increasing, so each end
-    comes from the matching end of x, tightened to the target."""
-    if x.lower < 0:
-        raise ValueError("arctan_bounds expects x >= 0")
-    lo = _arctan_point(x.lower, digits)
-    if x.is_exact():
-        return lo
-    return BoundedReal(lo.lower, _arctan_point(x.upper, digits).upper)
 
 
 # -- decimal rendering --------------------------------------------------------

@@ -1,0 +1,27 @@
+"""The public names of the polycert package.  A name added to or removed
+from `polycert.__all__` must show up here as a reviewed edit."""
+import polycert
+
+PUBLIC = [
+    "AdmissibleInterval", "BoundedReal", "Certificate", "Certifier", "Check",
+    "CombinedRegion", "DegenerateLensError", "FactorSearchResult",
+    "FactorizationWitness", "Lens", "MalformedCertificateError", "ParseError",
+    "PartialSums", "Polynomial", "PrimalityResult", "PrimalityStatus", "RootSet",
+    "SearchReport", "Sector", "SectorKind", "SignBlock", "SignBlockPartition",
+    "SignIndexSets", "arith", "best_of", "best_sector", "certificate_verify",
+    "certify", "certify_any", "certify_negative_m", "combined_region",
+    "extract_witness_report", "has_rational_root", "in_sector", "interval_cot",
+    "interval_disk_in_lens", "interval_effective", "irreducible_bruteforce",
+    "is_prime", "lens", "lens_of", "nth_root_bounds", "oracles",
+    "p_adic_valuation", "parse_polynomial", "partial_sums", "pi_bounds", "poly",
+    "roots_numeric", "rounding", "search_m", "sector_candidates",
+    "sector_min_over_positives", "sector_neg_sum", "sector_nonneg",
+    "sector_parametrized", "sector_shifted", "sector_sign_blocks",
+    "sector_summed_denominator", "sectors", "shift_coeffs", "sign_blocks",
+    "sign_index_sets", "trig_bounds",
+]
+
+
+def test_public_names_are_pinned():
+    assert len(PUBLIC) == 64
+    assert sorted(polycert.__all__) == PUBLIC

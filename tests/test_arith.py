@@ -7,8 +7,8 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from polycert import arith
-from polycert.arith import (DETERMINISTIC_LIMIT, PrimalityStatus, divisors,
-                            extract_witness_report, factorize,
+from polycert.arith import (DETERMINISTIC_LIMIT, MAX_Q_MAX, PrimalityStatus,
+                            divisors, extract_witness_report, factorize,
                             has_rational_root, is_prime, next_prime,
                             p_adic_valuation, prime_power_decomposition,
                             primes_up_to, _SMALL_PRIMES, _sieve, _strip_small)
@@ -173,6 +173,12 @@ def test_witness_reports_reasons():
     assert extract_witness_report(8, 0, 1, "pq")[1] == "value-composite"
     assert extract_witness_report(8, 0, 2, "pq")[1] == "no-split"
     assert extract_witness_report(9, 0, 1, "prime_power")[1] == "derivative-zero"
+
+
+@pytest.mark.parametrize("q_max", [0, MAX_Q_MAX + 1])
+def test_witness_rejects_q_max_out_of_range(q_max):
+    with pytest.raises(ValueError, match=f"q_max must be in 1..{MAX_Q_MAX}"):
+        extract_witness_report(7, 1, q_max)
 
 
 def test_witness_reconstruction_fuzz():

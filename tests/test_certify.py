@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from polycert.arith import extract_witness_report, is_prime
+from polycert.arith import MAX_Q_MAX, extract_witness_report, is_prime
 from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
                               CRIT_LENS_COT, CRIT_NONNEG, CRIT_PARTIAL_SUMS,
                               MAX_SEARCH_SPAN,
@@ -370,6 +370,14 @@ def test_replay_detects_missing_fields_and_schema():
         certificate_verify(bad2)
     with pytest.raises(MalformedCertificateError):
         certificate_verify(["not", "a", "certificate"])
+
+
+@pytest.mark.parametrize("q_max", [0, MAX_Q_MAX + 1])
+def test_replay_rejects_q_max_out_of_range(q_max):
+    cert = certify_any(FLAGSHIP, 3, modes=("lens",)).to_json()
+    cert["q_max"] = q_max
+    with pytest.raises(MalformedCertificateError, match="q_max out of range"):
+        certificate_verify(cert)
 
 
 def test_certify_any_orders_lens_first():

@@ -3,10 +3,11 @@ import math
 
 import pytest
 
-from polycert.arith import next_prime
+from polycert.arith import MAX_Q_MAX, next_prime
 from polycert.certify import certificate_verify
 from polycert.cli import (MAX_DESCRIPTOR_BITS, MAX_SCAN_ROWS, MAX_SHIFT_BITS,
-                          MAX_SHIFT_EXPONENT, main, render_svg, scan_family)
+                          MAX_SHIFT_EXPONENT, MAX_SHIFT_START_BITS, _shift_start,
+                          main, render_svg, scan_family)
 from polycert.poly import parse_polynomial
 
 
@@ -65,6 +66,23 @@ def test_certify_negative_m(capsys):
     assert data["m"] == -3 and data["negated_argument"]
     code2, _, err = run(capsys, "certify", "X^2+X+1", "--m", "-3")
     assert code2 == 2
+    assert err == "input error: negative m requires --negative-m\n"
+
+
+@pytest.mark.parametrize("q_max", ["0", str(MAX_Q_MAX + 1)])
+@pytest.mark.parametrize("where", [["--m", "3"], ["--m", "5"], ["--search", "1..5"]])
+def test_certify_q_max_out_of_range_is_an_input_error(capsys, q_max, where):
+    # the lens criterion ignores q_max, so at m = 3 a late check would
+    # certify before it ever looked at the bound
+    code, out, err = run(capsys, "certify", "X^4-10*X^3+2162", *where, "--q-max", q_max)
+    assert code == 2 and out == ""
+    assert err == f"input error: --q-max must be in 1..{MAX_Q_MAX}\n"
+
+
+def test_certify_q_max_at_the_bound_is_accepted(capsys):
+    code, _, _ = run(capsys, "certify", "X^4-10*X^3+2162", "--m", "3",
+                     "--q-max", str(MAX_Q_MAX))
+    assert code == 0
 
 
 def test_parse_error_exit_two(capsys):
@@ -202,6 +220,13 @@ def test_scan_malformed_descriptor_is_an_input_error(capsys, desc):
     {"family": "quartic_reciprocal", "a_lo": 1, "a_hi": 100, "per_a": 11},
     {"family": "value_shift", "polynomial": "X^2+X+1", "m": 65536,
      "exponent": 1024, "count": 1},
+    # a first p of 5959 bits: ~10 min in next_prime without the start budget
+    {"family": "value_shift", "polynomial": "X^94+X+1", "m": 2**64 - 1,
+     "exponent": 2, "count": 1},
+    # a first p of 1920 bits: ~2 s a row without the start budget
+    {"family": "value_shift", "polynomial": "X^30+X+1", "m": 2**64 - 1,
+     "exponent": 1, "count": 1},
+    {"family": "value_shift", "polynomial": f"X^2+X+{2**64}", "m": 4, "count": 1},
 ])
 def test_scan_over_budget_descriptor_fails_fast(capsys, deadline, desc):
     deadline(1)
@@ -231,6 +256,16 @@ def test_scan_oversized_numbers_are_an_input_error(capsys, deadline, desc):
 
 def test_scan_numbers_of_the_largest_size_are_accepted():
     desc = {"family": "value_shift", "polynomial": "X^2+X+1", "m": 2**64 - 1, "count": 1}
+    assert scan_family(desc)["total"] == 1
+    # the first p has exactly MAX_SHIFT_START_BITS bits, and the largest
+    # coefficient MAX_DESCRIPTOR_BITS
+    m = 2**64 - 1
+    assert _shift_start(parse_polynomial("X^8+X+1"), m, 1, 2).bit_length() \
+        == MAX_SHIFT_START_BITS
+    desc = {"family": "value_shift", "polynomial": "X^8+X+1", "m": m, "count": 1}
+    assert scan_family(desc)["total"] == 1
+    desc = {"family": "value_shift", "polynomial": f"X^2+X+{2**64 - 1}", "m": 4,
+            "count": 1}
     assert scan_family(desc)["total"] == 1
 
 

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from polycert.rounding import (BoundedReal, arctan_bounds, cot_pi_frac,
-                               nth_root_bounds, pi_bounds, pow_upper,
-                               root_of_enclosure, sin_pi_frac, trig_bounds)
+from polycert.rounding import (BoundedReal, cot_pi_frac, nth_root_bounds,
+                               pi_bounds, pow_upper, root_of_enclosure,
+                               sin_pi_frac, trig_bounds)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_rounding.json")
                     .read_text(encoding="utf-8"))
@@ -37,9 +37,6 @@ for _kind in ("sin", "tan", "cot"):
 for _c in (F(1, 3), F(2, 5), F(3, 8), F(1, 7)):
     CASES[f"sin_pi_frac {_c}"] = (DIGITS, lambda d, c=_c: _pair(sin_pi_frac(c, d)))
     CASES[f"cot_pi_frac {_c}"] = (DIGITS, lambda d, c=_c: _pair(cot_pi_frac(c, d)))
-for _x in (F(0), F(1, 10**9), F(1, 3), F(1), F(7, 2), F(40)):
-    CASES[f"arctan_bounds {_x}"] = (
-        DIGITS, lambda d, x=_x: _pair(arctan_bounds(BoundedReal.exact(x), d)))
 for _x, _k in ((F(2), 2), (F(3), 3), (F(10), 5), (F(7, 3), 2), (F(1, 1000), 3),
                (F(10**12 + 1), 4), (F(27, 8), 3)):
     CASES[f"nth_root_bounds {_x} {_k}"] = (

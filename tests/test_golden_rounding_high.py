@@ -1,17 +1,16 @@
 """Golden enclosure endpoints at the precisions test_golden_rounding.py leaves
 out: pi and the sin/tan/cot constants for n = 4 and 7 at 400 digits (the
-doubled precision certificate_verify reaches for a digits-200 certificate),
-and arctan of 7/2 and 40 at 100 and 200 digits.  They were recorded from the
-Fraction-based series code before the series were summed over unreduced
-integers, and the data file is never regenerated to make this test pass.
+doubled precision certificate_verify reaches for a digits-200 certificate).
+They were recorded from the Fraction-based series code before the series
+were summed over unreduced integers, and the data file is never regenerated
+to make this test pass.
 """
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from polycert.rounding import BoundedReal, arctan_bounds, pi_bounds, trig_bounds
+from polycert.rounding import BoundedReal, pi_bounds, trig_bounds
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_rounding_high.json")
                     .read_text(encoding="utf-8"))
@@ -27,9 +26,6 @@ for _kind in ("sin", "tan", "cot"):
     for _n in (4, 7):
         CASES[f"trig_bounds {_kind} {_n}"] = (
             (400,), lambda d, k=_kind, n=_n: _pair(trig_bounds(k, n, d)))
-for _x in (Fraction(7, 2), Fraction(40)):
-    CASES[f"arctan_bounds {_x}"] = (
-        (100, 200), lambda d, x=_x: _pair(arctan_bounds(BoundedReal.exact(x), d)))
 
 
 def test_every_case_is_recorded():

@@ -5,10 +5,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from polycert.lens import (Containment, DegenerateLensError,
-                           Lens, combined_region, interval_cot,
-                           interval_disk_in_lens, interval_effective,
-                           lens_contains, lens_of, union_angle)
+from polycert.lens import (DegenerateLensError, Lens, combined_region,
+                           interval_cot, interval_disk_in_lens,
+                           interval_effective, lens_of)
 from polycert.poly import parse_polynomial
 from polycert.rounding import BoundedReal
 from polycert.sectors import best_sector
@@ -58,105 +57,6 @@ def test_lens_of_matches_reciprocal_best_sector():
     lens = lens_of(f)
     recip_sector = best_sector(f.reciprocal())
     assert lens.v_tilde == recip_sector.vertex
-
-
-def test_lens_contains_center_and_far_point():
-    lens = lens_of(FLAGSHIP)
-    cx = (lens.v_tilde.lower + lens.v_tilde.upper) / 2
-    center = 1 / (2 * Fraction(cx))
-    assert lens_contains(lens, center, 0) is Containment.INSIDE
-    assert lens_contains(lens, 1 / lens.v_tilde.lower + 1, 0) is Containment.OUTSIDE
-
-
-def test_lens_contains_boundary_sample():
-    lens = Lens(BoundedReal.exact(Fraction(3, 20)), 4)
-    # top of the lens, representable only to double precision; at coarse
-    # working precision the point sits within rounding width of the boundary
-    vt, n = 0.15, 4
-    x = 1 / (2 * vt)
-    y = -1 / (2 * vt * math.tan(math.pi / n)) + math.sqrt(
-        1 / (4 * vt**2 * math.sin(math.pi / n) ** 2))
-    verdict = lens_contains(lens, Fraction(x), Fraction(y), digits=3)
-    assert verdict is Containment.UNDECIDED
-
-
-def test_lens_contains_tracks_boundary_equation():
-    # points slightly inside/outside the analytic boundary curve
-    vt, n = Fraction(3, 20), 4
-    lens = Lens(BoundedReal.exact(vt), n)
-    x = Fraction(2)
-    inside_y = Fraction(0)
-    y_curve = -1 / (2 * float(vt) * math.tan(math.pi / n)) + math.sqrt(
-        1 / (4 * float(vt) ** 2 * math.sin(math.pi / n) ** 2)
-        - (float(x) - 1 / (2 * float(vt))) ** 2)
-    assert lens_contains(lens, x, inside_y) is Containment.INSIDE
-    assert lens_contains(lens, x, Fraction(y_curve) * Fraction(99, 100)) is Containment.INSIDE
-    assert lens_contains(lens, x, Fraction(y_curve) * Fraction(101, 100)) is Containment.OUTSIDE
-
-
-def test_union_angle_limit():
-    eps = Fraction(1, 10**6)
-    alpha = union_angle(BoundedReal.exact(eps), BoundedReal.exact(eps), 4)
-    assert abs(float(alpha.lower) - math.pi / 4) < 1e-3
-    assert float(alpha.upper) <= math.pi / 4 + 1e-12
-
-
-def test_union_angle_rejects_unit_product():
-    one = BoundedReal.exact(1)
-    with pytest.raises(ValueError):
-        union_angle(one, one, 4)
-
-
-def test_union_angle_flagship_inapplicable():
-    lens = lens_of(FLAGSHIP)
-    v = best_sector(FLAGSHIP).vertex
-    with pytest.raises(ValueError):
-        union_angle(v, lens.v_tilde, 4)
-
-
-def test_union_angle_against_oracle():
-    v, vt, n = Fraction(1, 2), Fraction(1, 10), 5
-    alpha = union_angle(BoundedReal.exact(v), BoundedReal.exact(vt), n)
-    s = mpmath.sin(mpmath.pi / n)
-    oracle = mp_frac(mpmath.pi / n - mpmath.atan(s / mpmath.sqrt(20 - s**2)))
-    assert alpha.lower - SLACK <= oracle <= alpha.upper + SLACK
-
-
-def test_union_angle_on_interval_vertices(deadline):
-    # sectors come with interval vertices; the angle decreases as v*vt grows,
-    # so the ends are the angles at the largest and the smallest product
-    deadline(5)
-    v, vt, n = BoundedReal.of(Fraction(1, 3), Fraction(1, 2)), \
-        BoundedReal.of(Fraction(1, 9), Fraction(1, 8)), 4
-    alpha = union_angle(v, vt, n, digits=12)
-    s = mpmath.sin(mpmath.pi / n)
-
-    def oracle(p):
-        return mp_frac(mpmath.pi / n - mpmath.atan(s / mpmath.sqrt(1 / mpmath.mpf(p) - s**2)))
-    at_upper = oracle(1 / mpmath.mpf(16))
-    at_lower = oracle(1 / mpmath.mpf(27))
-    assert alpha.lower - SLACK <= at_upper <= alpha.lower + Fraction(1, 10**12)
-    assert alpha.upper - Fraction(1, 10**12) <= at_lower <= alpha.upper + SLACK
-
-
-def test_union_angle_containment_claim():
-    # every point of the origin sector with half-angle alpha.lower lies in
-    # the vertex sector or in the lens (numeric spot check)
-    v, vt, n = Fraction(1, 2), Fraction(1, 10), 5
-    alpha = union_angle(BoundedReal.exact(v), BoundedReal.exact(vt), n)
-    a = float(alpha.lower)
-    theta = math.pi / n
-    r_lens = 1 / (2 * float(vt) * math.sin(theta))
-    cx = 1 / (2 * float(vt))
-    cy = cx / math.tan(theta)
-    for phi_frac in (0.0, 0.3, -0.3, 0.7, -0.7, 0.97, -0.97):
-        for r in [0.05 * 1.5**k for k in range(16)]:
-            z = r * cmath.exp(1j * a * phi_frac)
-            in_vertex_sector = z.real > float(v) and \
-                abs(cmath.phase(z - float(v))) < theta - 1e-12
-            in_lens = abs(z - complex(cx, cy)) < r_lens - 1e-12 and \
-                abs(z - complex(cx, -cy)) < r_lens - 1e-12
-            assert in_vertex_sector or in_lens, (z, r, phi_frac)
 
 
 def test_disk_interval_flagship():

@@ -4,9 +4,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polycert.rounding import (BoundedReal, arctan_bounds, enclose_max,
-                               enclose_min, format_decimal, iroot,
-                               nth_root_bounds, pi_bounds, trig_bounds)
+from polycert.rounding import (BoundedReal, enclose_max, enclose_min,
+                               format_decimal, iroot, nth_root_bounds,
+                               pi_bounds, trig_bounds)
 
 mpmath.mp.dps = 50
 
@@ -140,23 +140,6 @@ def test_cot_pi_half_is_zero():
 def test_tan_needs_n_at_least_two():
     with pytest.raises(ValueError):
         trig_bounds("tan", 1)
-
-
-def test_arctan_bounds():
-    for x in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2), Fraction(40)):
-        b = arctan_bounds(BoundedReal.exact(x))
-        assert in_mp_bounds(b, mpmath.atan(mpmath.mpf(x.numerator) / x.denominator))
-        assert b.meets_target(12)
-
-
-def test_arctan_bounds_of_an_interval(deadline):
-    # arctan is increasing: each end comes from the matching end of x
-    deadline(5)
-    b = arctan_bounds(BoundedReal.of(Fraction(1, 5), Fraction(3, 4)))
-    assert b.lower == arctan_bounds(BoundedReal.exact(Fraction(1, 5))).lower
-    assert b.upper == arctan_bounds(BoundedReal.exact(Fraction(3, 4))).upper
-    assert in_mp_bounds(b, mpmath.atan(mpmath.mpf(1) / 5))
-    assert in_mp_bounds(b, mpmath.atan(mpmath.mpf(3) / 4))
 
 
 def test_interval_arithmetic_directions():

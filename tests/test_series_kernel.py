@@ -12,11 +12,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from polycert import rounding
-from polycert.rounding import (BoundedReal, _alternating, _arctan_point,
-                               _atan_series, _cos_pi_frac_bits, _cos_series,
-                               _pi_bits, _refine, _rounded, _sin_pi_frac_bits,
-                               _sin_series, arctan_bounds, cot_pi_frac,
-                               tan_pi_frac)
+from polycert.rounding import (BoundedReal, _alternating, _atan_series,
+                               _cos_pi_frac_bits, _cos_series, _pi_bits,
+                               _rounded, _sin_pi_frac_bits, _sin_series,
+                               cot_pi_frac, tan_pi_frac)
 
 
 def reference_alternating(first, ratio, bits):
@@ -103,17 +102,6 @@ def test_atan_series_matches_fraction_loop(x, bits):
     check_kernel(_atan_series, reference_atan, x, bits)
 
 
-@settings(max_examples=30, deadline=None)
-@given(arguments(Fraction(1, 2)), st.integers(1, 60))
-def test_arctan_point_without_halvings_matches_fraction_loop(x, digits):
-    # x <= 1/2 goes straight into the series, so x is any rational here
-    def build(bits):
-        lo = reference_atan(x, bits)[0]
-        hi = reference_atan(x, bits)[1]
-        return BoundedReal(lo, hi).rounded(bits)
-    assert _arctan_point(x, digits) == _refine(build, 4 * digits + 24, digits)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.fractions(0, Fraction(1, 2), max_denominator=200).filter(lambda c: c > 0),
        st.integers(1, 300))
@@ -147,4 +135,3 @@ def test_high_precision_trig_is_fast(deadline):
     deadline(1)
     tan_pi_frac(Fraction(1, 8), 200)
     cot_pi_frac(Fraction(1, 10), 200)
-    arctan_bounds(BoundedReal.exact(Fraction(7, 2)), 100)
