@@ -16,8 +16,8 @@ from .oracles import (FactorSearchResult, RootSet, in_sector,
 from .poly import (ParseError, PartialSums, Polynomial, SignBlock,
                    SignBlockPartition, SignIndexSets, parse_polynomial,
                    partial_sums, shift_coeffs, sign_blocks, sign_index_sets)
-from .rounding import BoundedReal, nth_root_bounds, pi_bounds, trig_bounds
-from .sectors import (Sector, SectorKind, best_of, best_sector, sector_candidates,
+from .rounding import BoundedReal, nth_root_bounds, pi_bounds
+from .sectors import (Sector, best_of, best_sector, sector_candidates,
                       sector_min_over_positives, sector_neg_sum, sector_nonneg,
                       sector_parametrized, sector_shifted, sector_sign_blocks,
                       sector_summed_denominator)

@@ -56,13 +56,6 @@ def _sieved(limit: int) -> list[int]:
     return _sieve(limit)
 
 
-def primes_up_to(limit: int) -> list[int]:
-    """A fresh list of the primes up to limit."""
-    if limit <= 1000:
-        return [p for p in _SMALL_PRIMES if p <= limit]
-    return list(_sieved(limit))
-
-
 class PrimalityStatus(Enum):
     PROVEN_PRIME = "proven_prime"
     PROBABLE_PRIME = "probable_prime"

@@ -47,9 +47,6 @@ CRIT_PARTIAL_SUMS = "cor34_partial_sums"
 CRIT_LEADING_DOMINANT = "cor35_fujiwara"
 CRIT_SINGLE_VARIATION = "cor38_single_variation"
 
-_PLACES = 18
-
-
 class MalformedCertificateError(ValueError):
     pass
 
@@ -70,9 +67,9 @@ class Check:
     def to_json(self) -> dict:
         return {
             "description": self.description,
-            "left": format_decimal(self.left, _PLACES, "ceil"),
-            "right": format_decimal(self.right, _PLACES, "floor"),
-            "margin": format_decimal(self.margin, _PLACES, "floor"),
+            "left": format_decimal(self.left, direction="ceil"),
+            "right": format_decimal(self.right, direction="floor"),
+            "margin": format_decimal(self.margin, direction="floor"),
         }
 
 
@@ -300,7 +297,7 @@ def _sector_report(ctx: Certifier, m: int, mode: str, q_max: int,
         tag = _sector_tag(f, ctx.sector, witness, used_sqrt)
     else:
         tag = CRIT_THM_POWER_SQRT if used_sqrt else CRIT_THM_POWER
-    region = {"kind": "sector", "sector": ctx.sector.to_json(_PLACES)}
+    region = {"kind": "sector", "sector": ctx.sector.to_json()}
     return _finish(f, m, tag, region, witness, checks, q_max, digits), "ok"
 
 
@@ -348,8 +345,8 @@ def certify_lens_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], 
         checks.append(Check("m below cot interval upper end", Fraction(m), cot.hi.lower))
     region = {
         "kind": "lens-interval",
-        "lens": lens.to_json(_PLACES),
-        "intervals": [disk.to_json(_PLACES), cot.to_json(_PLACES)],
+        "lens": lens.to_json(),
+        "intervals": [disk.to_json(), cot.to_json()],
     }
     return _finish(ctx.f, m, tag, region, witness, checks, 1, ctx.digits), "ok"
 

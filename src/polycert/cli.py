@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .arith import MAX_Q_MAX, is_prime, next_prime
@@ -26,22 +25,6 @@ from .poly import ParseError, Polynomial, parse_polynomial, sign_blocks
 from .rounding import DEFAULT_DIGITS
 
 ENV_DIGITS = "POLYCERT_DIGITS"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    poly: Optional[Polynomial] = None
-    m: Optional[int] = None
-    search: Optional[tuple[int, int]] = None
-    q_max: int = 1
-    modes: tuple[str, ...] = DEFAULT_MODES
-    digits: int = DEFAULT_DIGITS
-    json_out: bool = False
-    plot: Optional[str] = None
-    negative_m: bool = False
-    family: Optional[dict] = None
-    cert_path: Optional[str] = None
 
 
 def _env_digits() -> int:
@@ -174,15 +157,15 @@ def _print_analysis(payload: dict) -> None:
                  f"{comb['intervals'][0]['hi']})" if comb["intervals"] else ""))
 
 
-def _cmd_analyze(cfg: RunConfig) -> int:
-    ctx = Certifier(cfg.poly, digits=cfg.digits)
+def _cmd_analyze(args) -> int:
+    ctx = Certifier(args.poly, digits=args.digits)
     payload = _analyze_payload(ctx)
-    if cfg.plot:
+    if args.plot:
         svg = _svg(ctx)
-        with open(cfg.plot, "w", encoding="utf-8") as fh:
+        with open(args.plot, "w", encoding="utf-8") as fh:
             fh.write(svg)
-        payload["plot"] = cfg.plot
-    if cfg.json_out:
+        payload["plot"] = args.plot
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         _print_analysis(payload)
@@ -211,28 +194,20 @@ def _print_certificate(cert: Certificate, as_json: bool) -> None:
               f"(margin {cj['margin']})")
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
-    f = cfg.poly
-    if cfg.search is not None:
-        report = search_m(f, cfg.search[0], cfg.search[1], cfg.q_max,
-                          cfg.modes, cfg.digits)
-        if report.certificate is not None:
-            _print_certificate(report.certificate, cfg.json_out)
-            return 0
-        if not cfg.json_out:
+def _cmd_certify(args) -> int:
+    if args.search is not None:
+        report = search_m(args.poly, *args.search, args.q_max, args.modes, args.digits)
+        cert = report.certificate
+        if cert is None and not args.json:
             for o in report.outcomes:
                 print(f"m={o.m}: {o.outcome} ({o.detail})", file=sys.stderr)
-        print("no certificate found", file=sys.stderr)
-        return 1
-    m = cfg.m
-    if m < 0:
-        cert = certify_negative_m(f, m, cfg.q_max, cfg.digits, cfg.modes)
     else:
-        cert = certify_any(f, m, cfg.q_max, cfg.digits, cfg.modes)
+        certify = certify_negative_m if args.m < 0 else certify_any
+        cert = certify(args.poly, args.m, args.q_max, args.digits, args.modes)
     if cert is None:
         print("no certificate found", file=sys.stderr)
         return 1
-    _print_certificate(cert, cfg.json_out)
+    _print_certificate(cert, args.json)
     return 0
 
 
@@ -271,19 +246,34 @@ _SIZED_FIELDS = ("m", "prime_lo", "prime_hi", "a_lo", "a_hi")
 
 
 def _shift_start(f: Polynomial, m: int, k: int, prime_lo: int) -> int:
-    """The first p a value_shift scan tries is the next prime from here."""
+    """The first p a value_shift scan tries is the next prime from here.
+    Raises ValueError once this start is known to have more than
+    MAX_SHIFT_START_BITS bits, which may be before Horner's rule is done."""
     if k == 1:
         # large enough to keep both the non-negative-coefficient and the
         # non-negative-partial-sums constructions valid
-        start = f.evaluate(m) - min(f.evaluate(0), f.evaluate(1))
+        g, shift = f, -min(f.evaluate(0), f.evaluate(1))
     else:
-        start = f.derivative().evaluate(m) + 1
-    return max(2, start, prime_lo)
+        g, shift = f.derivative(), 1
+    # With m >= 2 and every |coefficient| below 2^c, a running value of at
+    # least 2^(c+1) never shrinks again and keeps its sign.  As shift > -2^c,
+    # a running value of limit + 1 bits makes the start at least 2^(limit-1).
+    limit = max(MAX_SHIFT_START_BITS, max(abs(a).bit_length() for a in g.coeffs)) + 1
+    value = 0
+    for a in reversed(g.coeffs):
+        value = value * m + a
+        if m > 1 and value.bit_length() > limit and value > 0:
+            break
+    start = max(2, value + shift, prime_lo)
+    if start.bit_length() > MAX_SHIFT_START_BITS:
+        raise ValueError(f"the first p would have more than {MAX_SHIFT_START_BITS} bits")
+    return start
 
 
 def _family_params(desc) -> tuple[str, dict]:
-    """The family kind and its fields, defaults filled in.  Raises ValueError
-    when the descriptor is malformed or over budget."""
+    """The family kind and its fields, defaults filled in, and for
+    value_shift the parsed polynomial and the first p to try ("start").
+    Raises ValueError when the descriptor is malformed or over budget."""
     if not isinstance(desc, dict):
         raise ValueError("family descriptor must be a JSON object")
     kind = desc.get("family")
@@ -323,11 +313,8 @@ def _family_params(desc) -> tuple[str, dict]:
         k = params["exponent"]
         if not 1 <= k <= MAX_SHIFT_EXPONENT:
             raise ValueError(f"exponent must be in 1..{MAX_SHIFT_EXPONENT}")
-        start_bits = _shift_start(f, params["m"], k, params["prime_lo"]).bit_length()
-        if start_bits > MAX_SHIFT_START_BITS:
-            raise ValueError(f"the first p would have {start_bits} bits; at most "
-                             f"{MAX_SHIFT_START_BITS} are allowed")
-        bits = k * (start_bits + 1)
+        params["start"] = _shift_start(f, params["m"], k, params["prime_lo"])
+        bits = k * (params["start"].bit_length() + 1)
         if bits > MAX_SHIFT_BITS:
             raise ValueError(f"p^exponent would have about {bits} bits; at most "
                              f"{MAX_SHIFT_BITS} are allowed")
@@ -346,6 +333,57 @@ def _family_params(desc) -> tuple[str, dict]:
     return kind, params
 
 
+def _family_instances(kind: str, params: dict):
+    """(row fields, polynomial, m, modes) for each instance of a checked
+    family, in row order."""
+    if kind == "digit_polynomials":
+        base = params["base"]
+        p = params["prime_lo"] - 1
+        for _ in range(params["limit"]):
+            p = next_prime(p)
+            if p > params["prime_hi"]:
+                return
+            digits_of_p = []
+            t = p
+            while t:
+                digits_of_p.append(t % base)
+                t //= base
+            yield {"prime": p}, Polynomial(digits_of_p), base, None
+    elif kind == "value_shift":
+        f, m, k = params["polynomial"], params["m"], params["exponent"]
+        fm = f.evaluate(m)
+        p = params["start"] - 1
+        modes = ("lens", "pq") if k == 1 else ("prime_power",)
+        for _ in range(params["count"]):
+            p = next_prime(p)
+            yield {"p": p}, f + (p**k - fm), m, modes
+    else:
+        for a in range(params["a_lo"], params["a_hi"] + 1):
+            found = 0
+            b = 216 * a
+            while found < params["per_a"]:
+                b += 1
+                if 81 - 27 * a + b <= 1:
+                    continue
+                if not is_prime(81 - 27 * a + b).is_prime:
+                    continue
+                found += 1
+                yield {"a": a, "b": b}, Polynomial([b, 0, 0, -a, 1]), 3, None
+
+
+def _run_scan(kind: str, params: dict, digits: int) -> dict:
+    """Certify each instance of a family checked by _family_params."""
+    rows = []
+    for fields, f, m, modes in _family_instances(kind, params):
+        cert = certify_any(f, m, 1, digits, modes)
+        rows.append({**fields, "polynomial": f.coeffs_csv(),
+                     "status": "certified" if cert else "not-certified",
+                     "criterion": cert.criterion if cert else None})
+    certified = sum(1 for r in rows if r["status"] == "certified")
+    return {"family": kind, "rows": rows, "certified": certified,
+            "total": len(rows)}
+
+
 def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
     """Run a declarative family and report one row per instance.
 
@@ -361,61 +399,12 @@ def scan_family(desc: dict, digits: int = DEFAULT_DIGITS) -> dict:
     one over MAX_SCAN_ROWS rows, MAX_SHIFT_EXPONENT, MAX_DESCRIPTOR_BITS,
     MAX_SHIFT_BITS or MAX_SHIFT_START_BITS, raises ValueError.
     """
-    kind, params = _family_params(desc)
-    rows = []
-    if kind == "digit_polynomials":
-        base, hi = params["base"], params["prime_hi"]
-        p = params["prime_lo"] - 1
-        while len(rows) < params["limit"]:
-            p = next_prime(p)
-            if p > hi:
-                break
-            digits_of_p = []
-            t = p
-            while t:
-                digits_of_p.append(t % base)
-                t //= base
-            f = Polynomial(digits_of_p)
-            cert = certify_any(f, base, 1, digits)
-            rows.append({"prime": p, "polynomial": f.coeffs_csv(),
-                         "status": "certified" if cert else "not-certified",
-                         "criterion": cert.criterion if cert else None})
-    elif kind == "value_shift":
-        f, m, k = params["polynomial"], params["m"], params["exponent"]
-        fm = f.evaluate(m)
-        p = _shift_start(f, m, k, params["prime_lo"]) - 1
-        modes = ("lens", "pq") if k == 1 else ("prime_power",)
-        for _ in range(params["count"]):
-            p = next_prime(p)
-            g = f + (p**k - fm)
-            cert = certify_any(g, m, 1, digits, modes)
-            rows.append({"p": p, "polynomial": g.coeffs_csv(),
-                         "status": "certified" if cert else "not-certified",
-                         "criterion": cert.criterion if cert else None})
-    else:
-        for a in range(params["a_lo"], params["a_hi"] + 1):
-            found = 0
-            b = 216 * a
-            while found < params["per_a"]:
-                b += 1
-                if 81 - 27 * a + b <= 1:
-                    continue
-                if not is_prime(81 - 27 * a + b).is_prime:
-                    continue
-                found += 1
-                f = Polynomial([b, 0, 0, -a, 1])
-                cert = certify_any(f, 3, 1, digits)
-                rows.append({"a": a, "b": b, "polynomial": f.coeffs_csv(),
-                             "status": "certified" if cert else "not-certified",
-                             "criterion": cert.criterion if cert else None})
-    certified = sum(1 for r in rows if r["status"] == "certified")
-    return {"family": kind, "rows": rows, "certified": certified,
-            "total": len(rows)}
+    return _run_scan(*_family_params(desc), digits)
 
 
-def _cmd_scan(cfg: RunConfig) -> int:
-    report = scan_family(cfg.family, cfg.digits)
-    if cfg.json_out:
+def _cmd_scan(args) -> int:
+    report = _run_scan(*args.family, args.digits)
+    if args.json:
         print(json.dumps(report, indent=2))
     else:
         for row in report["rows"]:
@@ -430,9 +419,9 @@ def _cmd_scan(cfg: RunConfig) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(args) -> int:
     try:
-        with open(cfg.cert_path, "r", encoding="utf-8") as fh:
+        with open(args.certificate, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
@@ -516,48 +505,41 @@ def _svg(ctx: Certifier, width: int = 800, height: int = 600) -> str:
 # -- entry ------------------------------------------------------------------------
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
+def _check_args(args) -> None:
+    """Validate the parsed arguments and fill in what the commands read:
+    digits (from POLYCERT_DIGITS when --digits is absent), poly, modes, the
+    --search pair and the checked family as (kind, params)."""
     if args.command != "verify":
-        cfg.digits = _env_digits() if args.digits is None else args.digits
-        if not 1 <= cfg.digits <= 200:
+        if args.digits is None:
+            args.digits = _env_digits()
+        if not 1 <= args.digits <= 200:
             raise ValueError("--digits must be between 1 and 200")
-    cfg.json_out = getattr(args, "json", False)
     if args.command in ("analyze", "certify"):
-        cfg.poly = _parse_poly_args(args)
-    if args.command == "analyze":
-        cfg.plot = args.plot
+        args.poly = _parse_poly_args(args)
     if args.command == "certify":
-        cfg.q_max = args.q_max
-        if not 1 <= cfg.q_max <= MAX_Q_MAX:
+        if not 1 <= args.q_max <= MAX_Q_MAX:
             raise ValueError(f"--q-max must be in 1..{MAX_Q_MAX}")
-        cfg.negative_m = args.negative_m
-        if args.prime_power:
-            cfg.modes = ("prime_power",)
+        args.modes = ("prime_power",) if args.prime_power else DEFAULT_MODES
         if (args.m is None) == (args.search is None):
             raise ValueError("provide exactly one of --m or --search LO..HI")
-        cfg.m = args.m
-        if cfg.m is not None and cfg.m < 0 and not cfg.negative_m:
+        if args.m is not None and args.m < 0 and not args.negative_m:
             raise ValueError("negative m requires --negative-m")
         if args.search is not None:
             try:
                 lo, hi = args.search.split("..")
-                cfg.search = (int(lo), int(hi))
+                args.search = (int(lo), int(hi))
             except ValueError:
                 raise ValueError("--search wants LO..HI") from None
-            _check_search_range(*cfg.search)
+            _check_search_range(*args.search)
     if args.command == "scan":
         if (args.family is None) == (args.family_json is None):
             raise ValueError("provide exactly one family source")
         if args.family_json is not None:
-            cfg.family = json.loads(args.family_json)
+            desc = json.loads(args.family_json)
         else:
             with open(args.family, "r", encoding="utf-8") as fh:
-                cfg.family = json.load(fh)
-        _family_params(cfg.family)
-    if args.command == "verify":
-        cfg.cert_path = args.certificate
-    return cfg
+                desc = json.load(fh)
+        args.family = _family_params(desc)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -569,14 +551,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        _check_args(args)
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     dispatch = {"analyze": _cmd_analyze, "certify": _cmd_certify,
                 "scan": _cmd_scan, "verify": _cmd_verify}
     try:
-        return dispatch[cfg.command](cfg)
+        return dispatch[args.command](args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -44,10 +44,10 @@ class Lens:
     def center_y_abs(self, digits: int = DEFAULT_DIGITS) -> BoundedReal:
         return cot_pi_frac(Fraction(1, self.n), digits) / (2 * self.v_tilde)
 
-    def to_json(self, places: int = 18) -> dict:
+    def to_json(self) -> dict:
         return {
-            "v_tilde_lower": format_decimal(self.v_tilde.lower, places, "floor"),
-            "v_tilde_upper": format_decimal(self.v_tilde.upper, places, "ceil"),
+            "v_tilde_lower": format_decimal(self.v_tilde.lower, direction="floor"),
+            "v_tilde_upper": format_decimal(self.v_tilde.upper, direction="ceil"),
             "n": self.n,
             "method": self.method,
         }
@@ -87,10 +87,10 @@ class AdmissibleInterval:
     def contains_int(self, m: int) -> bool:
         return not self.empty and self.lo.upper < m < self.hi.lower
 
-    def to_json(self, places: int = 18) -> dict:
+    def to_json(self) -> dict:
         return {
-            "lo": format_decimal(self.lo.upper, places, "ceil"),
-            "hi": format_decimal(self.hi.lower, places, "floor"),
+            "lo": format_decimal(self.lo.upper, direction="ceil"),
+            "hi": format_decimal(self.hi.lower, direction="floor"),
             "source": self.source,
             "empty": self.empty,
         }
@@ -151,10 +151,10 @@ class CombinedRegion:
             return True
         return self.interval is not None and self.interval.contains_int(m)
 
-    def to_json(self, places: int = 18) -> dict:
+    def to_json(self) -> dict:
         return {
-            "intervals": [] if self.interval is None else [self.interval.to_json(places)],
-            "ray_lo": format_decimal(self.ray_lo.upper, places, "ceil"),
+            "intervals": [] if self.interval is None else [self.interval.to_json()],
+            "ray_lo": format_decimal(self.ray_lo.upper, direction="ceil"),
             "simplification": self.simplification,
             "notes": list(self.notes),
         }

@@ -344,28 +344,6 @@ def cot_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
                    digits + 2, digits)
 
 
-def trig_bounds(kind: str, n: int, digits: int = DEFAULT_DIGITS) -> BoundedReal:
-    """Enclosures for the degree-driven trig constants.
-
-    kind "sin"  -> sin(pi/n), n >= 2
-    kind "tan"  -> tan(pi/(2n)), n >= 2
-    kind "cot"  -> cot(pi/(2n)), n >= 1
-    """
-    if kind == "sin":
-        if n < 2:
-            raise ValueError("sin(pi/n) bounds need n >= 2")
-        return sin_pi_frac(Fraction(1, n), digits)
-    if kind == "tan":
-        if n < 2:
-            raise ValueError("tan(pi/(2n)) bounds need n >= 2")
-        return tan_pi_frac(Fraction(1, 2 * n), digits)
-    if kind == "cot":
-        if n < 1:
-            raise ValueError("cot(pi/(2n)) bounds need n >= 1")
-        return cot_pi_frac(Fraction(1, 2 * n), digits)
-    raise ValueError(f"unknown trig kind {kind!r}")
-
-
 # -- decimal rendering --------------------------------------------------------
 
 

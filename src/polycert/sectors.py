@@ -2,15 +2,14 @@
 
 Each producer returns a Sector whose semantics are: the polynomial has no
 root z with Re(z) > vertex and |arg(z - x)| < theta for any real
-x >= vertex.upper, where theta is pi/n or pi/(2n) according to the
-half-angle kind.  Vertices are outward-rounded enclosures, so acting on
-vertex.upper is always conservative.
+x >= vertex.upper, where theta is pi/n for a polynomial of degree n.
+Vertices are outward-rounded enclosures, so acting on vertex.upper is always
+conservative.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -19,27 +18,20 @@ from .rounding import (DEFAULT_DIGITS, BoundedReal, enclose_max, enclose_min,
                        format_decimal, nth_root_bounds)
 
 
-class SectorKind(Enum):
-    PI_OVER_N = "pi/n"
-    PI_OVER_2N = "pi/2n"
-
-
 @dataclass(frozen=True)
 class Sector:
     vertex: BoundedReal
     angle_denominator: int
-    half_angle_kind: SectorKind
     method: str
 
     def half_angle_radians(self) -> float:
-        n = self.angle_denominator
-        return math.pi / n if self.half_angle_kind is SectorKind.PI_OVER_N else math.pi / (2 * n)
+        return math.pi / self.angle_denominator
 
-    def to_json(self, places: int = 18) -> dict:
+    def to_json(self) -> dict:
         return {
-            "vertex_lower": format_decimal(self.vertex.lower, places, "floor"),
-            "vertex_upper": format_decimal(self.vertex.upper, places, "ceil"),
-            "angle": self.half_angle_kind.value,
+            "vertex_lower": format_decimal(self.vertex.lower, direction="floor"),
+            "vertex_upper": format_decimal(self.vertex.upper, direction="ceil"),
+            "angle": "pi/n",
             "n": self.angle_denominator,
             "method": self.method,
         }
@@ -52,17 +44,13 @@ def _require_analyzable(f: Polynomial) -> None:
         raise ValueError("sector producers need a positive leading coefficient")
 
 
-def sector_nonneg(f: Polynomial, kind: SectorKind = SectorKind.PI_OVER_N) -> Sector:
-    """Vertex 0 for polynomials with non-negative coefficients.
-
-    With kind PI_OVER_N the imaginary part of f is sign-definite off the
-    positive real axis within the sector; with PI_OVER_2N the real part of f
-    is positive throughout.
-    """
+def sector_nonneg(f: Polynomial) -> Sector:
+    """Vertex 0 for polynomials with non-negative coefficients: the imaginary
+    part of f is sign-definite off the positive real axis within the sector."""
     _require_analyzable(f)
     if any(c < 0 for c in f.coeffs):
         raise ValueError("sector_nonneg needs all coefficients >= 0")
-    return Sector(BoundedReal.exact(0), f.degree(), kind, "nonneg")
+    return Sector(BoundedReal.exact(0), f.degree(), "nonneg")
 
 
 def _endpoint_radicals(base: Fraction, exponents: Sequence[int],
@@ -88,8 +76,7 @@ def sector_neg_sum(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
     n = f.degree()
     base = Fraction(sets.neg_sum_abs, f.leading_coefficient())
     exps = [n - j for j in (sets.neg_indices[0], sets.neg_indices[-1])]
-    return Sector(_endpoint_radicals(base, exps, digits), n,
-                  SectorKind.PI_OVER_N, "neg-sum")
+    return Sector(_endpoint_radicals(base, exps, digits), n, "neg-sum")
 
 
 def sector_parametrized(f: Polynomial, lambdas: Sequence[Fraction],
@@ -114,7 +101,7 @@ def sector_parametrized(f: Polynomial, lambdas: Sequence[Fraction],
         nth_root_bounds(Fraction(-f.coeffs[j]) / (lam * an), n - j, digits)
         for j, lam in zip(sets.neg_indices, lams)
     ]
-    return Sector(enclose_max(*radicals), n, SectorKind.PI_OVER_N, "parametrized")
+    return Sector(enclose_max(*radicals), n, "parametrized")
 
 
 def sector_min_over_positives(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
@@ -129,8 +116,7 @@ def sector_min_over_positives(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Se
         base = Fraction(sets.neg_sum_abs, f.coeffs[k])
         exps = [k - j for j in (sets.neg_indices[0], sets.neg_indices[-1])]
         candidates.append(_endpoint_radicals(base, exps, digits))
-    return Sector(enclose_min(*candidates), f.degree(),
-                  SectorKind.PI_OVER_N, "min-over-positives")
+    return Sector(enclose_min(*candidates), f.degree(), "min-over-positives")
 
 
 def sector_summed_denominator(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
@@ -149,7 +135,7 @@ def sector_summed_denominator(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Se
     base = Fraction(sets.neg_sum_abs, d)
     exps = [k1 - j for j in (sets.neg_indices[0], sets.neg_indices[-1])]
     vertex = enclose_max(BoundedReal.exact(1), _endpoint_radicals(base, exps, digits))
-    return Sector(vertex, f.degree(), SectorKind.PI_OVER_N, "summed-denominator")
+    return Sector(vertex, f.degree(), "summed-denominator")
 
 
 def sector_sign_blocks(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
@@ -167,8 +153,7 @@ def sector_sign_blocks(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
         exps = [block.pos_lo - i for i in (block.neg_lo, block.neg_hi)]
         per_block.append(enclose_max(BoundedReal.exact(1),
                                      _endpoint_radicals(base, exps, digits)))
-    return Sector(enclose_max(*per_block), f.degree(),
-                  SectorKind.PI_OVER_N, "sign-blocks")
+    return Sector(enclose_max(*per_block), f.degree(), "sign-blocks")
 
 
 def sector_shifted(f: Polynomial, alpha) -> Optional[Sector]:
@@ -179,8 +164,7 @@ def sector_shifted(f: Polynomial, alpha) -> Optional[Sector]:
     ps = partial_sums(f, alpha)
     if not ps.all_nonneg:
         return None
-    return Sector(BoundedReal.exact(alpha), f.degree(), SectorKind.PI_OVER_N,
-                  f"shifted:{alpha}")
+    return Sector(BoundedReal.exact(alpha), f.degree(), f"shifted:{alpha}")
 
 
 def sector_candidates(f: Polynomial, digits: int = DEFAULT_DIGITS) -> list[Sector]:

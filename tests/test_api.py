@@ -7,7 +7,7 @@ PUBLIC = [
     "CombinedRegion", "DegenerateLensError", "FactorSearchResult",
     "FactorizationWitness", "Lens", "MalformedCertificateError", "ParseError",
     "PartialSums", "Polynomial", "PrimalityResult", "PrimalityStatus", "RootSet",
-    "SearchReport", "Sector", "SectorKind", "SignBlock", "SignBlockPartition",
+    "SearchReport", "Sector", "SignBlock", "SignBlockPartition",
     "SignIndexSets", "arith", "best_of", "best_sector", "certificate_verify",
     "certify", "certify_any", "certify_negative_m", "combined_region",
     "extract_witness_report", "has_rational_root", "in_sector", "interval_cot",
@@ -18,10 +18,10 @@ PUBLIC = [
     "sector_min_over_positives", "sector_neg_sum", "sector_nonneg",
     "sector_parametrized", "sector_shifted", "sector_sign_blocks",
     "sector_summed_denominator", "sectors", "shift_coeffs", "sign_blocks",
-    "sign_index_sets", "trig_bounds",
+    "sign_index_sets",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 64
+    assert len(PUBLIC) == 62
     assert sorted(polycert.__all__) == PUBLIC

@@ -11,7 +11,7 @@ from polycert.arith import (DETERMINISTIC_LIMIT, MAX_Q_MAX, PrimalityStatus,
                             divisors, extract_witness_report, factorize,
                             has_rational_root, is_prime, next_prime,
                             p_adic_valuation, prime_power_decomposition,
-                            primes_up_to, _SMALL_PRIMES, _sieve, _strip_small)
+                            _SMALL_PRIMES, _sieve, _strip_small)
 from polycert.poly import parse_polynomial
 from polycert.rounding import iroot
 
@@ -210,8 +210,10 @@ def test_factorize_and_divisors():
     assert factorize(big) == {1000003: 1, 1000033: 1}
 
 
-def test_primes_up_to():
-    assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+def test_sieve():
+    assert _sieve(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert _sieve(1) == []
+    assert len(_sieve(10**5)) == 9592
     assert next_prime(1000) == 1009
 
 
@@ -225,17 +227,6 @@ def test_sieve_runs_once_per_q_max(monkeypatch):
                                rng.choice(["pq", "prime_power"]))
     assert calls == [10**5]
     arith._sieved.cache_clear()
-
-
-def test_primes_up_to_returns_a_fresh_list():
-    for limit in (20, 10**5):
-        expected = _sieve(limit)
-        first = primes_up_to(limit)
-        assert first == expected
-        first[0] = 4
-        first.append(1)
-        assert primes_up_to(limit) == expected
-    assert len(expected) == 9592
 
 
 def reference_strip_small(value, q_max):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import polycert.cli as cli
 from polycert.arith import MAX_Q_MAX, next_prime
 from polycert.certify import certificate_verify
 from polycert.cli import (MAX_DESCRIPTOR_BITS, MAX_SCAN_ROWS, MAX_SHIFT_BITS,
@@ -227,6 +228,11 @@ def test_scan_malformed_descriptor_is_an_input_error(capsys, desc):
     {"family": "value_shift", "polynomial": "X^30+X+1", "m": 2**64 - 1,
      "exponent": 1, "count": 1},
     {"family": "value_shift", "polynomial": f"X^2+X+{2**64}", "m": 4, "count": 1},
+    # f(m) and f'(m) have ~3.8 million bits: evaluating either one in full
+    # took ~25 s before the start budget was checked inside Horner's rule
+    {"family": "value_shift", "polynomial": "X^60000+X+1", "m": 2**64 - 1, "count": 1},
+    {"family": "value_shift", "polynomial": "X^60000+X+1", "m": 2**64 - 1,
+     "exponent": 2, "count": 1},
 ])
 def test_scan_over_budget_descriptor_fails_fast(capsys, deadline, desc):
     deadline(1)
@@ -234,6 +240,19 @@ def test_scan_over_budget_descriptor_fails_fast(capsys, deadline, desc):
     assert code == 2 and err.startswith("input error: ")
     with pytest.raises(ValueError):
         scan_family(desc)
+
+
+def test_scan_checks_its_descriptor_once(monkeypatch, capsys):
+    calls = {"_family_params": 0, "_shift_start": 0}
+    for name in calls:
+        def counted(*a, _fn=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _fn(*a)
+        monkeypatch.setattr(cli, name, counted)
+    desc = {"family": "value_shift", "polynomial": "X^8+X+1", "m": 2**64 - 1, "count": 1}
+    code, out, _ = run(capsys, "scan", "--family-json", json.dumps(desc))
+    assert code == 0 and out.endswith("certified 1/1\n")
+    assert calls == {"_family_params": 1, "_shift_start": 1}
 
 
 @pytest.mark.parametrize("desc", [
@@ -267,6 +286,10 @@ def test_scan_numbers_of_the_largest_size_are_accepted():
     desc = {"family": "value_shift", "polynomial": f"X^2+X+{2**64 - 1}", "m": 4,
             "count": 1}
     assert scan_family(desc)["total"] == 1
+    # f(4) < -2^2000: Horner's running value passes the start budget's bit
+    # count, but below zero, so the scan still starts at max(2, prime_lo)
+    f = parse_polynomial(f"X^1000-{2**64 - 1}*X^999")
+    assert _shift_start(f, 4, 1, 2) == 2
 
 
 def test_shift_budget_keeps_every_row_printable():

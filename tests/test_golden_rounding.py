@@ -13,7 +13,7 @@ import pytest
 
 from polycert.rounding import (BoundedReal, cot_pi_frac, nth_root_bounds,
                                pi_bounds, pow_upper, root_of_enclosure,
-                               sin_pi_frac, trig_bounds)
+                               sin_pi_frac, tan_pi_frac)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_rounding.json")
                     .read_text(encoding="utf-8"))
@@ -27,13 +27,19 @@ def _pair(b: BoundedReal) -> tuple:
     return b.lower, b.upper
 
 
+# The trig constants of a degree-n polynomial, sin(pi/n), tan(pi/(2n)) and
+# cot(pi/(2n)), under the labels their endpoints were recorded with.
+TRIG = {"sin": lambda n, d: sin_pi_frac(F(1, n), d),
+        "tan": lambda n, d: tan_pi_frac(F(1, 2 * n), d),
+        "cot": lambda n, d: cot_pi_frac(F(1, 2 * n), d)}
+
 # label -> (digits levels, enclosure at a digits level as a tuple of Fractions)
 CASES = {"pi_bounds": (HIGH_DIGITS, lambda d: _pair(pi_bounds(d)))}
 for _kind in ("sin", "tan", "cot"):
     for _n in range(2, 13):
         CASES[f"trig_bounds {_kind} {_n}"] = (
             HIGH_DIGITS if _n in (4, 7) else DIGITS,
-            lambda d, k=_kind, n=_n: _pair(trig_bounds(k, n, d)))
+            lambda d, k=_kind, n=_n: _pair(TRIG[k](n, d)))
 for _c in (F(1, 3), F(2, 5), F(3, 8), F(1, 7)):
     CASES[f"sin_pi_frac {_c}"] = (DIGITS, lambda d, c=_c: _pair(sin_pi_frac(c, d)))
     CASES[f"cot_pi_frac {_c}"] = (DIGITS, lambda d, c=_c: _pair(cot_pi_frac(c, d)))

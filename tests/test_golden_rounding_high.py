@@ -6,11 +6,13 @@ were summed over unreduced integers, and the data file is never regenerated
 to make this test pass.
 """
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from polycert.rounding import BoundedReal, pi_bounds, trig_bounds
+from polycert.rounding import (BoundedReal, cot_pi_frac, pi_bounds,
+                               sin_pi_frac, tan_pi_frac)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_rounding_high.json")
                     .read_text(encoding="utf-8"))
@@ -20,12 +22,18 @@ def _pair(b: BoundedReal) -> tuple:
     return b.lower, b.upper
 
 
+# The trig constants of a degree-n polynomial, sin(pi/n), tan(pi/(2n)) and
+# cot(pi/(2n)), under the labels their endpoints were recorded with.
+TRIG = {"sin": lambda n, d: sin_pi_frac(F(1, n), d),
+        "tan": lambda n, d: tan_pi_frac(F(1, 2 * n), d),
+        "cot": lambda n, d: cot_pi_frac(F(1, 2 * n), d)}
+
 # label -> (digits levels, enclosure at a digits level)
 CASES = {"pi_bounds": ((400,), lambda d: _pair(pi_bounds(d)))}
 for _kind in ("sin", "tan", "cot"):
     for _n in (4, 7):
         CASES[f"trig_bounds {_kind} {_n}"] = (
-            (400,), lambda d, k=_kind, n=_n: _pair(trig_bounds(k, n, d)))
+            (400,), lambda d, k=_kind, n=_n: _pair(TRIG[k](n, d)))
 
 
 def test_every_case_is_recorded():

@@ -166,8 +166,8 @@ def test_combined_region_simplifications():
     assert region.simplification == "ray-covers-interval"
 
     # middle case: vertex between cot(pi/n) and the connected-union threshold
-    from polycert.sectors import Sector, SectorKind
-    mid = Sector(BoundedReal.exact(3), 4, SectorKind.PI_OVER_N, "neg-sum")
+    from polycert.sectors import Sector
+    mid = Sector(BoundedReal.exact(3), 4, "neg-sum")
     region2 = combined_region(mid, Lens(BoundedReal.exact(Fraction(1, 100)), 4))
     assert region2.simplification == "connected-above-cot-half"
 

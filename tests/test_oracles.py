@@ -8,7 +8,7 @@ import sympy
 from polycert.oracles import in_sector, irreducible_bruteforce, roots_numeric
 from polycert.poly import Polynomial, parse_polynomial
 from polycert.rounding import BoundedReal
-from polycert.sectors import Sector, SectorKind, best_sector
+from polycert.sectors import Sector, best_sector
 
 from conftest import random_polynomial
 
@@ -70,7 +70,7 @@ def test_roots_conjugate_closure(fuzz_corpus):
 
 
 def test_in_sector_basics():
-    s = Sector(BoundedReal.exact(10), 4, SectorKind.PI_OVER_N, "neg-sum")
+    s = Sector(BoundedReal.exact(10), 4, "neg-sum")
     assert in_sector(11, s, margin=0.0)
     assert in_sector(complex(11, 0.5), s)  # arg about 0.4636 < pi/4
     assert not in_sector(complex(9.5, 0), s)

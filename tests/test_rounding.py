@@ -4,9 +4,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polycert.rounding import (BoundedReal, enclose_max, enclose_min,
-                               format_decimal, iroot, nth_root_bounds,
-                               pi_bounds, trig_bounds)
+from polycert.rounding import (BoundedReal, cot_pi_frac, enclose_max,
+                               enclose_min, format_decimal, iroot,
+                               nth_root_bounds, pi_bounds, sin_pi_frac,
+                               tan_pi_frac)
 
 mpmath.mp.dps = 50
 
@@ -94,25 +95,25 @@ def test_pi_bounds():
 
 
 def test_sin_exact_half():
-    b = trig_bounds("sin", 2)
+    b = sin_pi_frac(Fraction(1, 2))
     assert b.lower == b.upper == 1
 
 
 def test_sin_pi_quarter():
-    b = trig_bounds("sin", 4)
+    b = sin_pi_frac(Fraction(1, 4))
     assert in_mp_bounds(b, mpmath.sin(mpmath.pi / 4))
     assert b.width() <= Fraction(1, 10**12)
     assert abs(float(b.lower) - 0.70710678) < 1e-8
 
 
 def test_sin_pi_sixth_exact():
-    b = trig_bounds("sin", 6)
+    b = sin_pi_frac(Fraction(1, 6))
     assert b.lower == b.upper == Fraction(1, 2)
 
 
 def test_cot_pi_eighth_silver_ratio():
     # cot(pi/8) = 1 + sqrt(2)
-    b = trig_bounds("cot", 4)
+    b = cot_pi_frac(Fraction(1, 8))
     silver = 1 + nth_root_bounds(2, 2, 20).lower
     assert b.lower <= silver <= b.upper or abs(float(b.lower) - float(silver)) < 1e-12
     assert in_mp_bounds(b, 1 + mpmath.sqrt(2))
@@ -120,26 +121,26 @@ def test_cot_pi_eighth_silver_ratio():
 
 
 def test_trig_monotone_in_precision():
-    coarse = trig_bounds("sin", 7, digits=6)
-    fine = trig_bounds("sin", 7, digits=20)
+    coarse = sin_pi_frac(Fraction(1, 7), digits=6)
+    fine = sin_pi_frac(Fraction(1, 7), digits=20)
     assert coarse.lower <= fine.lower <= fine.upper <= coarse.upper
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_trig_against_mpmath(n):
-    assert in_mp_bounds(trig_bounds("sin", n), mpmath.sin(mpmath.pi / n))
-    assert in_mp_bounds(trig_bounds("tan", n), mpmath.tan(mpmath.pi / (2 * n)))
-    assert in_mp_bounds(trig_bounds("cot", n), 1 / mpmath.tan(mpmath.pi / (2 * n)))
+    assert in_mp_bounds(sin_pi_frac(Fraction(1, n)), mpmath.sin(mpmath.pi / n))
+    assert in_mp_bounds(tan_pi_frac(Fraction(1, 2 * n)), mpmath.tan(mpmath.pi / (2 * n)))
+    assert in_mp_bounds(cot_pi_frac(Fraction(1, 2 * n)), 1 / mpmath.tan(mpmath.pi / (2 * n)))
 
 
 def test_cot_pi_half_is_zero():
-    b = trig_bounds("cot", 1)
+    b = cot_pi_frac(Fraction(1, 2))
     assert b.lower == b.upper == 0
 
 
 def test_tan_needs_n_at_least_two():
     with pytest.raises(ValueError):
-        trig_bounds("tan", 1)
+        tan_pi_frac(Fraction(1, 2))
 
 
 def test_interval_arithmetic_directions():

@@ -6,7 +6,7 @@ import pytest
 
 from polycert.poly import parse_polynomial, sign_index_sets
 from polycert.rounding import nth_root_bounds
-from polycert.sectors import (SectorKind, best_sector,
+from polycert.sectors import (best_sector,
                               sector_candidates, sector_min_over_positives,
                               sector_neg_sum, sector_nonneg,
                               sector_parametrized, sector_shifted,
@@ -19,15 +19,12 @@ def test_nonneg_digit_cubic():
     s = sector_nonneg(parse_polynomial("X^3+9*X^2+7*X+3"))
     assert s.vertex.lower == s.vertex.upper == 0
     assert s.angle_denominator == 3
-    assert s.half_angle_kind is SectorKind.PI_OVER_N
+    assert s.half_angle_radians() == math.pi / 3
 
 
-def test_nonneg_linear_and_re_variant():
+def test_nonneg_linear():
     s = sector_nonneg(parse_polynomial("X"))
     assert s.angle_denominator == 1 and s.vertex.upper == 0
-    s2 = sector_nonneg(parse_polynomial("5*X^2+1"), SectorKind.PI_OVER_2N)
-    assert s2.half_angle_kind is SectorKind.PI_OVER_2N
-    assert s2.half_angle_radians() == pytest.approx(math.pi / 4)
 
 
 def test_nonneg_rejects_negative_coeff():
