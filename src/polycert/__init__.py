@@ -11,8 +11,6 @@ from .certify import (Certificate, Certifier, Check, MalformedCertificateError,
 from .lens import (AdmissibleInterval, CombinedRegion, DegenerateLensError, Lens,
                    combined_region, interval_cot, interval_disk_in_lens,
                    interval_effective, lens_of)
-from .oracles import (FactorSearchResult, RootSet, in_sector,
-                      irreducible_bruteforce, roots_numeric)
 from .poly import (ParseError, PartialSums, Polynomial, SignBlock,
                    SignBlockPartition, SignIndexSets, parse_polynomial,
                    partial_sums, shift_coeffs, sign_blocks, sign_index_sets)
@@ -24,4 +22,18 @@ from .sectors import (Sector, best_of, best_sector, sector_candidates,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The numeric oracles (cmath, brute force) serve tests and the SVG plot only,
+# so they are imported on first use, not with the package.
+_ORACLE_NAMES = ("FactorSearchResult", "RootSet", "in_sector",
+                 "irreducible_bruteforce", "roots_numeric")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["oracles", *_ORACLE_NAMES])
+
+
+def __getattr__(name: str):
+    if name == "oracles" or name in _ORACLE_NAMES:
+        from importlib import import_module
+        oracles = import_module(".oracles", __name__)
+        return oracles if name == "oracles" else getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,6 @@ from .certify import (DEFAULT_MODES, Certificate, Certifier,
                       search_m)
 from .lens import (combined_region, interval_cot, interval_disk_in_lens,
                    interval_effective)
-from .oracles import roots_numeric
 from .poly import ParseError, Polynomial, parse_polynomial, sign_blocks
 from .rounding import DEFAULT_DIGITS
 
@@ -226,10 +225,10 @@ MAX_SHIFT_EXPONENT = 1024
 # ~0.08 s a row, on the same machine).
 MAX_DESCRIPTOR_BITS = 64
 # ... and the bits of p^exponent in a value_shift row, estimated as
-# exponent * (bit_length(first p tried) + 1).  Even with p grown over
-# MAX_SCAN_ROWS primes, p^exponent stays below Python's 4300-digit limit on
-# int -> str conversion (~14300 bits; at worst ~13500, from p < 1024 at
-# exponent 1024).
+# exponent * (bit_length(first p tried) + 1), and of f(m).  Even with p grown
+# over MAX_SCAN_ROWS primes, p^exponent - f(m) stays below Python's
+# 4300-digit limit on int -> str conversion (~14300 bits; at worst ~13500,
+# from p < 1024 at exponent 1024).
 MAX_SHIFT_BITS = 12000
 # ... and the bits of the first p itself, which bound the time of a row:
 # next_prime takes ~20 ms at 512 bits, ~0.5 s at 1024 and ~5 s at 2048.
@@ -245,28 +244,46 @@ _FAMILY_FIELDS = {
 _SIZED_FIELDS = ("m", "prime_lo", "prime_hi", "a_lo", "a_hi")
 
 
-def _shift_start(f: Polynomial, m: int, k: int, prime_lo: int) -> int:
-    """The first p a value_shift scan tries is the next prime from here.
-    Raises ValueError once this start is known to have more than
-    MAX_SHIFT_START_BITS bits, which may be before Horner's rule is done."""
-    if k == 1:
-        # large enough to keep both the non-negative-coefficient and the
-        # non-negative-partial-sums constructions valid
-        g, shift = f, -min(f.evaluate(0), f.evaluate(1))
-    else:
-        g, shift = f.derivative(), 1
-    # With m >= 2 and every |coefficient| below 2^c, a running value of at
-    # least 2^(c+1) never shrinks again and keeps its sign.  As shift > -2^c,
-    # a running value of limit + 1 bits makes the start at least 2^(limit-1).
-    limit = max(MAX_SHIFT_START_BITS, max(abs(a).bit_length() for a in g.coeffs)) + 1
+def _horner(g: Polynomial, m: int, pos_bits: int, neg_bits: int) -> int:
+    """g(m) by Horner's rule, unless a running value shows first that g(m) is
+    positive with more than pos_bits bits, or negative with more than
+    neg_bits: then that running value, which has the sign of g(m) and at
+    most its bits.  With m >= 2 and every |coefficient| below 2^c, a running
+    value of at least 2^(c+1) never shrinks again and keeps its sign, so one
+    of more than max(bits, c) + 1 bits settles it."""
+    c = max(abs(a).bit_length() for a in g.coeffs)
+    pos, neg = max(pos_bits, c) + 1, max(neg_bits, c) + 1
     value = 0
     for a in reversed(g.coeffs):
         value = value * m + a
-        if m > 1 and value.bit_length() > limit and value > 0:
+        if m > 1 and value.bit_length() > (pos if value > 0 else neg):
             break
+    return value
+
+
+def _shift_start(f: Polynomial, m: int, k: int, prime_lo: int) -> int:
+    """The first p a value_shift scan tries is the next prime from here.
+    Raises ValueError once this start is known to have more than
+    MAX_SHIFT_START_BITS bits, or f(m), which every row's constant term
+    p^k - f(m) carries, more than MAX_SHIFT_BITS.  Both may be known before
+    Horner's rule is done."""
+    fm = _horner(f, m, MAX_SHIFT_START_BITS if k == 1 else MAX_SHIFT_BITS,
+                 MAX_SHIFT_BITS)
+    if k == 1:
+        # large enough to keep both the non-negative-coefficient and the
+        # non-negative-partial-sums constructions valid; as shift > -2^c, a
+        # positive value that stopped Horner's rule early still gives a
+        # start of more than MAX_SHIFT_START_BITS bits
+        value, shift = fm, -min(f.evaluate(0), f.evaluate(1))
+    else:
+        # a negative f'(m) starts at max(2, prime_lo), whatever its size
+        value, shift = _horner(f.derivative(), m, MAX_SHIFT_START_BITS, 0), 1
     start = max(2, value + shift, prime_lo)
     if start.bit_length() > MAX_SHIFT_START_BITS:
         raise ValueError(f"the first p would have more than {MAX_SHIFT_START_BITS} bits")
+    if abs(fm).bit_length() > MAX_SHIFT_BITS:
+        raise ValueError(f"f(m) would have more than {MAX_SHIFT_BITS} bits, the "
+                         "budget of a row's constant term p^exponent - f(m)")
     return start
 
 
@@ -450,6 +467,7 @@ def _svg(ctx: Certifier, width: int = 800, height: int = 600) -> str:
     v = float(best.vertex.upper)
     theta = best.half_angle_radians()
     lens = ctx.lens_status[0]
+    from .oracles import roots_numeric  # numeric, for the picture only
     roots = roots_numeric(ctx.f).roots
 
     xs = [0.0, v * 1.3 + 1] + [z.real for z in roots]

@@ -8,16 +8,16 @@ tighten until the width is at most 10^-digits relative to max(1, |upper|).
 
 Two private routines hold the numerics.  `_alternating` sums every series:
 sin and cos, each given as a first term and a term ratio, and pi through
-Machin's arctan formula.  It keeps the exact partial sums as unreduced
-integers over one common denominator, and `_rounded` puts each endpoint on
-the 2^-bits grid with one integer floor or ceiling division, so the series
-take no gcd.  `_refine` is the one precision loop: it doubles the working
-precision until an enclosure meets the digits target, and every producer
-here calls it.  Its one precondition: each doubling must make the enclosure
-narrower, with no lower limit on the width, or the loop never ends.  The
-width of an interval argument is such a limit, so `root_of_enclosure`
-evaluates the root at the two ends of its interval, each end tightened on
-its own.
+Machin's arctan formula.  It sums the terms by binary splitting and keeps the
+exact partial sums as unreduced integers over one common denominator, and
+`_rounded` puts each endpoint on the 2^-bits grid with one integer floor or
+ceiling division, so the series take no gcd.  `_refine` is the one precision
+loop: it doubles the working precision until an enclosure meets the digits
+target, and every producer here calls it.  Its one precondition: each
+doubling must make the enclosure narrower, with no lower limit on the width,
+or the loop never ends.  The width of an interval argument is such a limit,
+so `root_of_enclosure` evaluates the root at the two ends of its interval,
+each end tightened on its own.
 """
 from __future__ import annotations
 
@@ -225,23 +225,69 @@ def pow_upper(base: int, exponent: Fraction, digits: int = DEFAULT_DIGITS) -> Fr
 def _alternating(first: Fraction, ratio, bits: int) -> tuple[int, int, int]:
     """Bracket the limit of first - t_1 + t_2 - ..., t_j = t_(j-1) * p/q with
     (p, q) = ratio(j), whose term magnitudes decrease from the start.  Stops
-    at the first term after `first` that is below 2^-bits and returns
+    at the first term t_J after `first` that is below 2^-bits and returns
     (lo, hi, d): the partial sums lo/d <= hi/d on either side of it, which
-    bracket the limit.  The sums are kept over one common denominator d and
-    never reduced, so no gcd is taken."""
-    term = total = first.numerator
-    d = first.denominator
-    j = 0
-    while True:
+    bracket the limit.  d is first's denominator times q_1 * ... * q_J, and
+    the sums over it are never reduced, so no gcd is taken.
+
+    The sums come from binary splitting (Haible & Papanikolaou, ANTS 1998),
+    which multiplies integers of balanced sizes instead of growing one sum a
+    term at a time.  J is estimated by _term_ratios in floating point and
+    then confirmed exactly: one term more while t_J is not below 2^-bits,
+    one term less while t_(J-1) already is."""
+    a, d0 = first.numerator, first.denominator
+    terms = _term_ratios(a, d0, ratio, bits)
+    j = len(terms)
+    # t_j = a * |sign_p| / d and the sum up to t_j is a * (q_prod + t_sum) / d,
+    # with d = d0 * q_prod
+    sign_p, q_prod, t_sum = _split(terms, 0, j)
+    while (a * abs(sign_p)) << bits >= d0 * q_prod:
         j += 1
         p, q = ratio(j)
-        term *= p
-        total *= q
-        d *= q
-        nxt = total - term if j % 2 else total + term
-        if term << bits < d:
-            return (total, nxt, d) if total <= nxt else (nxt, total, d)
-        total = nxt
+        terms.append((p, q))
+        t_sum = t_sum * q - sign_p * p
+        sign_p, q_prod = -sign_p * p, q_prod * q
+    while j > 1:
+        p, q = terms[j - 1]
+        prev_p, prev_q = -sign_p // p, q_prod // q
+        if (a * abs(prev_p)) << bits >= d0 * prev_q:
+            break
+        t_sum = (t_sum - sign_p) // q
+        sign_p, q_prod, j = prev_p, prev_q, j - 1
+    after = a * (q_prod + t_sum)
+    before = after - a * sign_p
+    return min(before, after), max(before, after), d0 * q_prod
+
+
+def _term_ratios(a: int, d0: int, ratio, bits: int) -> list[tuple[int, int]]:
+    """ratio(j) for j = 1..J, where J estimates the index of the first term
+    below 2^-bits of the series that starts at a/d0, from a running sum of
+    the terms' log2.  A zero term ends the list (a = 0 is x = 0 for sin)."""
+    if a == 0:
+        return [ratio(1)]
+    log_term = math.log2(a) - math.log2(d0)
+    terms = []
+    while True:
+        p, q = ratio(len(terms) + 1)
+        terms.append((p, q))
+        if p == 0:
+            return terms
+        log_term += math.log2(p) - math.log2(q)
+        if log_term < -bits:
+            return terms
+
+
+def _split(terms: list[tuple[int, int]], i: int, k: int) -> tuple[int, int, int]:
+    """(P, Q, T) for the terms i..k-1 with ratios (p, q): P is the product
+    of the -p, Q the product of the q, and T/Q = sum over i <= n < k of the
+    products of -p/q over i..n."""
+    if k - i == 1:
+        p, q = terms[i]
+        return -p, q, -p
+    mid = (i + k) // 2
+    p1, q1, t1 = _split(terms, i, mid)
+    p2, q2, t2 = _split(terms, mid, k)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def _rounded(lo: int, lo_d: int, hi: int, hi_d: int, bits: int) -> BoundedReal:

@@ -1,5 +1,9 @@
 """The public names of the polycert package.  A name added to or removed
 from `polycert.__all__` must show up here as a reviewed edit."""
+import os
+import subprocess
+import sys
+
 import polycert
 
 PUBLIC = [
@@ -25,3 +29,22 @@ PUBLIC = [
 def test_public_names_are_pinned():
     assert len(PUBLIC) == 62
     assert sorted(polycert.__all__) == PUBLIC
+
+
+def test_oracle_names_resolve_on_first_use():
+    from polycert import oracles
+    assert polycert.oracles is oracles
+    assert polycert.roots_numeric is oracles.roots_numeric
+    assert polycert.RootSet is oracles.RootSet
+
+
+def test_cli_import_leaves_the_oracles_out():
+    # the oracles (cmath, brute force) cost start-up time every CLI process
+    # would pay; only the SVG plot and the tests use them
+    src = os.path.dirname(os.path.dirname(polycert.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, polycert.cli; print('polycert.oracles' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"

@@ -233,6 +233,14 @@ def test_scan_malformed_descriptor_is_an_input_error(capsys, desc):
     {"family": "value_shift", "polynomial": "X^60000+X+1", "m": 2**64 - 1, "count": 1},
     {"family": "value_shift", "polynomial": "X^60000+X+1", "m": 2**64 - 1,
      "exponent": 2, "count": 1},
+    # f(4) = -4^19999 * (2^64 - 5): the first p is 2, but every row's
+    # constant term p^exponent - f(4) has ~40000 bits, past Python's int ->
+    # str limit; without the budget on f(m) the scan certified for ~2.7 s
+    # and then failed to print its row
+    {"family": "value_shift", "polynomial": f"X^20000-{2**64 - 1}*X^19999", "m": 4,
+     "count": 1},
+    {"family": "value_shift", "polynomial": f"X^20000-{2**64 - 1}*X^19999", "m": 4,
+     "exponent": 2, "count": 1},
 ])
 def test_scan_over_budget_descriptor_fails_fast(capsys, deadline, desc):
     deadline(1)
@@ -313,6 +321,17 @@ def test_scan_of_a_prime_exponent_past_1000(deadline):
             "prime_lo": 1009, "exponent": 1009, "count": 1}
     row, = scan_family(desc)["rows"]
     assert (row["p"], row["criterion"]) == (1009, "thm35_prime_power")
+
+
+@pytest.mark.parametrize("exponent", [1, 2])
+def test_shift_start_budgets_the_bits_of_f_of_m(exponent):
+    # |f(4)| = 4^(n-1) * (2^64 - 5) has 2(n-1) + 64 bits
+    n = (MAX_SHIFT_BITS - 64) // 2 + 1
+    at_budget = parse_polynomial(f"X^{n}-{2**64 - 1}*X^{n - 1}")
+    assert abs(at_budget.evaluate(4)).bit_length() == MAX_SHIFT_BITS
+    assert _shift_start(at_budget, 4, exponent, 2) == 2
+    with pytest.raises(ValueError, match=rf"f\(m\) would have more than {MAX_SHIFT_BITS}"):
+        _shift_start(at_budget * parse_polynomial("X"), 4, exponent, 2)
 
 
 def test_certify_value_with_a_huge_constant_term_ends(capsys, deadline):

@@ -1,14 +1,15 @@
 """The integer series kernel of rounding.py against the Fraction loop it
 replaced, and a guard against the old kernel's slowness.
 
-`_alternating` keeps its partial sums unreduced over one common denominator
-and each endpoint is floored or ceiled onto the 2^-bits grid in one integer
-division.  The reference below is the earlier loop, which reduced every
-Fraction: both must give the same partial sums and the same rounded
-endpoints, so no certificate changes.
+`_alternating` sums the series by binary splitting, keeps its partial sums
+unreduced over one common denominator, and each endpoint is floored or ceiled
+onto the 2^-bits grid in one integer division.  The reference below is the
+earlier loop, which reduced every Fraction: both must give the same partial
+sums and the same rounded endpoints, so no certificate changes.
 """
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polycert import rounding
@@ -126,6 +127,45 @@ def test_alternating_stops_where_the_fraction_loop_stops():
     assert (Fraction(lo, d), Fraction(hi, d)) == reference_alternating(
         Fraction(1), lambda j: Fraction(1, 2), 10)
     assert d == 2**11
+
+
+@pytest.mark.parametrize("bits", [1, 8, 300])
+def test_sin_of_zero_stops_at_the_first_term(bits):
+    # x = 0: `first` and every p are 0, so no logarithm is taken
+    assert _sin_series(Fraction(0), bits) == (0, 0, 6)
+    assert reference_sin(Fraction(0), bits) == (0, 0)
+    assert _cos_series(Fraction(0), bits) == (2, 2, 2)
+
+
+def test_a_term_of_exactly_two_to_the_minus_bits_is_not_below_it():
+    # 1 - 1/2 + 1/4 - ...: t_bits = 2^-bits exactly, so the strict stop rule
+    # sums it and stops at t_(bits+1)
+    for bits in range(70):
+        lo, hi, d = _alternating(Fraction(1), lambda j: (1, 2), bits)
+        assert d == 2**(bits + 1)
+        assert (Fraction(lo, d), Fraction(hi, d)) == reference_alternating(
+            Fraction(1), lambda j: Fraction(1, 2), bits)
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+@pytest.mark.parametrize("series, reference, x, bits", [
+    (_sin_series, reference_sin, Fraction(1, 3), 200),
+    (_sin_series, reference_sin, Fraction(3, 2), 5),
+    (_cos_series, reference_cos, Fraction(5, 4), 64),
+    (_atan_series, reference_atan, Fraction(1, 239), 700),
+])
+def test_an_estimate_off_by_one_term_is_corrected_exactly(
+        monkeypatch, step, series, reference, x, bits):
+    # one term too few makes the kernel step forward, one too many back
+    exact = series(x, bits)
+    estimate = rounding._term_ratios
+
+    def off_by_one(a, d0, ratio, bits):
+        terms = estimate(a, d0, ratio, bits)
+        return terms[:-1] if step < 0 else terms + [ratio(len(terms) + 1)]
+    monkeypatch.setattr(rounding, "_term_ratios", off_by_one)
+    assert series(x, bits) == exact
+    check_kernel(series, reference, x, bits)
 
 
 def test_high_precision_trig_is_fast(deadline):
