@@ -5,10 +5,10 @@ Primality is deterministic (hence "proven") below a fixed strong-base
 threshold of about 3.317e24; beyond that a combined strong-probable-prime
 test reports "probable" and certificates built on it are marked conditional.
 
-Nothing on the certify or verify path factors an integer: the rational-root
-test isolates real roots (has_rational_root), and witness extraction divides
-out the primes up to q_max, sieved once per q_max.  factorize, divisors and
-Pollard-Brent are for the brute-force oracle and the tests only.
+Nothing here factors an integer: the rational-root test isolates real roots
+(has_rational_root), and witness extraction divides out the primes up to
+q_max, sieved once per q_max.  The factoring that the brute-force oracle
+needs lives in oracles.py.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
-from .poly import Polynomial, divide_exact
+from .poly import Polynomial, _shift_by_one, divide_exact
 from .rounding import iroot
 
 # Strong-pseudoprime bases valid for every n below this bound.
@@ -246,70 +246,6 @@ def prime_power_decomposition(c: int) -> Optional[tuple[int, int, PrimalityResul
     return (c, k, res) if res.is_prime else None
 
 
-# -- integer factorization at desk scale, for the oracles -------------------
-
-
-def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of composite n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    rng = random.Random(n & 0xFFFFFFFF)
-    while True:
-        y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
-        g, r, q = 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division plus Pollard-Brent."""
-    if n < 1:
-        raise ValueError("factorize expects n >= 1")
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m).is_prime:
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_brent(m)
-        stack.extend((d, m // d))
-    return out
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
-    facs = factorize(n)
-    out = [1]
-    for p, e in facs.items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
-
-
 def next_prime(n: int) -> int:
     """Smallest prime strictly greater than n."""
     c = max(2, n + 1)
@@ -449,16 +385,6 @@ def _homogeneous(cs: tuple[int, ...], u: int, w: int) -> int:
     return acc
 
 
-def _taylor_shift_1(cs: list[int]) -> list[int]:
-    """Coefficients of p(X + 1), constant term first."""
-    cs = list(cs)
-    n = len(cs) - 1
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            cs[j] += cs[j + 1]
-    return cs
-
-
 def _variations(cs: list[int]) -> int:
     signs = [c > 0 for c in cs if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -485,10 +411,10 @@ def _positive_rational_root(cs: tuple[int, ...]) -> Optional[Fraction]:
     stack = [([c << (b * i) for i, c in enumerate(cs)], 0, 0)]
     while stack:
         q, c, k = stack.pop()
-        v = _variations(_taylor_shift_1(q[::-1]))
+        v = _variations(_shift_by_one(q[::-1]))
         if v > 1:
             left = [a << (n - i) for i, a in enumerate(q)]
-            right = _taylor_shift_1(left)
+            right = _shift_by_one(left)
             if right[0] == 0:
                 return Fraction((2 * c + 1) << b, 1 << (k + 1))
             stack += [(left, 2 * c, k + 1), (right, 2 * c + 1, k + 1)]

@@ -29,8 +29,8 @@ from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus,
 from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
                    interval_disk_in_lens, lens_of)
 from .poly import Polynomial, sign_blocks, sign_index_sets
-from .rounding import (DEFAULT_DIGITS, format_decimal, nth_root_bounds,
-                       pow_upper, sin_pi_frac, tan_pi_frac)
+from .rounding import (DEFAULT_DIGITS, MAX_DIGITS, format_decimal,
+                       nth_root_bounds, pow_upper, sin_pi_frac, tan_pi_frac)
 from .sectors import Sector, best_of, sector_candidates
 
 SCHEMA_VERSION = 1
@@ -188,17 +188,14 @@ class Certifier:
     @cached_property
     def lens_status(self) -> tuple[Optional[Lens], str, Optional[str]]:
         """(lens, reason, note): the zero-free lens of f, or None with the
-        reason tag ("lens-inapplicable" or "lens-degenerate") and a note that
-        says why in words."""
-        f = self.f
-        if f.degree() < 3:
-            return None, "lens-inapplicable", "degree below 3; no lens"
-        if f.coefficient(0) == 0:
-            return None, "lens-inapplicable", "zero constant term; no lens"
+        reason tag ("lens-inapplicable" or "lens-degenerate") and lens_of's
+        note that says why in words."""
         try:
-            return lens_of(f, digits=self.digits), "ok", None
+            return lens_of(self.f, digits=self.digits), "ok", None
         except DegenerateLensError as exc:
             return None, "lens-degenerate", str(exc)
+        except ValueError as exc:
+            return None, "lens-inapplicable", str(exc)
 
     @cached_property
     def lens_intervals(self) -> Optional[tuple[AdmissibleInterval, AdmissibleInterval]]:
@@ -532,9 +529,9 @@ def certificate_verify(cert) -> bool:
         q_max = int(data["q_max"])
         digits = int(data["digits"])
         negated = bool(data["negated_argument"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedCertificateError(f"bad field: {exc}") from None
-    if not (1 <= digits <= 200 and 1 <= q_max <= MAX_Q_MAX):
+    if not (1 <= digits <= MAX_DIGITS and 1 <= q_max <= MAX_Q_MAX):
         raise MalformedCertificateError("digits or q_max out of range")
     try:
         replay = _rebuild(f, m, criterion, q_max, digits, negated)

@@ -2,7 +2,8 @@
 verify certificates, and emit JSON or SVG.
 
 Exit codes: 0 success (certificate issued / verification passed), 1 no
-certificate (or verification failed), 2 input error.
+certificate (or verification failed), 2 input error, 3 internal error (an
+unexpected exception, reported in one line; never a verdict).
 """
 from __future__ import annotations
 
@@ -21,14 +22,14 @@ from .certify import (DEFAULT_MODES, Certificate, Certifier,
 from .lens import (combined_region, interval_cot, interval_disk_in_lens,
                    interval_effective)
 from .poly import ParseError, Polynomial, parse_polynomial, sign_blocks
-from .rounding import DEFAULT_DIGITS
+from .rounding import DEFAULT_DIGITS, MAX_DIGITS
 
 ENV_DIGITS = "POLYCERT_DIGITS"
 
 
 def _env_digits() -> int:
     """The default --digits: POLYCERT_DIGITS when set, which must then be an
-    integer in 1..200."""
+    integer in 1..MAX_DIGITS."""
     raw = os.environ.get(ENV_DIGITS)
     if raw is None:
         return DEFAULT_DIGITS
@@ -36,8 +37,8 @@ def _env_digits() -> int:
         val = int(raw)
     except ValueError:
         val = 0
-    if not 1 <= val <= 200:
-        raise ValueError(f"{ENV_DIGITS} must be an integer in 1..200, got {raw!r}")
+    if not 1 <= val <= MAX_DIGITS:
+        raise ValueError(f"{ENV_DIGITS} must be an integer in 1..{MAX_DIGITS}, got {raw!r}")
     return val
 
 
@@ -455,14 +456,32 @@ def _cmd_verify(args) -> int:
 # -- SVG ------------------------------------------------------------------------
 
 
-def render_svg(f: Polynomial, digits: int = DEFAULT_DIGITS,
-               width: int = 800, height: int = 600) -> str:
+_SVG_WIDTH, _SVG_HEIGHT = 800, 600
+
+
+def render_svg(f: Polynomial, digits: int = DEFAULT_DIGITS) -> str:
     """Deterministic SVG of the best sector, the lens (when defined), and the
-    numerically approximated roots."""
-    return _svg(Certifier(f, digits=digits), width, height)
+    numerically approximated roots.  Raises ValueError when a coordinate of
+    the picture falls outside the float range."""
+    return _svg(Certifier(f, digits=digits))
 
 
-def _svg(ctx: Certifier, width: int = 800, height: int = 600) -> str:
+def _svg(ctx: Certifier) -> str:
+    try:
+        return _draw(ctx)
+    except OverflowError:
+        raise ValueError("the plot's coordinates fall outside the float range; "
+                         "no plot written") from None
+
+
+def _num(x: float) -> str:
+    if not math.isfinite(x):
+        raise OverflowError(x)
+    return f"{x:.6f}"
+
+
+def _draw(ctx: Certifier) -> str:
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     best = ctx.sector
     v = float(best.vertex.upper)
     theta = best.half_angle_radians()
@@ -480,10 +499,10 @@ def _svg(ctx: Certifier, width: int = 800, height: int = 600) -> str:
     scale = min((width - 40) / span_x, (height - 40) / span_y)
 
     def px(x: float) -> str:
-        return f"{20 + (x - x_min) * scale:.6f}"
+        return _num(20 + (x - x_min) * scale)
 
     def py(y: float) -> str:
-        return f"{height / 2 - y * scale:.6f}"
+        return _num(height / 2 - y * scale)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -506,11 +525,11 @@ def _svg(ctx: Certifier, width: int = 800, height: int = 600) -> str:
     # lens as two circular arcs meeting at 0 and 1/vt
     if lens is not None:
         vt = float((lens.v_tilde.lower + lens.v_tilde.upper) / 2)
-        r = 1 / (2 * vt * math.sin(math.pi / lens.n)) * scale
+        r = _num(1 / (2 * vt * math.sin(math.pi / lens.n)) * scale)
         tip = 1 / vt
         parts.append(
-            f'<path d="M {px(0)} {py(0)} A {r:.6f} {r:.6f} 0 0 1 {px(tip)} {py(0)} '
-            f'A {r:.6f} {r:.6f} 0 0 1 {px(0)} {py(0)} Z" '
+            f'<path d="M {px(0)} {py(0)} A {r} {r} 0 0 1 {px(tip)} {py(0)} '
+            f'A {r} {r} 0 0 1 {px(0)} {py(0)} Z" '
             'fill="seagreen" fill-opacity="0.25" stroke="seagreen"/>')
     for z in roots:
         parts.append(f'<circle cx="{px(z.real)}" cy="{py(z.imag)}" r="4" '
@@ -530,8 +549,8 @@ def _check_args(args) -> None:
     if args.command != "verify":
         if args.digits is None:
             args.digits = _env_digits()
-        if not 1 <= args.digits <= 200:
-            raise ValueError("--digits must be between 1 and 200")
+        if not 1 <= args.digits <= MAX_DIGITS:
+            raise ValueError(f"--digits must be between 1 and {MAX_DIGITS}")
     if args.command in ("analyze", "certify"):
         args.poly = _parse_poly_args(args)
     if args.command == "certify":
@@ -560,14 +579,8 @@ def _check_args(args) -> None:
         args.family = _family_params(desc)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # let --coeffs values start with a minus sign
-    for i, a in enumerate(argv[:-1]):
-        if a == "--coeffs":
-            argv[i:i + 2] = [f"--coeffs={argv[i + 1]}"]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
+    """Check the arguments and run the command: exit 0, 1 or 2."""
     try:
         _check_args(args)
     except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
@@ -583,6 +596,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # let --coeffs values start with a minus sign
+    for i, a in enumerate(argv[:-1]):
+        if a == "--coeffs":
+            argv[i:i + 2] = [f"--coeffs={argv[i + 1]}"]
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # exit codes 0 and 1 are verdicts, so never these
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

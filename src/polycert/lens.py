@@ -8,6 +8,7 @@ the reciprocal's sector vertex.  All admissible intervals are rounded inward
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -54,12 +55,13 @@ class Lens:
 
 
 def lens_of(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Lens:
-    """Lens built from the best zero-free sector of the reciprocal of f."""
+    """Lens built from the best zero-free sector of the reciprocal of f;
+    ValueError when f has none, DegenerateLensError when it is degenerate."""
     n = f.degree()
     if n < 3:
-        raise ValueError("lens_of needs degree >= 3")
+        raise ValueError("degree below 3; no lens")
     if f.coefficient(0) == 0:
-        raise ValueError("lens_of needs a nonzero constant term")
+        raise ValueError("zero constant term; no lens")
     g = f.reciprocal()
     if g.leading_coefficient() < 0:
         g = -g  # same roots; sector producers want a positive leading coefficient
@@ -96,12 +98,19 @@ class AdmissibleInterval:
         }
 
 
+def _check_vertex_below(lens: Lens, bound: Fraction, name: str) -> None:
+    """ValueError unless the reciprocal vertex is provably below bound; the
+    vertex is printed .6g, or as a power of two past the float range."""
+    v = lens.v_tilde.upper
+    if not v < bound:
+        text = (f"{float(v):.6g}" if v <= sys.float_info.max
+                else f"~2^{v.numerator.bit_length() - v.denominator.bit_length()}")
+        raise ValueError(f"reciprocal vertex {text} is not provably below {name}")
+
+
 def _check_narrow_vertex(lens: Lens, digits: int) -> None:
     tan = tan_pi_frac(Fraction(1, 2 * lens.n), digits)
-    if not lens.v_tilde.upper < tan.lower / 2:
-        raise ValueError(
-            f"reciprocal vertex {float(lens.v_tilde.upper):.6g} is not provably "
-            f"below tan(pi/(2*{lens.n}))/2")
+    _check_vertex_below(lens, tan.lower / 2, f"tan(pi/(2*{lens.n}))/2")
 
 
 def interval_disk_in_lens(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval:
@@ -128,10 +137,7 @@ def interval_cot(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval
 def interval_effective(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval:
     """The trig-free interval (2n/pi, 1/vt - 2n/pi); needs vt < pi/(4n)."""
     pi = pi_bounds(digits)
-    if not lens.v_tilde.upper < pi.lower / (4 * lens.n):
-        raise ValueError(
-            f"reciprocal vertex {float(lens.v_tilde.upper):.6g} is not provably "
-            f"below pi/(4*{lens.n})")
+    _check_vertex_below(lens, pi.lower / (4 * lens.n), f"pi/(4*{lens.n})")
     bound = (2 * lens.n) / pi
     return AdmissibleInterval(bound, 1 / lens.v_tilde - bound, "cor_effective")
 

@@ -1,17 +1,18 @@
 """Verification oracles: a simultaneous-iteration numeric root finder used to
-cross-check zero-free claims, and an exact exhaustive factor search that
-decides irreducibility at desk scale."""
+cross-check zero-free claims, and an exact exhaustive factor search, with the
+integer factoring it needs, that decides irreducibility at desk scale."""
 from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import divisors, has_rational_root
+from .arith import _SMALL_PRIMES, has_rational_root, is_prime
 from .poly import Polynomial, divide_exact
 from .sectors import Sector
 
@@ -83,6 +84,67 @@ def in_sector(z: complex, sector: Sector, margin: float = 0.0) -> bool:
     if w.real <= 0 or abs(w) <= margin:
         return False
     return abs(cmath.phase(w)) < sector.half_angle_radians() - margin
+
+
+# -- integer factorization at desk scale ----------------------------------
+
+
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of composite n (Brent's cycle variant)."""
+    if n % 2 == 0:
+        return 2
+    rng = random.Random(n & 0xFFFFFFFF)
+    while True:
+        y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
+        g, r, q = 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division plus Pollard-Brent."""
+    if n < 1:
+        raise ValueError("factorize expects n >= 1")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m > 1 and is_prime(m).is_prime:
+            out[m] = out.get(m, 0) + 1
+        elif m > 1:
+            d = _pollard_brent(m)
+            stack.extend((d, m // d))
+    return out
+
+
+def divisors(n: int) -> list[int]:
+    """Sorted positive divisors of n >= 1."""
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 @dataclass(frozen=True)

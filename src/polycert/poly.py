@@ -191,44 +191,46 @@ class Polynomial:
         return hash(self.coeffs)
 
 
+def _shift_by_one(cs: list[Rat]) -> list[Rat]:
+    """Coefficients of p(X + 1), constant term first, by additions only."""
+    cs = list(cs)
+    n = len(cs) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            cs[j] += cs[j + 1]
+    return cs
+
+
 def shift_coeffs(coeffs: Sequence[Rat], alpha: Rat) -> tuple[Fraction, ...]:
-    """Coefficients b_k of f(X + alpha): b_k = sum_i alpha^i a_{k+i} C(k+i, i)."""
+    """Coefficients of f(X + alpha), alpha >= 0: those of f(alpha*X),
+    shifted by one, then scaled back."""
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("shift expects alpha >= 0")
-    n = len(coeffs) - 1
-    out = []
-    for k in range(n + 1):
-        b = Fraction(0)
-        for i in range(n - k + 1):
-            b += alpha**i * Fraction(coeffs[k + i]) * math.comb(k + i, i)
-        out.append(b)
-    return tuple(out)
+    if alpha == 0:
+        return tuple(Fraction(c) for c in coeffs)
+    shifted = _shift_by_one([c * alpha**i for i, c in enumerate(coeffs)])
+    return tuple(b / alpha**k for k, b in enumerate(shifted))
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial | None:
-    """Quotient f/g when g divides f exactly over the integers, else None."""
+    """Quotient f/g when g divides f exactly over the integers, else None
+    (long division in ints: a step that leaves them already means None)."""
     if g.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero():
         return Polynomial([])
-    rem = [Fraction(c) for c in f.coeffs]
-    quo = [Fraction(0)] * (len(f.coeffs) - len(g.coeffs) + 1)
-    if len(quo) <= 0:
-        return None
-    lead = Fraction(g.leading_coefficient())
-    for top in range(len(rem) - 1, len(g.coeffs) - 2, -1):
-        q = rem[top] / lead
-        pos = top - (len(g.coeffs) - 1)
+    rem, lead, dg = list(f.coeffs), g.leading_coefficient(), g.degree()
+    quo = [0] * (len(rem) - dg)
+    for pos in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[pos + dg], lead)
+        if r:
+            return None
         quo[pos] = q
         if q:
             for j, b in enumerate(g.coeffs):
                 rem[pos + j] -= q * b
-    if any(rem):
-        return None
-    if any(c.denominator != 1 for c in quo):
-        return None
-    return Polynomial([c.numerator for c in quo])
+    return Polynomial(quo) if quo and not any(rem) else None
 
 
 # -- sign data -------------------------------------------------------------

@@ -30,6 +30,9 @@ from typing import Union
 Rat = Union[int, Fraction]
 
 DEFAULT_DIGITS = 12
+# The largest digits accepted from a user: --digits, POLYCERT_DIGITS and a
+# certificate's "digits" field.
+MAX_DIGITS = 200
 
 
 @dataclass(frozen=True)
@@ -109,7 +112,7 @@ class BoundedReal:
         return BoundedReal(lo, hi)
 
     def __repr__(self) -> str:
-        return f"BoundedReal({float(self.lower)}, {float(self.upper)})"
+        return f"BoundedReal({self.lower}, {self.upper})"
 
 
 def enclose_max(*values: BoundedReal) -> BoundedReal:

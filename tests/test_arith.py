@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from polycert import arith
 from polycert.arith import (DETERMINISTIC_LIMIT, MAX_Q_MAX, PrimalityStatus,
-                            divisors, extract_witness_report, factorize,
-                            has_rational_root, is_prime, next_prime,
-                            p_adic_valuation, prime_power_decomposition,
-                            _SMALL_PRIMES, _sieve, _strip_small)
+                            extract_witness_report, has_rational_root,
+                            is_prime, next_prime, p_adic_valuation,
+                            prime_power_decomposition, _SMALL_PRIMES, _sieve,
+                            _strip_small)
+from polycert.oracles import divisors, factorize
 from polycert.poly import parse_polynomial
 from polycert.rounding import iroot
 

@@ -358,6 +358,14 @@ def test_replay_rejects_all_single_field_tampers():
     assert all(rejected)
 
 
+def test_replay_rejects_a_lens_certificate_with_a_huge_coefficient(deadline):
+    # the reciprocal vertex, ~2^4429, is past the float range
+    deadline(5)
+    data = certify_any(FLAGSHIP, 3, modes=("lens",)).to_json()
+    data["polynomial"][3] = -10**4000
+    assert certificate_verify(data) is False
+
+
 def test_replay_detects_missing_fields_and_schema():
     cert = certify_any(FLAGSHIP, 3, modes=("lens",)).to_json()
     bad = copy.deepcopy(cert)
@@ -378,6 +386,15 @@ def test_replay_rejects_q_max_out_of_range(q_max):
     cert["q_max"] = q_max
     with pytest.raises(MalformedCertificateError, match="q_max out of range"):
         certificate_verify(cert)
+
+
+@pytest.mark.parametrize("field", ["m", "digits", "q_max"])
+def test_replay_rejects_an_infinite_number(field):
+    # JSON 1e400 loads as inf, which int() cannot convert
+    data = certify_any(FLAGSHIP, 3, modes=("lens",)).to_json()
+    data[field] = json.loads("1e400")
+    with pytest.raises(MalformedCertificateError, match="bad field"):
+        certificate_verify(data)
 
 
 def test_certify_any_orders_lens_first():

@@ -145,6 +145,15 @@ def test_verify_cli_matrix(tmp_path, capsys):
     assert run(capsys, "verify", str(tmp_path / "missing.json"))[0] == 2
 
 
+def test_verify_of_an_infinite_number_is_an_input_error(tmp_path, capsys):
+    code, out, _ = run(capsys, "certify", "X^4-10*X^3+2162", "--m", "3", "--json")
+    path = tmp_path / "inf.json"
+    path.write_text(out.replace('"m": 3', '"m": 1e400'))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("malformed certificate: bad field")
+
+
 def test_svg_deterministic(tmp_path, capsys):
     f = parse_polynomial("X^4-10*X^3+2162")
     assert render_svg(f) == render_svg(f)
@@ -154,6 +163,15 @@ def test_svg_deterministic(tmp_path, capsys):
     text = out1.read_text()
     assert text.startswith("<svg") and "</svg>" in text
     assert text == render_svg(f)
+
+
+def test_plot_outside_the_float_range_is_refused(tmp_path, capsys):
+    plot = tmp_path / "o.svg"
+    code, out, err = run(capsys, "analyze", "X^2-10^400*X+1", "--plot", str(plot))
+    assert code == 2 and out == ""
+    assert err == ("error: the plot's coordinates fall outside the float range; "
+                   "no plot written\n")
+    assert not plot.exists()
 
 
 def test_scan_digit_family(capsys):
@@ -373,3 +391,18 @@ def test_certify_search_span_is_an_input_error(capsys):
     code, _, err = run(capsys, "certify", "(X^2+1)*(X^2+3)", "--search", "1..100000000")
     assert code == 2
     assert "input error" in err and "search range spans" in err
+
+
+def test_certify_with_a_reciprocal_vertex_past_the_float_range(capsys, deadline):
+    deadline(2)
+    code, out, err = run(capsys, "certify", "X^4-10^4000*X^3+2162", "--m", "3")
+    assert (code, out, err) == (1, "", "no certificate found\n")
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom\non two lines")
+
+    monkeypatch.setattr(cli, "_cmd_certify", broken)
+    code, out, err = run(capsys, "certify", "X^4-10*X^3+2162", "--m", "3")
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: boom on two lines\n")

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polycert.poly import (ParseError, Polynomial, parse_polynomial,
-                           partial_sums, shift_coeffs, sign_blocks,
-                           sign_index_sets)
+from polycert.poly import (ParseError, Polynomial, divide_exact,
+                           parse_polynomial, partial_sums, shift_coeffs,
+                           sign_blocks, sign_index_sets)
 
 coeff_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=9)
 
@@ -124,6 +124,25 @@ def test_shift_composes(coeffs, alpha, beta):
     one = shift_coeffs(shift_coeffs(coeffs, alpha), beta)
     two = shift_coeffs(coeffs, alpha + beta)
     assert one == two
+
+
+def test_divide_exact_examples():
+    P = parse_polynomial
+    assert divide_exact(P("X^2-1"), P("X+1")) == P("X-1")
+    assert divide_exact(P("X^2"), P("2*X")) is None  # quotient X/2
+    assert divide_exact(P("X^2+1"), P("X+1")) is None  # remainder 2
+    assert divide_exact(P("X+1"), P("X^2+1")) is None
+    assert divide_exact(Polynomial([]), P("X+1")) == Polynomial([])
+
+
+@given(coeff_lists, coeff_lists)
+def test_divide_exact_undoes_a_product(a, b):
+    f, g = Polynomial(a), Polynomial(b)
+    if g.is_zero():
+        return
+    assert divide_exact(f * g, g) == f
+    if g.degree() >= 1:
+        assert divide_exact(f * g + 1, g) is None  # remainder 1
 
 
 def test_partial_sums_examples():

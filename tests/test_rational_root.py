@@ -16,11 +16,12 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from polycert import arith, certify
-from polycert.arith import divisors, has_rational_root
+from polycert import arith, certify, oracles
+from polycert.arith import has_rational_root
 from polycert.certify import (MalformedCertificateError, certificate_verify,
                               certify_any, certify_negative_m)
 from polycert.cli import main
+from polycert.oracles import divisors
 from polycert.poly import Polynomial
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text(encoding="utf-8"))
@@ -161,7 +162,9 @@ def test_certify_and_verify_do_not_factor(monkeypatch):
 
     calls = []
     real = certify.has_rational_root
-    monkeypatch.setattr(arith, "factorize", refuse)
+    assert not any(hasattr(arith, name)
+                   for name in ("factorize", "divisors", "_pollard_brent"))
+    monkeypatch.setattr(oracles, "factorize", refuse)
     monkeypatch.setattr(certify, "has_rational_root",
                         lambda f: calls.append(f) or real(f))
     semiprime = io.StringIO()

@@ -167,3 +167,8 @@ def test_format_decimal_directed():
     assert format_decimal(x, 6, "ceil") == "0.333334"
     assert format_decimal(-x, 6, "floor") == "-0.333334"
     assert format_decimal(Fraction(5), 3, "floor") == "5.000"
+
+
+def test_repr_prints_the_endpoints_exactly():
+    assert repr(BoundedReal.of(Fraction(1, 3), 2)) == "BoundedReal(1/3, 2)"
+    assert repr(BoundedReal.exact(10**400)) == f"BoundedReal({10**400}, {10**400})"
