@@ -3,7 +3,8 @@ verify certificates, and emit JSON or SVG.
 
 Exit codes: 0 success (certificate issued / verification passed), 1 no
 certificate (or verification failed), 2 input error, 3 internal error (an
-unexpected exception, reported in one line; never a verdict).
+unexpected exception, reported in one line; never a verdict), 141 stdout
+closed by its reader (128 + SIGPIPE, as a shell reports it; nothing printed).
 """
 from __future__ import annotations
 
@@ -607,6 +608,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): drop the rest silently,
+        # and leave the interpreter's final flush nothing to fail on
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except Exception as exc:  # exit codes 0 and 1 are verdicts, so never these
         message = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)

@@ -277,19 +277,21 @@ class PartialSums:
     """The sums alpha^j*a_n + alpha^(j-1)*a_{n-1} + ... + a_{n-j}, j = 0..n."""
 
     alpha: Fraction
-    sums: tuple[Fraction, ...]
+    sums: tuple[Rat, ...]
     all_nonneg: bool
 
 
 def partial_sums(f: Polynomial, alpha: Rat) -> PartialSums:
+    """The sums by one Horner pass, in ints when alpha is an integer."""
     if f.degree() < 1:
         raise ValueError("partial_sums needs degree >= 1")
     alpha = Fraction(alpha)
     if alpha < 0:
         raise ValueError("partial_sums expects alpha >= 0")
-    sums = [Fraction(f.leading_coefficient())]
+    step = alpha.numerator if alpha.denominator == 1 else alpha
+    sums = [f.leading_coefficient()]
     for c in reversed(f.coeffs[:-1]):
-        sums.append(alpha * sums[-1] + c)
+        sums.append(step * sums[-1] + c)
     return PartialSums(alpha, tuple(sums), all(s >= 0 for s in sums))
 
 
@@ -341,6 +343,8 @@ def sign_blocks(f: Polynomial) -> SignBlockPartition:
 # -- parsing ---------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+# Each level of parentheses costs the recursive-descent parser five frames.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -376,6 +380,7 @@ class _ExprParser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -475,8 +480,12 @@ class _ExprParser:
         if tok[0] == "var":
             return Polynomial([0, 1])
         if tok[0] == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep", tok[2])
+            self.depth += 1
             p = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])
 

@@ -18,6 +18,11 @@ doubling must make the enclosure narrower, with no lower limit on the width,
 or the loop never ends.  The width of an interval argument is such a limit,
 so `root_of_enclosure` evaluates the root at the two ends of its interval,
 each end tightened on its own.
+
+`sin_pi_frac`, `tan_pi_frac` and `cot_pi_frac` check their argument, then
+call a private core that an `lru_cache` of at most `TRIG_MEMO_SIZE` entries
+memoises per (c, digits).  A process therefore computes each enclosure once,
+however many polynomials of one degree it certifies and replays.
 """
 from __future__ import annotations
 
@@ -33,6 +38,11 @@ DEFAULT_DIGITS = 12
 # The largest digits accepted from a user: --digits, POLYCERT_DIGITS and a
 # certificate's "digits" field.
 MAX_DIGITS = 200
+# The entries memoised for each of sin_pi_frac, tan_pi_frac and cot_pi_frac.
+# The keys are (c, digits) with c = 1/n or 1/(2n) for n up to a degree and
+# digits up to 2*MAX_DIGITS (replay doubles the digits); a fixed bound keeps
+# any input from growing the memo.
+TRIG_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -59,9 +69,11 @@ class BoundedReal:
         return self.upper - self.lower
 
     def meets_target(self, digits: int) -> bool:
-        """Width at most 10^-digits relative to max(1, |upper|)."""
-        scale = max(Fraction(1), abs(self.upper))
-        return self.width() * 10**digits <= scale
+        """Width at most 10^-digits relative to max(1, |upper|), compared
+        cross-multiplied in integers."""
+        a, b = self.lower.numerator, self.lower.denominator
+        c, d = self.upper.numerator, self.upper.denominator
+        return (c * b - a * d) * 10**digits <= b * max(d, abs(c))
 
     # -- arithmetic (exact endpoints, outward by monotonicity) ---------------
 
@@ -348,6 +360,11 @@ def sin_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     c = Fraction(c)
     if not 0 < c <= Fraction(1, 2):
         raise ValueError("sin_pi_frac expects c in (0, 1/2]")
+    return _sin_pi_frac(c, digits)
+
+
+@lru_cache(maxsize=TRIG_MEMO_SIZE)
+def _sin_pi_frac(c: Fraction, digits: int) -> BoundedReal:
     if c == Fraction(1, 2):
         return BoundedReal.exact(1)
     if c == Fraction(1, 6):
@@ -374,6 +391,11 @@ def tan_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     c = Fraction(c)
     if not 0 < c <= Fraction(1, 4):
         raise ValueError("tan_pi_frac expects c in (0, 1/4]")
+    return _tan_pi_frac(c, digits)
+
+
+@lru_cache(maxsize=TRIG_MEMO_SIZE)
+def _tan_pi_frac(c: Fraction, digits: int) -> BoundedReal:
     if c == Fraction(1, 4):
         return BoundedReal.exact(1)
     return _refine(lambda work: sin_pi_frac(c, work) / _cos_pi_frac(c, work),
@@ -385,6 +407,11 @@ def cot_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     c = Fraction(c)
     if not 0 < c <= Fraction(1, 2):
         raise ValueError("cot_pi_frac expects c in (0, 1/2]")
+    return _cot_pi_frac(c, digits)
+
+
+@lru_cache(maxsize=TRIG_MEMO_SIZE)
+def _cot_pi_frac(c: Fraction, digits: int) -> BoundedReal:
     if c == Fraction(1, 2):
         return BoundedReal.exact(0)
     if c == Fraction(1, 4):
@@ -399,12 +426,11 @@ def cot_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
 def format_decimal(x: Rat, places: int = 18, direction: str = "floor") -> str:
     """Deterministic fixed-point decimal string, rounded in the stated
     direction so a printed upper bound stays an upper bound."""
-    x = Fraction(x)
-    scaled = x * 10**places
+    scaled, den = x.numerator * 10**places, x.denominator
     if direction == "floor":
-        units = scaled.numerator // scaled.denominator
+        units = scaled // den
     elif direction == "ceil":
-        units = -((-scaled.numerator) // scaled.denominator)
+        units = -(-scaled // den)
     else:
         raise ValueError(f"unknown rounding direction {direction!r}")
     sign = "-" if units < 0 else ""

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import sys
 
 import pytest
 
@@ -406,3 +408,30 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_certify", broken)
     code, out, err = run(capsys, "certify", "X^4-10*X^3+2162", "--m", "3")
     assert (code, out, err) == (3, "", "internal error: RuntimeError: boom on two lines\n")
+
+
+@pytest.mark.parametrize("depth, code", [(100, 0), (101, 2), (1000, 2)])
+def test_deeply_nested_parentheses(capsys, deadline, depth, code):
+    deadline(1)
+    got, _, err = run(capsys, "analyze", "(" * depth + "X" + ")" * depth)
+    assert got == code
+    assert ("input error: parentheses nested more than 100 deep (at position 100)\n"
+            == err) == (code == 2)
+
+
+class ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_a_closed_stdout_pipe_ends_quietly(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = main(["analyze", "X^4-10*X^3+2162", "--json"])
+    replaced = sys.stdout
+    replaced.close()
+    assert code == 141
+    assert replaced.name == os.devnull
+    assert capsys.readouterr().err == ""

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polycert.poly import (ParseError, Polynomial, divide_exact,
-                           parse_polynomial, partial_sums, shift_coeffs,
-                           sign_blocks, sign_index_sets)
+from polycert.poly import (MAX_NESTING, ParseError, PartialSums, Polynomial,
+                           divide_exact, parse_polynomial, partial_sums,
+                           shift_coeffs, sign_blocks, sign_index_sets)
 
 coeff_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=9)
 
@@ -170,6 +170,28 @@ def test_partial_sums_recurrence(coeffs, alpha):
         assert ps.sums[j + 1] == alpha * ps.sums[j] + f.coeffs[n - j - 1]
 
 
+def reference_partial_sums(f, alpha):
+    """partial_sums as one Fraction Horner pass, for any alpha."""
+    alpha = Fraction(alpha)
+    sums = [Fraction(f.leading_coefficient())]
+    for c in reversed(f.coeffs[:-1]):
+        sums.append(alpha * sums[-1] + c)
+    return PartialSums(alpha, tuple(sums), all(s >= 0 for s in sums))
+
+
+@given(coeff_lists, st.one_of(st.integers(0, 5), st.fractions(0, 4)))
+def test_partial_sums_match_the_fraction_pass(coeffs, alpha):
+    f = Polynomial(coeffs)
+    if f.degree() < 1:
+        return
+    assert partial_sums(f, alpha) == reference_partial_sums(f, alpha)
+
+
+def test_partial_sums_at_an_integer_alpha_are_ints():
+    ps = partial_sums(parse_polynomial("X^3-X^2-X+2"), Fraction(1))
+    assert all(type(s) is int for s in ps.sums)
+
+
 def test_sign_index_sets_reciprocal_quartic():
     sets = sign_index_sets(parse_polynomial("2162*X^4-10*X+1"))
     assert sets.neg_indices == (1,)
@@ -255,3 +277,19 @@ def test_canonical_coeff_csv():
 def test_negate_argument_is_substitution(coeffs, m):
     f = Polynomial(coeffs)
     assert f.negate_argument().evaluate(m) == f.evaluate(-m)
+
+
+def nested(depth: int) -> str:
+    return "(" * depth + "X+1" + ")" * depth
+
+
+def test_parentheses_nested_to_the_limit_parse():
+    assert parse_polynomial(nested(MAX_NESTING)) == parse_polynomial("X+1")
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 1000])
+def test_parentheses_nested_past_the_limit_are_a_parse_error(deadline, depth):
+    deadline(1)
+    with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} deep") as err:
+        parse_polynomial(nested(depth))
+    assert err.value.position == MAX_NESTING

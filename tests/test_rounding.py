@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from polycert import rounding
 from polycert.rounding import (BoundedReal, cot_pi_frac, enclose_max,
                                enclose_min, format_decimal, iroot,
                                nth_root_bounds, pi_bounds, sin_pi_frac,
@@ -172,3 +173,83 @@ def test_format_decimal_directed():
 def test_repr_prints_the_endpoints_exactly():
     assert repr(BoundedReal.of(Fraction(1, 3), 2)) == "BoundedReal(1/3, 2)"
     assert repr(BoundedReal.exact(10**400)) == f"BoundedReal({10**400}, {10**400})"
+
+
+# -- the trig memo and the integer forms of the hot helpers -------------------
+
+MEMOISED = [(sin_pi_frac, rounding._sin_pi_frac, Fraction(1, 2)),
+            (tan_pi_frac, rounding._tan_pi_frac, Fraction(1, 4)),
+            (cot_pi_frac, rounding._cot_pi_frac, Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("public, core, c_max", MEMOISED)
+@pytest.mark.parametrize("digits", [1, 12, 100, 200])
+def test_a_memoised_enclosure_equals_a_cold_computation(public, core, c_max, digits):
+    core.cache_clear()
+    for n in range(2, 17):
+        for c in (Fraction(1, n), Fraction(1, 2 * n)):
+            if c > c_max:
+                continue
+            memoised = public(c, digits)
+            assert memoised == core.__wrapped__(c, digits)
+            assert public(c, digits=digits) is memoised  # a keyword call hits
+
+
+@pytest.mark.parametrize("public, core, c_max", MEMOISED)
+def test_the_trig_memo_is_bounded(public, core, c_max):
+    assert rounding.TRIG_MEMO_SIZE == 256
+    assert core.cache_info().maxsize == rounding.TRIG_MEMO_SIZE
+
+
+def test_the_memo_keeps_the_argument_checks():
+    for public, _, c_max in MEMOISED:
+        for bad in (Fraction(0), c_max + Fraction(1, 100)):
+            with pytest.raises(ValueError):
+                public(bad, 12)
+
+
+def reference_format_decimal(x, places=18, direction="floor"):
+    """format_decimal through Fraction temporaries."""
+    x = Fraction(x)
+    scaled = x * 10**places
+    if direction == "floor":
+        units = scaled.numerator // scaled.denominator
+    elif direction == "ceil":
+        units = -((-scaled.numerator) // scaled.denominator)
+    else:
+        raise ValueError(f"unknown rounding direction {direction!r}")
+    sign = "-" if units < 0 else ""
+    units = abs(units)
+    whole, frac = divmod(units, 10**places)
+    return f"{sign}{whole}.{frac:0{places}d}"
+
+
+def reference_meets_target(b, digits):
+    """meets_target through Fraction temporaries."""
+    scale = max(Fraction(1), abs(b.upper))
+    return b.width() * 10**digits <= scale
+
+
+rationals = st.one_of(
+    st.integers(-10**60, 10**60),
+    st.builds(Fraction, st.integers(-10**400, 10**400), st.integers(1, 10**40)),
+    st.fractions(-10, 10))
+
+
+@given(rationals, st.integers(0, 40), st.sampled_from(["floor", "ceil"]))
+@example(-Fraction(1, 3), 6, "floor")
+@example(-Fraction(1, 3), 6, "ceil")
+@example(Fraction(-10**30, 7), 18, "ceil")
+def test_format_decimal_matches_the_fraction_form(x, places, direction):
+    assert format_decimal(x, places, direction) == \
+        reference_format_decimal(x, places, direction)
+
+
+@given(rationals, st.integers(0, 10**6), st.integers(1, 10**6), st.integers(0, 40))
+@example(Fraction(0), 1, 1, 12)              # width exactly 10^-12: meets
+@example(Fraction(5), 5, 1, 12)              # 5*10^-12 below 5.000000000005
+@example(Fraction(5), 5000001, 1000000, 12)  # 5.000001*10^-12 above it
+@example(Fraction(-7), 1, 1, 0)
+def test_meets_target_matches_the_fraction_test(lower, w, s, digits):
+    b = BoundedReal.of(lower, lower + Fraction(w, s * 10**digits))
+    assert b.meets_target(digits) == reference_meets_target(b, digits)

@@ -170,7 +170,8 @@ def test_an_estimate_off_by_one_term_is_corrected_exactly(
 
 def test_high_precision_trig_is_fast(deadline):
     for cached in (rounding._pi_bits, rounding._sin_pi_frac_bits,
-                   rounding._cos_pi_frac_bits):
+                   rounding._cos_pi_frac_bits, rounding._sin_pi_frac,
+                   rounding._tan_pi_frac, rounding._cot_pi_frac):
         cached.cache_clear()
     deadline(1)
     tan_pi_frac(Fraction(1, 8), 200)
