@@ -94,6 +94,20 @@ def _parse_poly_args(args) -> Polynomial:
 
 # -- analyze -------------------------------------------------------------------
 
+# analyze prints every coefficient and bound in decimal, and Python turns no
+# int of more than sys.get_int_max_str_digits() digits (4300 by default, 0
+# for no limit) into text.  The bounds run at most a few digits longer than
+# the largest coefficient, so analyze takes coefficients of up to this many
+# digits fewer than that limit.
+ANALYZE_DIGIT_MARGIN = 100
+
+
+def _check_printable(f: Polynomial) -> None:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(abs(c) >= 10 ** (limit - ANALYZE_DIGIT_MARGIN) for c in f.coeffs):
+        raise ValueError(f"analyze prints coefficients of at most {limit - ANALYZE_DIGIT_MARGIN} "
+                         f"digits (Python converts ints of at most {limit} digits to text)")
+
 
 def _analyze_payload(ctx: Certifier) -> dict:
     f, digits = ctx.f, ctx.digits
@@ -554,6 +568,8 @@ def _check_args(args) -> None:
             raise ValueError(f"--digits must be between 1 and {MAX_DIGITS}")
     if args.command in ("analyze", "certify"):
         args.poly = _parse_poly_args(args)
+    if args.command == "analyze":
+        _check_printable(args.poly)
     if args.command == "certify":
         if not 1 <= args.q_max <= MAX_Q_MAX:
             raise ValueError(f"--q-max must be in 1..{MAX_Q_MAX}")

@@ -15,7 +15,8 @@ from typing import Optional
 
 from .poly import Polynomial
 from .rounding import (DEFAULT_DIGITS, BoundedReal, cot_pi_frac, format_decimal,
-                       pi_bounds, root_of_enclosure, sin_pi_frac, tan_pi_frac)
+                       pi_bounds, power_of_two_text, root_of_enclosure,
+                       sin_pi_frac, tan_pi_frac)
 from .sectors import Sector, best_sector
 
 
@@ -103,8 +104,7 @@ def _check_vertex_below(lens: Lens, bound: Fraction, name: str) -> None:
     vertex is printed .6g, or as a power of two past the float range."""
     v = lens.v_tilde.upper
     if not v < bound:
-        text = (f"{float(v):.6g}" if v <= sys.float_info.max
-                else f"~2^{v.numerator.bit_length() - v.denominator.bit_length()}")
+        text = f"{float(v):.6g}" if v <= sys.float_info.max else power_of_two_text(v)
         raise ValueError(f"reciprocal vertex {text} is not provably below {name}")
 
 

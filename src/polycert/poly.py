@@ -133,9 +133,10 @@ class Polynomial:
             if self.is_zero() or other.is_zero():
                 return Polynomial([])
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
             for i, a in enumerate(self.coeffs):
                 if a:
-                    for j, b in enumerate(other.coeffs):
+                    for j, b in terms:
                         out[i + j] += a * b
             return Polynomial(out)
         return Polynomial([c * int(other) for c in self.coeffs])
@@ -345,6 +346,17 @@ def sign_blocks(f: Polynomial) -> SignBlockPartition:
 _OPS = set("+-*/^()")
 # Each level of parentheses costs the recursive-descent parser five frames.
 MAX_NESTING = 100
+# The work one parse may spend building its polynomial, charged before each
+# sum, product, quotient and negation is formed.  A product of p and q costs
+# terms(p) * terms(q) * words(p) * words(q) + 8 * (len(p) + len(q)), with
+# terms the nonzero coefficients, words = 1 + bits // 64 of the largest one
+# and len the number of coefficients, each of which costs about 8 word
+# products to write; a power costs the products of its square-and-multiply
+# chain, and a sum, quotient or negation 8 * len * words of each operand.
+# Within it the slowest inputs, dense products of small coefficients such as
+# (1+X)(1+X^2)...(1+X^1024) squared, parse in ~0.5 s on a 2 vCPU x86_64 VM
+# (Python 3.11); X^100000 costs 2.2 * 10^6, 10^5000 and (X+1)^700 less.
+MAX_PARSE_WORK = 6 * 10**6
 
 
 def _tokenize(text: str):
@@ -381,6 +393,28 @@ class _ExprParser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.work = 0
+
+    def charge(self, cost: int, pos: int) -> None:
+        self.work += cost
+        if self.work > MAX_PARSE_WORK:
+            raise ParseError("polynomial too large to build: more than "
+                             f"{MAX_PARSE_WORK} word operations", pos)
+
+    def product(self, p: Polynomial, q: Polynomial, pos: int) -> Polynomial:
+        self.charge(_terms(p) * _terms(q) * _words(p) * _words(q)
+                    + 8 * (len(p.coeffs) + len(q.coeffs)), pos)
+        return p * q
+
+    def power(self, p: Polynomial, e: int, pos: int) -> Polynomial:
+        result = Polynomial([1])
+        while e:
+            if e & 1:
+                result = self.product(result, p, pos)
+            e >>= 1
+            if e:
+                p = self.product(p, p, pos)
+        return result
 
     def peek(self):
         return self.tokens[self.pos]
@@ -406,42 +440,48 @@ class _ExprParser:
     def parse_expr(self) -> Polynomial:
         p = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, pos = self.advance()
             rhs = self.parse_term()
+            self.charge(_size(p) + _size(rhs), pos)
             p = p + rhs if op == "+" else p - rhs
         return p
 
     def parse_term(self) -> Polynomial:
         p = self.parse_unary()
         while True:
-            kind = self.peek()[0]
+            kind, _, pos = self.peek()
             if kind == "*":
                 self.advance()
-                p = p * self.parse_unary()
+                p = self.product(p, self.parse_unary(), pos)
             elif kind == "/":
-                pos = self.advance()[2]
+                self.advance()
                 d = self.parse_unary()
                 if d.degree() != 0:
                     raise ParseError("division only by integer constants", pos)
                 dv = d.coefficient(0)
                 if dv == 0:
                     raise ParseError("division by zero", pos)
+                self.charge(_size(p), pos)
                 if any(c % dv for c in p.coeffs):
                     raise ParseError(f"coefficients not divisible by {dv}", pos)
                 p = Polynomial([c // dv for c in p.coeffs])
             elif kind in ("var", "("):
                 # implicit multiplication: 3X, 2(X+1), (X+1)(X-1)
-                p = p * self.parse_unary()
+                p = self.product(p, self.parse_unary(), pos)
             else:
                 return p
 
     def parse_unary(self) -> Polynomial:
         sign = 1
+        pos = self.peek()[2]
         while self.peek()[0] in ("+", "-"):
             if self.advance()[0] == "-":
                 sign = -sign
         p = self.parse_power()
-        return p if sign > 0 else -p
+        if sign > 0:
+            return p
+        self.charge(_size(p), pos)
+        return -p
 
     def parse_power(self) -> Polynomial:
         p = self.parse_atom()
@@ -452,7 +492,7 @@ class _ExprParser:
                 raise ParseError("negative exponent makes a non-polynomial", pos)
             if e > 100000:
                 raise ParseError("exponent too large", pos)
-            p = p**e
+            p = self.power(p, e, pos)
         return p
 
     def parse_exponent(self) -> tuple[int, int]:
@@ -488,6 +528,19 @@ class _ExprParser:
             self.depth -= 1
             return p
         raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+
+
+def _terms(p: Polynomial) -> int:
+    return sum(1 for c in p.coeffs if c)
+
+
+def _words(p: Polynomial) -> int:
+    return 1 + max((c.bit_length() for c in p.coeffs), default=0) // 64
+
+
+def _size(p: Polynomial) -> int:
+    """The parse-budget cost of a sum, quotient or negation, per operand."""
+    return 8 * len(p.coeffs) * _words(p)
 
 
 def parse_polynomial(text: str) -> Polynomial:

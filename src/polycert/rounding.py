@@ -6,18 +6,26 @@ operations round outward, so an inequality verified against the appropriate
 endpoint of an enclosure holds for the enclosed real number.  Producers
 tighten until the width is at most 10^-digits relative to max(1, |upper|).
 
-Two private routines hold the numerics.  `_alternating` sums every series:
-sin and cos, each given as a first term and a term ratio, and pi through
-Machin's arctan formula.  It sums the terms by binary splitting and keeps the
-exact partial sums as unreduced integers over one common denominator, and
-`_rounded` puts each endpoint on the 2^-bits grid with one integer floor or
-ceiling division, so the series take no gcd.  `_refine` is the one precision
-loop: it doubles the working precision until an enclosure meets the digits
-target, and every producer here calls it.  Its one precondition: each
-doubling must make the enclosure narrower, with no lower limit on the width,
-or the loop never ends.  The width of an interval argument is such a limit,
-so `root_of_enclosure` evaluates the root at the two ends of its interval,
-each end tightened on its own.
+The series hold the numerics: sin and cos, each given as a first term and a
+step (p, q) with t_j = t_(j-1) * x^2 * p/q, and pi through Machin's arctan
+formula.  `_fixed_series` sums a series in integers at scale 2^(bits+_GUARD),
+every step rounded outward, and returns integer enclosures of the two exact
+partial sums on either side of the first term below 2^-bits.  Ziv's rounding
+test (`_settled`) then settles each endpoint: when both ends of an enclosure
+floor (or ceil) to one point of the 2^-bits grid, that point is the endpoint.
+Only a near-tie, within about J * 2^-(bits+_GUARD) of a grid point, is left
+to the exact path: `_alternating` sums the same terms by binary splitting,
+keeps the exact partial sums as unreduced integers over one common
+denominator, and `_rounded` puts each endpoint on the grid with one integer
+floor or ceiling division.  Both paths give the same endpoint, so the result
+does not depend on which one decided it.
+
+`_refine` is the one precision loop: it doubles the working precision until
+an enclosure meets the digits target, and every producer here calls it.  Its
+one precondition: each doubling must make the enclosure narrower, with no
+lower limit on the width, or the loop never ends.  The width of an interval
+argument is such a limit, so `root_of_enclosure` evaluates the root at the
+two ends of its interval, each end tightened on its own.
 
 `sin_pi_frac`, `tan_pi_frac` and `cot_pi_frac` check their argument, then
 call a private core that an `lru_cache` of at most `TRIG_MEMO_SIZE` entries
@@ -38,11 +46,16 @@ DEFAULT_DIGITS = 12
 # The largest digits accepted from a user: --digits, POLYCERT_DIGITS and a
 # certificate's "digits" field.
 MAX_DIGITS = 200
-# The entries memoised for each of sin_pi_frac, tan_pi_frac and cot_pi_frac.
-# The keys are (c, digits) with c = 1/n or 1/(2n) for n up to a degree and
-# digits up to 2*MAX_DIGITS (replay doubles the digits); a fixed bound keeps
-# any input from growing the memo.
+# The entries memoised for each of sin_pi_frac, tan_pi_frac and cot_pi_frac,
+# and for each of the enclosures they are built from: pi, sin and cos on the
+# 2^-bits grid.  The public keys are (c, digits) with c = 1/n or 1/(2n) for n
+# up to a degree and digits up to 2*MAX_DIGITS (replay doubles the digits); a
+# fixed bound keeps a process that walks through degrees or digits from
+# growing any of these memos.
 TRIG_MEMO_SIZE = 256
+# The extra bits of the fixed-point series sums: an endpoint falls back to
+# the exact sums only within about J * 2^-(bits+_GUARD) of a grid point.
+_GUARD = 64
 
 
 @dataclass(frozen=True)
@@ -124,7 +137,23 @@ class BoundedReal:
         return BoundedReal(lo, hi)
 
     def __repr__(self) -> str:
-        return f"BoundedReal({self.lower}, {self.upper})"
+        return f"BoundedReal({_exact_text(self.lower)}, {_exact_text(self.upper)})"
+
+
+def _exact_text(x: Fraction) -> str:
+    """x exactly, or power_of_two_text(x) when Python refuses to convert its
+    numerator or denominator to decimal (sys.get_int_max_str_digits)."""
+    try:
+        return str(x)
+    except ValueError:
+        return power_of_two_text(x)
+
+
+def power_of_two_text(x: Fraction) -> str:
+    """x as its sign and ~2^k, k the bits of its numerator less those of its
+    denominator: for a number too large to print otherwise."""
+    sign = "-" if x < 0 else ""
+    return f"{sign}~2^{abs(x.numerator).bit_length() - x.denominator.bit_length()}"
 
 
 def enclose_max(*values: BoundedReal) -> BoundedReal:
@@ -313,27 +342,118 @@ def _rounded(lo: int, lo_d: int, hi: int, hi_d: int, bits: int) -> BoundedReal:
                        Fraction(-((-hi << bits) // hi_d), scale))
 
 
+def _sin_step(j: int) -> tuple[int, int]:
+    return 1, (2 * j) * (2 * j + 1)
+
+
+def _cos_step(j: int) -> tuple[int, int]:
+    return 1, (2 * j - 1) * (2 * j)
+
+
+def _atan_step(j: int) -> tuple[int, int]:
+    return 2 * j - 1, 2 * j + 1
+
+
+def _series(first: Rat, x: Fraction, step, bits: int) -> tuple[int, int, int]:
+    """_alternating for the series with t_0 = first and t_j = t_(j-1) * x^2
+    * p/q, (p, q) = step(j)."""
+    a, b = x.numerator ** 2, x.denominator ** 2
+
+    def ratio(j: int) -> tuple[int, int]:
+        p, q = step(j)
+        return a * p, b * q
+    return _alternating(Fraction(first), ratio, bits)
+
+
 def _sin_series(x: Fraction, bits: int) -> tuple[int, int, int]:
     """Bracket sin(x) = x - x^3/3! + x^5/5! - ... for 0 <= x <= 2."""
-    a, b = x.numerator ** 2, x.denominator ** 2
-    return _alternating(x, lambda j: (a, b * (2 * j) * (2 * j + 1)), bits)
+    return _series(x, x, _sin_step, bits)
 
 
 def _cos_series(x: Fraction, bits: int) -> tuple[int, int, int]:
     """Bracket cos(x) = 1 - x^2/2! + x^4/4! - ... for 0 <= x < sqrt(2)."""
-    a, b = x.numerator ** 2, x.denominator ** 2
-    return _alternating(Fraction(1), lambda j: (a, b * (2 * j - 1) * (2 * j)), bits)
+    return _series(1, x, _cos_step, bits)
 
 
 def _atan_series(x: Fraction, bits: int) -> tuple[int, int, int]:
     """Bracket arctan(x) = x - x^3/3 + x^5/5 - ... for 0 <= x <= 1/2."""
-    a, b = x.numerator ** 2, x.denominator ** 2
-    return _alternating(x, lambda j: (a * (2 * j - 1), b * (2 * j + 1)), bits)
+    return _series(x, x, _atan_step, bits)
 
 
-@lru_cache(maxsize=None)
+def _fixed_series(first: Rat, x: Fraction, step, bits: int, guard: int):
+    """Integer enclosures of the two partial sums lo/d <= hi/d that
+    _series(first, x, step, bits) returns, at scale 2^(bits+guard):
+    ((lo0, lo1), (hi0, hi1)) with lo0 <= 2^(bits+guard) * lo/d <= lo1 and
+    likewise for hi; or None when the stop rule cannot be decided here.
+
+    Each term is carried as an integer pair [t0, t1] around
+    2^(bits+guard) * t_j, each step rounded outward, and so are the sums.
+    The stop rule is _alternating's: the first t_J below 2^-bits, which is
+    decided while the pair of each term lies on one side of 2^guard."""
+    k = bits + guard
+    one = 1 << guard  # 2^-bits at scale 2^k
+    x2 = Fraction(x) ** 2
+    if x2.denominator >> 64:  # x^2 enters as its floor and ceiling at scale 2^k
+        (m0, m1), shift, div = _scaled(x2, k), k, 1
+    else:  # exactly, as for arctan(1/5) and arctan(1/239)
+        m0 = m1 = x2.numerator
+        shift, div = 0, x2.denominator
+    t0, t1 = _scaled(Fraction(first), k)
+    s0, s1 = t0, t1
+    j = 0
+    while True:
+        j += 1
+        p, q = step(j)
+        q *= div
+        t0 = (t0 * m0 >> shift) * p // q
+        t1 = -((-(t1 * m1) >> shift) * p // q)
+        if j % 2:
+            s0, s1 = s0 - t1, s1 - t0
+        else:
+            s0, s1 = s0 + t0, s1 + t1
+        if t1 < one:
+            before = (s0 + t1, s1 + t0) if j % 2 else (s0 - t0, s1 - t1)
+            return ((s0, s1), before) if j % 2 else (before, (s0, s1))
+        if t0 < one:
+            return None
+
+
+def _scaled(x: Fraction, k: int) -> tuple[int, int]:
+    """floor and ceiling of 2^k * x."""
+    n = x.numerator << k
+    return n // x.denominator, -(-n // x.denominator)
+
+
+def _settled(lower, upper, shift: int):
+    """Ziv's rounding test: (floor(l / 2^shift), ceil(u / 2^shift)) for the
+    value l enclosed by the integer pair `lower` and u by `upper`, when both
+    ends of each pair round to the same integer; else, or when a pair is
+    missing, None."""
+    if lower is None or upper is None:
+        return None
+    lo0, lo1 = lower[0] >> shift, lower[1] >> shift
+    hi0, hi1 = -(-upper[0] >> shift), -(-upper[1] >> shift)
+    return (lo0, hi0) if lo0 == lo1 and hi0 == hi1 else None
+
+
+def _on_grid(lo: int, hi: int, bits: int) -> BoundedReal:
+    return BoundedReal(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+
+
+@lru_cache(maxsize=TRIG_MEMO_SIZE)
 def _pi_bits(bits: int) -> BoundedReal:
-    # Machin: pi = 16*arctan(1/5) - 4*arctan(1/239), over one denominator
+    # Machin: pi = 16*arctan(1/5) - 4*arctan(1/239), each bracket taken at
+    # bits + 8 and the combination put on the 2^-bits grid
+    a = _fixed_series(Fraction(1, 5), Fraction(1, 5), _atan_step, bits + 8, _GUARD)
+    b = _fixed_series(Fraction(1, 239), Fraction(1, 239), _atan_step, bits + 8, _GUARD)
+    if a is not None and b is not None:
+        (a_lo, a_hi), (b_lo, b_hi) = a, b
+        grid = _settled((16 * a_lo[0] - 4 * b_hi[1], 16 * a_lo[1] - 4 * b_hi[0]),
+                        (16 * a_hi[0] - 4 * b_lo[1], 16 * a_hi[1] - 4 * b_lo[0]),
+                        _GUARD + 8)
+        if grid is not None:
+            return _on_grid(*grid, bits)
+    # a near-tie: the exact sums, over one denominator, decide
     a_lo, a_hi, a_d = _atan_series(Fraction(1, 5), bits + 8)
     b_lo, b_hi, b_d = _atan_series(Fraction(1, 239), bits + 8)
     d = a_d * b_d
@@ -345,14 +465,27 @@ def pi_bounds(digits: int = DEFAULT_DIGITS) -> BoundedReal:
     return _refine(_pi_bits, 4 * digits + 16, digits)
 
 
-@lru_cache(maxsize=None)
+def _trig_bits(first, step, x_low: Fraction, x_high: Fraction, bits: int) -> BoundedReal:
+    """sin or cos, monotone on the argument's enclosure, on the 2^-bits grid:
+    the lower end from the lower partial sum at x_low, the upper end, at most
+    1, from the upper partial sum at x_high.  first(x) is the series' t_0."""
+    low = _fixed_series(first(x_low), x_low, step, bits, _GUARD)
+    high = _fixed_series(first(x_high), x_high, step, bits, _GUARD)
+    grid = _settled(low and low[0], high and high[1], _GUARD)
+    if grid is not None:
+        return _on_grid(grid[0], min(grid[1], 1 << bits), bits)
+    # a near-tie: the exact sums decide
+    lo, _, d = _series(first(x_low), x_low, step, bits)
+    _, hi, e = _series(first(x_high), x_high, step, bits)
+    return _rounded(lo, d, min(hi, e), e, bits)
+
+
+@lru_cache(maxsize=TRIG_MEMO_SIZE)
 def _sin_pi_frac_bits(num: int, den: int, bits: int) -> BoundedReal:
     # sin(pi*num/den) on (0, 1/2]: increasing, so evaluate at the endpoints of
     # an enclosure of the argument.
     x = (_pi_bits(bits + 8) * Fraction(num, den)).rounded(bits + 8)
-    lo, _, d = _sin_series(x.lower, bits)
-    _, hi, e = _sin_series(x.upper, bits)
-    return _rounded(lo, d, min(hi, e), e, bits)  # upper end at most 1
+    return _trig_bits(lambda x: x, _sin_step, x.lower, x.upper, bits)
 
 
 def sin_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -373,12 +506,10 @@ def _sin_pi_frac(c: Fraction, digits: int) -> BoundedReal:
                    4 * digits + 16, digits)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TRIG_MEMO_SIZE)
 def _cos_pi_frac_bits(num: int, den: int, bits: int) -> BoundedReal:
     x = (_pi_bits(bits + 8) * Fraction(num, den)).rounded(bits + 8)
-    lo, _, d = _cos_series(x.upper, bits)  # decreasing
-    _, hi, e = _cos_series(x.lower, bits)
-    return _rounded(lo, d, min(hi, e), e, bits)
+    return _trig_bits(lambda x: 1, _cos_step, x.upper, x.lower, bits)  # decreasing
 
 
 def _cos_pi_frac(c: Fraction, digits: int) -> BoundedReal:

@@ -41,12 +41,16 @@ def pytest_runtest_call(item):
 
 @pytest.fixture
 def deadline():
-    """deadline(seconds) fails the test once it has run that many whole
-    seconds longer, so a hang shows up as a failure instead of a stall."""
+    """deadline(seconds) fails the test once it has run that many seconds
+    longer (a fraction of a second too), so a hang shows up as a failure
+    instead of a stall."""
     def expire(signum, frame):
         raise DeadlineExceeded("test ran past its deadline")
 
+    def arm(seconds: float) -> None:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+
     previous = signal.signal(signal.SIGALRM, expire)
-    yield signal.alarm
-    signal.alarm(0)
+    yield arm
+    signal.setitimer(signal.ITIMER_REAL, 0)
     signal.signal(signal.SIGALRM, previous)

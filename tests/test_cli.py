@@ -435,3 +435,25 @@ def test_a_closed_stdout_pipe_ends_quietly(monkeypatch, capsys):
     assert code == 141
     assert replaced.name == os.devnull
     assert capsys.readouterr().err == ""
+
+
+def test_analyze_of_a_power_past_the_parse_budget_ends(capsys, deadline):
+    deadline(2)
+    code, out, err = run(capsys, "analyze", "(X+1)^20000")
+    assert code == 2 and out == ""
+    assert err.startswith("input error: polynomial too large to build")
+
+
+@pytest.mark.parametrize("digits, code", [(4199, 0), (4200, 2), (5000, 2)])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_analyze_names_the_int_to_text_limit(capsys, digits, code, as_json):
+    # 10^d has d + 1 digits: analyze takes 4200 with the default limit of 4300
+    args = ["analyze", f"X^4-10^{digits}*X^3+2162"] + (["--json"] if as_json else [])
+    got, out, err = run(capsys, *args)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == ("input error: analyze prints coefficients of at most 4200 digits "
+                       "(Python converts ints of at most 4300 digits to text)\n")
+    else:
+        assert err == "" and out

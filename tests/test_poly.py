@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polycert.poly import (MAX_NESTING, ParseError, PartialSums, Polynomial,
-                           divide_exact, parse_polynomial, partial_sums,
-                           shift_coeffs, sign_blocks, sign_index_sets)
+from polycert import poly
+from polycert.poly import (MAX_NESTING, MAX_PARSE_WORK, ParseError, PartialSums,
+                           Polynomial, divide_exact, parse_polynomial,
+                           partial_sums, shift_coeffs, sign_blocks,
+                           sign_index_sets)
 
 coeff_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=9)
 
@@ -293,3 +295,69 @@ def test_parentheses_nested_past_the_limit_are_a_parse_error(deadline, depth):
     with pytest.raises(ParseError, match=f"nested more than {MAX_NESTING} deep") as err:
         parse_polynomial(nested(depth))
     assert err.value.position == MAX_NESTING
+
+
+# -- the parse budget -----------------------------------------------------------
+
+
+def doubling_product(k: int) -> str:
+    """(1+X)(1+X^2)...(1+X^(2^k)) = 1 + X + ... + X^(2^(k+1)-1): short text,
+    a dense result with coefficients of one bit."""
+    return "*".join(f"(1+X^{2**i})" for i in range(k + 1))
+
+
+def parse_work(text: str) -> int:
+    parser = poly._ExprParser(text)
+    parser.parse()
+    return parser.work
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("X^100000", Polynomial([0] * 100000 + [1])),
+    ("10^5000", Polynomial([10**5000])),
+    ("X^60000+X+1", Polynomial([1, 1] + [0] * 59998 + [1])),
+])
+def test_large_inputs_within_the_budget_parse(deadline, text, expected):
+    deadline(2)
+    assert parse_polynomial(text) == expected
+    assert parse_work(text) < MAX_PARSE_WORK / 2
+
+
+@pytest.mark.parametrize("text", [
+    f"({doubling_product(10)})^2",   # dense, one-bit coefficients
+    "(X^1000+1)^250",               # sparse, long
+    "(X+1)^770",
+    "(10^100*X+1)^42",
+    "(10^20000)^4",
+])
+def test_the_costliest_admitted_inputs_parse_within_a_second(deadline, text):
+    # each is within 1.5x of the budget, the next size up is refused; on a
+    # 2 vCPU x86_64 VM the slowest of them takes ~0.5 s
+    assert MAX_PARSE_WORK / 1.5 < parse_work(text) <= MAX_PARSE_WORK
+    deadline(1)
+    parse_polynomial(text)
+
+
+@pytest.mark.parametrize("text", [
+    f"({doubling_product(11)})^2",
+    "(X^1000+1)^300",
+    "(X+1)^1500",
+    "(X+1)^3000",
+    "(X+1)^20000",
+    "(10^100*X+1)^100",
+    "(10^100000)^100000",
+    "(X^100000)^100000",
+    "X^100000" + "+1" * 20,
+    "X^100000" + "/1" * 20,
+    "X^100000" + "*-1" * 20,
+])
+def test_inputs_past_the_budget_are_a_parse_error(deadline, text):
+    deadline(1)
+    with pytest.raises(ParseError, match=f"more than {MAX_PARSE_WORK} word operations"):
+        parse_polynomial(text)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.integers(0, 12))
+def test_a_parsed_power_is_the_polynomial_power(coeffs, e):
+    f = Polynomial(coeffs)
+    assert parse_polynomial(f"({f})^{e}") == f**e

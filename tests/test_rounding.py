@@ -175,6 +175,14 @@ def test_repr_prints_the_endpoints_exactly():
     assert repr(BoundedReal.exact(10**400)) == f"BoundedReal({10**400}, {10**400})"
 
 
+def test_repr_past_the_int_to_text_limit_prints_a_power_of_two():
+    # Python converts no int of more than 4300 digits to text by default
+    assert repr(BoundedReal.exact(10**5000)) == "BoundedReal(~2^16609, ~2^16609)"
+    assert repr(BoundedReal.of(-10**5000, Fraction(1, 3**10000))) == \
+        "BoundedReal(-~2^16609, ~2^-15849)"
+    assert repr(BoundedReal.of(Fraction(1, 3), 10**4299)) == f"BoundedReal(1/3, {10**4299})"
+
+
 # -- the trig memo and the integer forms of the hot helpers -------------------
 
 MEMOISED = [(sin_pi_frac, rounding._sin_pi_frac, Fraction(1, 2)),
