@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -359,6 +360,22 @@ MAX_NESTING = 100
 MAX_PARSE_WORK = 6 * 10**6
 
 
+def _read_int(text: str, what: str, pos: int) -> int:
+    """int(text), or a ParseError that shows at most the first digits of
+    text and names sys.get_int_max_str_digits() when that limit refused it."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    shown = repr(text) if len(text) <= 24 else f"{text[:12]!r}... ({len(text)} characters)"
+    body = text[1:] if text[:1] in ("+", "-") else text
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and body.isdecimal() and len(body) > limit:
+        raise ParseError(f"{what} {shown} has more than {limit} digits, "
+                         "the most Python converts to an int", pos)
+    raise ParseError(f"bad {what} {shown}", pos)
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -371,7 +388,7 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            tokens.append(("int", _read_int(text[i:j], "integer literal", i), i))
             i = j
         elif ch in ("X", "x"):
             tokens.append(("var", "X", i))
@@ -552,10 +569,7 @@ def parse_polynomial(text: str) -> Polynomial:
         offset = 0
         for piece in text.split(","):
             s = piece.strip()
-            try:
-                coeffs.append(int(s) if s else 0)
-            except ValueError:
-                raise ParseError(f"bad coefficient {s!r}", offset) from None
+            coeffs.append(_read_int(s, "coefficient", offset) if s else 0)
             offset += len(piece) + 1
         return Polynomial(coeffs)
     return _ExprParser(text).parse()

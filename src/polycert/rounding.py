@@ -8,17 +8,15 @@ tighten until the width is at most 10^-digits relative to max(1, |upper|).
 
 The series hold the numerics: sin and cos, each given as a first term and a
 step (p, q) with t_j = t_(j-1) * x^2 * p/q, and pi through Machin's arctan
-formula.  `_fixed_series` sums a series in integers at scale 2^(bits+_GUARD),
-every step rounded outward, and returns integer enclosures of the two exact
-partial sums on either side of the first term below 2^-bits.  Ziv's rounding
-test (`_settled`) then settles each endpoint: when both ends of an enclosure
-floor (or ceil) to one point of the 2^-bits grid, that point is the endpoint.
-Only a near-tie, within about J * 2^-(bits+_GUARD) of a grid point, is left
-to the exact path: `_alternating` sums the same terms by binary splitting,
-keeps the exact partial sums as unreduced integers over one common
-denominator, and `_rounded` puts each endpoint on the grid with one integer
-floor or ceiling division.  Both paths give the same endpoint, so the result
-does not depend on which one decided it.
+formula.  `_fixed_series` is the one series routine.  It sums a series in
+integers at scale 2^(bits+_GUARD), every step rounded outward, stops at the
+first term whose rounded-up value is below 2^-bits, and returns an integer
+lower bound on the lower and an upper bound on the upper of the two partial
+sums on either side of that term, which bracket the limit.  Each endpoint is
+that bound floored (or ceiled) onto the 2^-bits grid, so it is sound at any
+guard of at least one bit; the guard only decides how close it lies to the
+grid point of the exact partial sum, and at 64 bits it is that point in
+every case measured.
 
 `_refine` is the one precision loop: it doubles the working precision until
 an enclosure meets the digits target, and every producer here calls it.  Its
@@ -53,8 +51,10 @@ MAX_DIGITS = 200
 # fixed bound keeps a process that walks through degrees or digits from
 # growing any of these memos.
 TRIG_MEMO_SIZE = 256
-# The extra bits of the fixed-point series sums: an endpoint falls back to
-# the exact sums only within about J * 2^-(bits+_GUARD) of a grid point.
+# The extra bits of the fixed-point series sums; at least 1, or a series
+# never stops.  The rounding error of J terms, about J * 2^-(bits+_GUARD),
+# moves an endpoint off the grid point of the exact partial sum only when
+# that sum lies this close to a grid point.
 _GUARD = 64
 
 
@@ -266,82 +266,6 @@ def pow_upper(base: int, exponent: Fraction, digits: int = DEFAULT_DIGITS) -> Fr
 # -- pi and trig enclosures ---------------------------------------------------
 
 
-def _alternating(first: Fraction, ratio, bits: int) -> tuple[int, int, int]:
-    """Bracket the limit of first - t_1 + t_2 - ..., t_j = t_(j-1) * p/q with
-    (p, q) = ratio(j), whose term magnitudes decrease from the start.  Stops
-    at the first term t_J after `first` that is below 2^-bits and returns
-    (lo, hi, d): the partial sums lo/d <= hi/d on either side of it, which
-    bracket the limit.  d is first's denominator times q_1 * ... * q_J, and
-    the sums over it are never reduced, so no gcd is taken.
-
-    The sums come from binary splitting (Haible & Papanikolaou, ANTS 1998),
-    which multiplies integers of balanced sizes instead of growing one sum a
-    term at a time.  J is estimated by _term_ratios in floating point and
-    then confirmed exactly: one term more while t_J is not below 2^-bits,
-    one term less while t_(J-1) already is."""
-    a, d0 = first.numerator, first.denominator
-    terms = _term_ratios(a, d0, ratio, bits)
-    j = len(terms)
-    # t_j = a * |sign_p| / d and the sum up to t_j is a * (q_prod + t_sum) / d,
-    # with d = d0 * q_prod
-    sign_p, q_prod, t_sum = _split(terms, 0, j)
-    while (a * abs(sign_p)) << bits >= d0 * q_prod:
-        j += 1
-        p, q = ratio(j)
-        terms.append((p, q))
-        t_sum = t_sum * q - sign_p * p
-        sign_p, q_prod = -sign_p * p, q_prod * q
-    while j > 1:
-        p, q = terms[j - 1]
-        prev_p, prev_q = -sign_p // p, q_prod // q
-        if (a * abs(prev_p)) << bits >= d0 * prev_q:
-            break
-        t_sum = (t_sum - sign_p) // q
-        sign_p, q_prod, j = prev_p, prev_q, j - 1
-    after = a * (q_prod + t_sum)
-    before = after - a * sign_p
-    return min(before, after), max(before, after), d0 * q_prod
-
-
-def _term_ratios(a: int, d0: int, ratio, bits: int) -> list[tuple[int, int]]:
-    """ratio(j) for j = 1..J, where J estimates the index of the first term
-    below 2^-bits of the series that starts at a/d0, from a running sum of
-    the terms' log2.  A zero term ends the list (a = 0 is x = 0 for sin)."""
-    if a == 0:
-        return [ratio(1)]
-    log_term = math.log2(a) - math.log2(d0)
-    terms = []
-    while True:
-        p, q = ratio(len(terms) + 1)
-        terms.append((p, q))
-        if p == 0:
-            return terms
-        log_term += math.log2(p) - math.log2(q)
-        if log_term < -bits:
-            return terms
-
-
-def _split(terms: list[tuple[int, int]], i: int, k: int) -> tuple[int, int, int]:
-    """(P, Q, T) for the terms i..k-1 with ratios (p, q): P is the product
-    of the -p, Q the product of the q, and T/Q = sum over i <= n < k of the
-    products of -p/q over i..n."""
-    if k - i == 1:
-        p, q = terms[i]
-        return -p, q, -p
-    mid = (i + k) // 2
-    p1, q1, t1 = _split(terms, i, mid)
-    p2, q2, t2 = _split(terms, mid, k)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
-
-
-def _rounded(lo: int, lo_d: int, hi: int, hi_d: int, bits: int) -> BoundedReal:
-    """BoundedReal(lo/lo_d, hi/hi_d).rounded(bits) for lo_d, hi_d > 0, by one
-    integer floor and one ceiling division; neither fraction is reduced."""
-    scale = 1 << bits
-    return BoundedReal(Fraction((lo << bits) // lo_d, scale),
-                       Fraction(-((-hi << bits) // hi_d), scale))
-
-
 def _sin_step(j: int) -> tuple[int, int]:
     return 1, (2 * j) * (2 * j + 1)
 
@@ -354,42 +278,16 @@ def _atan_step(j: int) -> tuple[int, int]:
     return 2 * j - 1, 2 * j + 1
 
 
-def _series(first: Rat, x: Fraction, step, bits: int) -> tuple[int, int, int]:
-    """_alternating for the series with t_0 = first and t_j = t_(j-1) * x^2
-    * p/q, (p, q) = step(j)."""
-    a, b = x.numerator ** 2, x.denominator ** 2
-
-    def ratio(j: int) -> tuple[int, int]:
-        p, q = step(j)
-        return a * p, b * q
-    return _alternating(Fraction(first), ratio, bits)
-
-
-def _sin_series(x: Fraction, bits: int) -> tuple[int, int, int]:
-    """Bracket sin(x) = x - x^3/3! + x^5/5! - ... for 0 <= x <= 2."""
-    return _series(x, x, _sin_step, bits)
-
-
-def _cos_series(x: Fraction, bits: int) -> tuple[int, int, int]:
-    """Bracket cos(x) = 1 - x^2/2! + x^4/4! - ... for 0 <= x < sqrt(2)."""
-    return _series(1, x, _cos_step, bits)
-
-
-def _atan_series(x: Fraction, bits: int) -> tuple[int, int, int]:
-    """Bracket arctan(x) = x - x^3/3 + x^5/5 - ... for 0 <= x <= 1/2."""
-    return _series(x, x, _atan_step, bits)
-
-
-def _fixed_series(first: Rat, x: Fraction, step, bits: int, guard: int):
-    """Integer enclosures of the two partial sums lo/d <= hi/d that
-    _series(first, x, step, bits) returns, at scale 2^(bits+guard):
-    ((lo0, lo1), (hi0, hi1)) with lo0 <= 2^(bits+guard) * lo/d <= lo1 and
-    likewise for hi; or None when the stop rule cannot be decided here.
+def _fixed_series(first: Rat, x: Fraction, step, bits: int, guard: int) -> tuple[int, int]:
+    """Bracket the limit of first - t_1 + t_2 - ..., t_j = t_(j-1) * x^2 * p/q
+    with (p, q) = step(j), whose terms decrease from t_1 on: (lo, hi) with
+    lo <= 2^(bits+guard) * S <= hi for both partial sums S on either side of
+    the first term t_J whose rounded-up value is below 2^-bits.
 
     Each term is carried as an integer pair [t0, t1] around
-    2^(bits+guard) * t_j, each step rounded outward, and so are the sums.
-    The stop rule is _alternating's: the first t_J below 2^-bits, which is
-    decided while the pair of each term lies on one side of 2^guard."""
+    2^(bits+guard) * t_j, each step rounded outward, and so is each partial
+    sum.  The loop needs guard >= 1: the rounded-up t1 is at least 1 while
+    t_j > 0, so at guard 0 it never drops below 2^guard = 1."""
     k = bits + guard
     one = 1 << guard  # 2^-bits at scale 2^k
     x2 = Fraction(x) ** 2
@@ -407,15 +305,13 @@ def _fixed_series(first: Rat, x: Fraction, step, bits: int, guard: int):
         q *= div
         t0 = (t0 * m0 >> shift) * p // q
         t1 = -((-(t1 * m1) >> shift) * p // q)
+        prev0, prev1 = s0, s1
         if j % 2:
             s0, s1 = s0 - t1, s1 - t0
         else:
             s0, s1 = s0 + t0, s1 + t1
         if t1 < one:
-            before = (s0 + t1, s1 + t0) if j % 2 else (s0 - t0, s1 - t1)
-            return ((s0, s1), before) if j % 2 else (before, (s0, s1))
-        if t0 < one:
-            return None
+            return min(s0, prev0), max(s1, prev1)
 
 
 def _scaled(x: Fraction, k: int) -> tuple[int, int]:
@@ -424,41 +320,19 @@ def _scaled(x: Fraction, k: int) -> tuple[int, int]:
     return n // x.denominator, -(-n // x.denominator)
 
 
-def _settled(lower, upper, shift: int):
-    """Ziv's rounding test: (floor(l / 2^shift), ceil(u / 2^shift)) for the
-    value l enclosed by the integer pair `lower` and u by `upper`, when both
-    ends of each pair round to the same integer; else, or when a pair is
-    missing, None."""
-    if lower is None or upper is None:
-        return None
-    lo0, lo1 = lower[0] >> shift, lower[1] >> shift
-    hi0, hi1 = -(-upper[0] >> shift), -(-upper[1] >> shift)
-    return (lo0, hi0) if lo0 == lo1 and hi0 == hi1 else None
-
-
-def _on_grid(lo: int, hi: int, bits: int) -> BoundedReal:
-    return BoundedReal(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+def _on_grid(lo: int, hi: int, shift: int, bits: int) -> BoundedReal:
+    """[lo / 2^shift, hi / 2^shift] rounded outward onto the 2^-bits grid."""
+    return BoundedReal(Fraction(lo >> shift, 1 << bits),
+                       Fraction(-(-hi >> shift), 1 << bits))
 
 
 @lru_cache(maxsize=TRIG_MEMO_SIZE)
 def _pi_bits(bits: int) -> BoundedReal:
     # Machin: pi = 16*arctan(1/5) - 4*arctan(1/239), each bracket taken at
     # bits + 8 and the combination put on the 2^-bits grid
-    a = _fixed_series(Fraction(1, 5), Fraction(1, 5), _atan_step, bits + 8, _GUARD)
-    b = _fixed_series(Fraction(1, 239), Fraction(1, 239), _atan_step, bits + 8, _GUARD)
-    if a is not None and b is not None:
-        (a_lo, a_hi), (b_lo, b_hi) = a, b
-        grid = _settled((16 * a_lo[0] - 4 * b_hi[1], 16 * a_lo[1] - 4 * b_hi[0]),
-                        (16 * a_hi[0] - 4 * b_lo[1], 16 * a_hi[1] - 4 * b_lo[0]),
-                        _GUARD + 8)
-        if grid is not None:
-            return _on_grid(*grid, bits)
-    # a near-tie: the exact sums, over one denominator, decide
-    a_lo, a_hi, a_d = _atan_series(Fraction(1, 5), bits + 8)
-    b_lo, b_hi, b_d = _atan_series(Fraction(1, 239), bits + 8)
-    d = a_d * b_d
-    return _rounded(16 * a_lo * b_d - 4 * b_hi * a_d, d,
-                    16 * a_hi * b_d - 4 * b_lo * a_d, d, bits)
+    a_lo, a_hi = _fixed_series(Fraction(1, 5), Fraction(1, 5), _atan_step, bits + 8, _GUARD)
+    b_lo, b_hi = _fixed_series(Fraction(1, 239), Fraction(1, 239), _atan_step, bits + 8, _GUARD)
+    return _on_grid(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo, _GUARD + 8, bits)
 
 
 def pi_bounds(digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -467,17 +341,11 @@ def pi_bounds(digits: int = DEFAULT_DIGITS) -> BoundedReal:
 
 def _trig_bits(first, step, x_low: Fraction, x_high: Fraction, bits: int) -> BoundedReal:
     """sin or cos, monotone on the argument's enclosure, on the 2^-bits grid:
-    the lower end from the lower partial sum at x_low, the upper end, at most
-    1, from the upper partial sum at x_high.  first(x) is the series' t_0."""
-    low = _fixed_series(first(x_low), x_low, step, bits, _GUARD)
-    high = _fixed_series(first(x_high), x_high, step, bits, _GUARD)
-    grid = _settled(low and low[0], high and high[1], _GUARD)
-    if grid is not None:
-        return _on_grid(grid[0], min(grid[1], 1 << bits), bits)
-    # a near-tie: the exact sums decide
-    lo, _, d = _series(first(x_low), x_low, step, bits)
-    _, hi, e = _series(first(x_high), x_high, step, bits)
-    return _rounded(lo, d, min(hi, e), e, bits)
+    the lower end from the series at x_low, the upper end, at most 1, from
+    the series at x_high.  first(x) is the series' t_0."""
+    lo = _fixed_series(first(x_low), x_low, step, bits, _GUARD)[0]
+    hi = _fixed_series(first(x_high), x_high, step, bits, _GUARD)[1]
+    return _on_grid(lo, min(hi, 1 << (bits + _GUARD)), _GUARD, bits)
 
 
 @lru_cache(maxsize=TRIG_MEMO_SIZE)

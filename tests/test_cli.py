@@ -444,6 +444,24 @@ def test_analyze_of_a_power_past_the_parse_budget_ends(capsys, deadline):
     assert err.startswith("input error: polynomial too large to build")
 
 
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_DIGITS, reason="this Python converts text of any length to an int")
+@pytest.mark.parametrize("argv, what, position", [
+    (["analyze", "X^2+1" + "0" * 5000], "integer literal", 4),
+    (["analyze", "--coeffs", "1" + "0" * 5000 + ",1,1"], "coefficient", 0),
+    (["certify", "X^2+1" + "0" * 5000, "--m", "3"], "integer literal", 4),
+], ids=["analyze", "coeffs", "certify"])
+def test_a_literal_past_the_int_digit_limit_is_a_short_input_error(capsys, argv, what, position):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"input error: {what} '100000000000'... (5001 characters) has more than "
+                   f"{INT_DIGITS} digits, the most Python converts to an int "
+                   f"(at position {position})\n")
+    assert len(err.encode()) < 300
+
+
 @pytest.mark.parametrize("digits, code", [(4199, 0), (4200, 2), (5000, 2)])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_analyze_names_the_int_to_text_limit(capsys, digits, code, as_json):

@@ -1,22 +1,106 @@
-"""The fixed-point series of rounding.py and the rounding test that settles
-each endpoint from it.
+"""The one series routine of rounding.py against a loop that sums the same
+series term by term in exact rationals.
 
-`_fixed_series` encloses the two exact partial sums of a series in integers
-at scale 2^(bits+guard); `_settled` takes an endpoint from the enclosure when
-both its ends round to one grid point, and a near-tie falls back to the exact
-`_alternating` path.  The pi, sin and cos enclosures must therefore be the
-ones the exact path gives, at the default guard and at guards so narrow that
-the fallback decides.
+`_fixed_series` sums a series in integers at scale 2^(bits+guard), every
+step rounded outward, and brackets the two partial sums on either side of
+the first term whose rounded-up value is below 2^-bits; each endpoint is
+that bracket floored or ceiled onto the 2^-bits grid, which is sound at any
+guard of at least one bit.  The reference below keeps every term and partial
+sum exact and stops at the first term below 2^-bits.  At the default guard
+the pi, sin and cos enclosures must be the reference's; at guards of 1, 2
+and 8 bits they must contain mpmath's value and be at most about
+J * 2^-guard grid units wider, J the number of terms.
 """
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polycert import rounding
-from polycert.rounding import (_atan_step, _cos_step, _fixed_series, _series,
+from polycert.rounding import (BoundedReal, _atan_step, _cos_step, _fixed_series,
                                _sin_step, cot_pi_frac, sin_pi_frac, tan_pi_frac)
 
+
+def reference_sums(first, ratio):
+    """(t_j, S_(j-1), S_j, d_j) for j = 1, 2, ...: the terms and partial sums
+    of first - t_1 + t_2 - ..., t_j = t_(j-1) * ratio(j), exact, each a
+    numerator over d_j, the denominator of first times those of the ratios.
+    No gcd is taken: reducing every sum makes a 1616-bit sin series ~20 s."""
+    term, d = first.numerator, first.denominator
+    total = term
+    j = 0
+    while True:
+        j += 1
+        r = ratio(j)
+        term, d, total = term * r.numerator, d * r.denominator, total * r.denominator
+        nxt = total - term if j % 2 else total + term
+        yield term, total, nxt, d
+        total = nxt
+
+
+def reference_alternating(first, ratio, bits):
+    """(lo, hi, d): the partial sums lo/d <= hi/d on either side of the first
+    term below 2^-bits."""
+    for term, before, after, d in reference_sums(Fraction(first), ratio):
+        if term << bits < d:
+            return min(before, after), max(before, after), d
+
+
+def ratio_of(x, step):
+    x2 = Fraction(x) ** 2
+    return lambda j: x2 * Fraction(*step(j))
+
+
+def reference_sin(x, bits):
+    return reference_alternating(x, ratio_of(x, _sin_step), bits)
+
+
+def reference_cos(x, bits):
+    return reference_alternating(1, ratio_of(x, _cos_step), bits)
+
+
+def reference_atan(x, bits):
+    lo, hi, d = reference_alternating(x, ratio_of(x, _atan_step), bits)
+    return Fraction(lo, d), Fraction(hi, d)
+
+
+def reference_pi_bits(bits):
+    a_lo, a_hi = reference_atan(Fraction(1, 5), bits + 8)
+    b_lo, b_hi = reference_atan(Fraction(1, 239), bits + 8)
+    return BoundedReal(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo).rounded(bits)
+
+
+def on_grid(lo, lo_d, hi, hi_d, bits):
+    """BoundedReal(lo/lo_d, min(hi/hi_d, 1)).rounded(bits), without reducing
+    either fraction."""
+    return BoundedReal(Fraction((lo << bits) // lo_d, 1 << bits),
+                       Fraction(min(-((-hi << bits) // hi_d), 1 << bits), 1 << bits))
+
+
+def reference_sin_pi_frac_bits(c, bits):
+    x = (reference_pi_bits(bits + 8) * c).rounded(bits + 8)
+    lo, _, lo_d = reference_sin(x.lower, bits)
+    _, hi, hi_d = reference_sin(x.upper, bits)
+    return on_grid(lo, lo_d, hi, hi_d, bits)
+
+
+def reference_cos_pi_frac_bits(c, bits):
+    x = (reference_pi_bits(bits + 8) * c).rounded(bits + 8)
+    lo, _, lo_d = reference_cos(x.upper, bits)
+    _, hi, hi_d = reference_cos(x.lower, bits)
+    return on_grid(lo, lo_d, hi, hi_d, bits)
+
+
+@lru_cache(maxsize=None)
+def reference_builders(c, bits):
+    return (reference_pi_bits(bits), reference_sin_pi_frac_bits(c, bits),
+            reference_cos_pi_frac_bits(c, bits))
+
+
+DEFAULT_GUARD = rounding._GUARD
 BUILDERS = (rounding._pi_bits, rounding._sin_pi_frac_bits, rounding._cos_pi_frac_bits)
 MEMOS = (rounding._sin_pi_frac, rounding._tan_pi_frac, rounding._cot_pi_frac)
 
@@ -37,27 +121,6 @@ def build(c, bits):
         clear_caches()
 
 
-def build_exact(c, bits):
-    """The same enclosures with every endpoint decided by the exact path."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rounding, "_fixed_series", lambda *args: None)
-        return build(c, bits)
-
-
-def build_counting_fallbacks(c, bits, guard):
-    """build(c, bits) at the given guard, and how often the exact path ran."""
-    calls = []
-    exact = rounding._alternating
-
-    def counted(*args):
-        calls.append(args)
-        return exact(*args)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rounding, "_GUARD", guard)
-        mp.setattr(rounding, "_alternating", counted)
-        return build(c, bits), len(calls)
-
-
 FRACTIONS = st.fractions(0, Fraction(1, 2), max_denominator=400).filter(lambda c: c > 0)
 
 
@@ -66,35 +129,58 @@ FRACTIONS = st.fractions(0, Fraction(1, 2), max_denominator=400).filter(lambda c
 @example(Fraction(49, 100), 6)  # the sin series overshoots 1: the upper end is clamped
 @example(Fraction(1, 2), 1)
 @example(Fraction(1, 7), 1700)
-def test_the_rounding_test_gives_the_exact_endpoints(c, bits):
-    fixed, fallbacks = build_counting_fallbacks(c, bits, rounding._GUARD)
-    assert fixed == build_exact(c, bits)
-    assert fallbacks == 0
+def test_pi_sin_cos_builders_match_fraction_loop(c, bits):
+    assert build(c, bits) == reference_builders(c, bits)
 
 
-@settings(max_examples=25, deadline=None)
-@given(FRACTIONS, st.integers(1, 1700), st.integers(0, 2))
-@example(Fraction(49, 100), 6, 0)
-@example(Fraction(49, 100), 6, 2)
-def test_a_narrow_guard_falls_back_to_the_same_endpoints(c, bits, guard):
-    narrow, fallbacks = build_counting_fallbacks(c, bits, guard)
-    assert narrow == build_exact(c, bits)
-    if guard == 0:
-        # the upper track of a positive term never drops below 2^-bits at
-        # scale 2^bits, so no stop rule is decided and every endpoint falls back
-        assert fallbacks >= 6
+def test_sin_upper_end_is_clamped_at_one():
+    assert rounding._sin_pi_frac_bits(49, 100, 6) == reference_sin_pi_frac_bits(
+        Fraction(49, 100), 6)
+    assert rounding._sin_pi_frac_bits(49, 100, 6).upper == 1
 
 
-@pytest.mark.parametrize("guard", [1, 2])
-def test_guards_of_one_and_two_bits_still_fall_back(guard):
-    total = 0
-    for n in range(2, 12):
+def widening_bound(bits, guard):
+    """Grid units an endpoint may move outward from the reference's at a
+    narrow guard.  Each of the J terms of a series adds at most about one
+    unit of 2^-(bits+guard) to the sums' rounding error, J * 2^-guard units
+    of 2^-bits in all; J < bits / 4 for the long series here, and the 2
+    covers the short ones.  Measured at n = 2..13 and bits = 1616: 34 units
+    at guard 1, 17 at guard 2, 1 at guard 8."""
+    return 2 + (bits >> (guard + 2))
+
+
+def contains(b, value, bits):
+    """b.lower <= value <= b.upper, value an mpmath number, compared at
+    bits + 64 bits on the 2^-bits grid the endpoints lie on."""
+    with mpmath.workprec(bits + 64):
+        scaled = value() * mpmath.mpf(2) ** bits
+        return int(b.lower * 2**bits) <= scaled <= int(b.upper * 2**bits)
+
+
+@pytest.mark.parametrize("guard", [1, 2, 8, DEFAULT_GUARD])
+def test_a_narrow_guard_still_encloses_pi_sin_and_cos(monkeypatch, guard):
+    monkeypatch.setattr(rounding, "_GUARD", guard)
+    for n in range(2, 14):
         c = Fraction(1, n)
-        for bits in (8, 64, 416):
-            narrow, fallbacks = build_counting_fallbacks(c, bits, guard)
-            assert narrow == build_exact(c, bits)
-            total += fallbacks
-    assert total > 0
+        values = (lambda: mpmath.pi, lambda: mpmath.sinpi(mpmath.mpf(1) / n),
+                  lambda: mpmath.cospi(mpmath.mpf(1) / n))
+        for bits in (1, 8, 64, 416, 1616):
+            built, wanted = build(c, bits), reference_builders(c, bits)
+            if guard == DEFAULT_GUARD:
+                assert built == wanted
+            for b, want, value in zip(built, wanted, values):
+                assert contains(b, value, bits)
+                assert (want.lower - b.lower) * 2**bits <= widening_bound(bits, guard)
+                assert (b.upper - want.upper) * 2**bits <= widening_bound(bits, guard)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 300])
+def test_sin_of_zero_stops_at_the_first_term(bits):
+    # x = 0: every term after `first` is 0, the first below 2^-bits
+    one = 1 << (bits + rounding._GUARD)
+    assert _fixed_series(0, Fraction(0), _sin_step, bits, rounding._GUARD) == (0, 0)
+    assert reference_sin(Fraction(0), bits)[:2] == (0, 0)
+    assert _fixed_series(1, Fraction(0), _cos_step, bits, rounding._GUARD) == (one, one)
 
 
 SERIES = [  # t_0 as a function of x, the step, and the largest x tried
@@ -112,37 +198,58 @@ def arguments(upper):
                      st.fractions(0, upper, max_denominator=10**9))
 
 
+def check_enclosure(first, step, x, bits, guard):
+    """_fixed_series brackets both partial sums around its stopping term t_J,
+    and t_J is below 2^-bits: the stop rule reads the rounded-up term."""
+    stops = []
+
+    def counted(j):
+        stops.append(j)
+        return step(j)
+    lo, hi = _fixed_series(first(x), x, counted, bits, guard)
+    sums = list(islice(reference_sums(Fraction(first(x)), ratio_of(x, step)), len(stops)))
+    term, before, after, d = sums[-1]
+    assert term << bits < d
+    if guard >= 64 and len(sums) > 1:
+        assert sums[-2][0] << bits >= sums[-2][3]  # and at a wide guard J is the first such
+    k = bits + guard
+    assert lo * d <= min(before, after) << k
+    assert max(before, after) << k <= hi * d
+
+
 @pytest.mark.parametrize("first, step, upper", SERIES)
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), bits=st.integers(1, 700), guard=st.integers(0, 80))
+@given(data=st.data(), bits=st.integers(1, 700), guard=st.integers(1, 80))
 def test_the_fixed_point_sums_enclose_the_exact_partial_sums(
         first, step, upper, data, bits, guard):
-    x = data.draw(arguments(upper))
-    fixed = _fixed_series(first(x), x, step, bits, guard)
-    if fixed is None:  # the stop rule was left undecided
-        assert guard < 64
-        return
-    lo, hi, d = _series(first(x), x, step, bits)
-    k = bits + guard
-    for (e0, e1), exact in zip(fixed, (lo, hi)):
-        assert e0 <= e1
-        assert e0 * d <= exact << k <= e1 * d
+    check_enclosure(first, step, data.draw(arguments(upper)), bits, guard)
+
+
+@pytest.mark.parametrize("first, step, x, bits, guard", [
+    # the lower track of a term of at least 2^-bits falls below 2^-bits here
+    (lambda x: x, _sin_step, Fraction(49, 32), 8, 2),
+    (lambda x: x, _atan_step, Fraction(1, 2), 19, 1),
+    (lambda x: x, _atan_step, Fraction(16165, 32768), 10, 1),
+], ids=["sin-49/32", "atan-1/2", "atan-16165/32768"])
+def test_the_stop_rule_reads_the_rounded_up_term(first, step, x, bits, guard):
+    check_enclosure(first, step, x, bits, guard)
 
 
 def test_a_term_of_exactly_two_to_the_minus_bits_is_not_below_it():
     # 1 - 1/2 + 1/4 - ...: t_bits is exactly 2^-bits, which the fixed-point
-    # sums carry exactly, so both kernels sum it and stop at t_(bits+1)
-    for bits in range(1, 70):
-        lo, hi, d = rounding._alternating(Fraction(1), lambda j: (1, 2), bits)
-        assert d == 2**(bits + 1)
+    # sums carry exactly, so both the routine and the reference sum it and
+    # stop at t_(bits+1)
+    for bits in range(70):
+        lo, hi, d = reference_alternating(1, lambda j: Fraction(1, 2), bits)
+        assert d == 2**(bits + 1) and hi - lo == 1
         k = bits + rounding._GUARD
         assert _fixed_series(1, Fraction(1), lambda j: (1, 2), bits, rounding._GUARD) == \
-            (((lo << k) // d,) * 2, ((hi << k) // d,) * 2)
+            (lo << k >> bits + 1, hi << k >> bits + 1)
 
 
 def test_cold_high_precision_trig_is_fast(deadline):
     # n = 3..8 at 400 digits (1616-bit series) take 25-50 ms on a 2 vCPU
-    # x86_64 VM, against ~1.8 s with every endpoint on the exact kernel
+    # x86_64 VM, against ~1.8 s with the exact rational sums of binary splitting
     clear_caches()
     deadline(0.25)
     for n in range(3, 9):

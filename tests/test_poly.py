@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,39 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_polynomial("X^2 + $")
     assert err.value.position == 6
+
+
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    not INT_DIGITS, reason="this Python converts text of any length to an int")
+
+
+@needs_int_digit_limit
+def test_a_literal_past_the_int_digit_limit_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("X^2+1" + "0" * INT_DIGITS)
+    assert str(err.value) == (
+        f"integer literal '100000000000'... ({INT_DIGITS + 1} characters) has more "
+        f"than {INT_DIGITS} digits, the most Python converts to an int (at position 4)")
+    assert err.value.position == 4
+    assert parse_polynomial("X+" + "9" * INT_DIGITS) == Polynomial([10**INT_DIGITS - 1, 1])
+
+
+@needs_int_digit_limit
+def test_a_coefficient_past_the_int_digit_limit_is_shown_short():
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("1,-" + "7" * (INT_DIGITS + 1))
+    assert str(err.value) == (
+        f"coefficient '-77777777777'... ({INT_DIGITS + 2} characters) has more "
+        f"than {INT_DIGITS} digits, the most Python converts to an int (at position 2)")
+
+
+def test_a_bad_coefficient_is_shown_short():
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("1,2," + "x" * 5000)
+    assert str(err.value) == "bad coefficient 'xxxxxxxxxxxx'... (5000 characters) (at position 4)"
+    with pytest.raises(ParseError, match=r"^bad coefficient '1\.5' \(at position 2\)$"):
+        parse_polynomial("1,1.5")
 
 
 def test_evaluate_flagship():
