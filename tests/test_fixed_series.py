@@ -5,14 +5,14 @@ series term by term in exact rationals.
 step rounded outward, and brackets the two partial sums on either side of
 the first term whose rounded-up value is below 2^-bits; each endpoint is
 that bracket floored or ceiled onto the 2^-bits grid, which is sound at any
-guard of at least one bit.  The reference below keeps every term and partial
-sum exact and stops at the first term below 2^-bits.  At the default guard
-the pi, sin and cos enclosures must be the reference's; at guards of 1, 2
+guard of at least one bit.  The reference (in series_reference.py) keeps
+every term and partial sum exact and stops at the first term below 2^-bits.
+At the default guard that rounding onto the grid gives the reference's pi,
+sin and cos enclosures; at guards of 1, 2
 and 8 bits they must contain mpmath's value and be at most about
 J * 2^-guard grid units wider, J the number of terms.
 """
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 
 import mpmath
@@ -20,107 +20,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polycert import rounding
-from polycert.rounding import (BoundedReal, _atan_step, _cos_step, _fixed_series,
-                               _sin_step, cot_pi_frac, sin_pi_frac, tan_pi_frac)
-
-
-def reference_sums(first, ratio):
-    """(t_j, S_(j-1), S_j, d_j) for j = 1, 2, ...: the terms and partial sums
-    of first - t_1 + t_2 - ..., t_j = t_(j-1) * ratio(j), exact, each a
-    numerator over d_j, the denominator of first times those of the ratios.
-    No gcd is taken: reducing every sum makes a 1616-bit sin series ~20 s."""
-    term, d = first.numerator, first.denominator
-    total = term
-    j = 0
-    while True:
-        j += 1
-        r = ratio(j)
-        term, d, total = term * r.numerator, d * r.denominator, total * r.denominator
-        nxt = total - term if j % 2 else total + term
-        yield term, total, nxt, d
-        total = nxt
-
-
-def reference_alternating(first, ratio, bits):
-    """(lo, hi, d): the partial sums lo/d <= hi/d on either side of the first
-    term below 2^-bits."""
-    for term, before, after, d in reference_sums(Fraction(first), ratio):
-        if term << bits < d:
-            return min(before, after), max(before, after), d
-
-
-def ratio_of(x, step):
-    x2 = Fraction(x) ** 2
-    return lambda j: x2 * Fraction(*step(j))
-
-
-def reference_sin(x, bits):
-    return reference_alternating(x, ratio_of(x, _sin_step), bits)
-
-
-def reference_cos(x, bits):
-    return reference_alternating(1, ratio_of(x, _cos_step), bits)
-
-
-def reference_atan(x, bits):
-    lo, hi, d = reference_alternating(x, ratio_of(x, _atan_step), bits)
-    return Fraction(lo, d), Fraction(hi, d)
-
-
-def reference_pi_bits(bits):
-    a_lo, a_hi = reference_atan(Fraction(1, 5), bits + 8)
-    b_lo, b_hi = reference_atan(Fraction(1, 239), bits + 8)
-    return BoundedReal(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo).rounded(bits)
-
-
-def on_grid(lo, lo_d, hi, hi_d, bits):
-    """BoundedReal(lo/lo_d, min(hi/hi_d, 1)).rounded(bits), without reducing
-    either fraction."""
-    return BoundedReal(Fraction((lo << bits) // lo_d, 1 << bits),
-                       Fraction(min(-((-hi << bits) // hi_d), 1 << bits), 1 << bits))
-
-
-def reference_sin_pi_frac_bits(c, bits):
-    x = (reference_pi_bits(bits + 8) * c).rounded(bits + 8)
-    lo, _, lo_d = reference_sin(x.lower, bits)
-    _, hi, hi_d = reference_sin(x.upper, bits)
-    return on_grid(lo, lo_d, hi, hi_d, bits)
-
-
-def reference_cos_pi_frac_bits(c, bits):
-    x = (reference_pi_bits(bits + 8) * c).rounded(bits + 8)
-    lo, _, lo_d = reference_cos(x.upper, bits)
-    _, hi, hi_d = reference_cos(x.lower, bits)
-    return on_grid(lo, lo_d, hi, hi_d, bits)
-
-
-@lru_cache(maxsize=None)
-def reference_builders(c, bits):
-    return (reference_pi_bits(bits), reference_sin_pi_frac_bits(c, bits),
-            reference_cos_pi_frac_bits(c, bits))
-
+from polycert.rounding import (_atan_step, _cos_step, _fixed_series, _sin_step,
+                               cot_pi_frac, sin_pi_frac, tan_pi_frac)
+from series_reference import (BUILDERS, MEMOS, arguments, build, clear_caches,
+                              ratio_of, reference_alternating, reference_builders,
+                              reference_sums)
 
 DEFAULT_GUARD = rounding._GUARD
-BUILDERS = (rounding._pi_bits, rounding._sin_pi_frac_bits, rounding._cos_pi_frac_bits)
-MEMOS = (rounding._sin_pi_frac, rounding._tan_pi_frac, rounding._cot_pi_frac)
-
-
-def clear_caches():
-    for cached in BUILDERS + MEMOS:
-        cached.cache_clear()
-
-
-def build(c, bits):
-    """pi, sin(pi*c) and cos(pi*c) on the 2^-bits grid, from cold caches."""
-    clear_caches()
-    try:
-        return (rounding._pi_bits(bits),
-                rounding._sin_pi_frac_bits(c.numerator, c.denominator, bits),
-                rounding._cos_pi_frac_bits(c.numerator, c.denominator, bits))
-    finally:
-        clear_caches()
-
-
 FRACTIONS = st.fractions(0, Fraction(1, 2), max_denominator=400).filter(lambda c: c > 0)
 
 
@@ -129,14 +35,10 @@ FRACTIONS = st.fractions(0, Fraction(1, 2), max_denominator=400).filter(lambda c
 @example(Fraction(49, 100), 6)  # the sin series overshoots 1: the upper end is clamped
 @example(Fraction(1, 2), 1)
 @example(Fraction(1, 7), 1700)
-def test_pi_sin_cos_builders_match_fraction_loop(c, bits):
+def test_the_rounding_test_gives_the_exact_endpoints(c, bits):
+    # at the default guard, flooring and ceiling the fixed-point bracket onto
+    # the 2^-bits grid gives the reference's exact endpoints, up to 1700 bits
     assert build(c, bits) == reference_builders(c, bits)
-
-
-def test_sin_upper_end_is_clamped_at_one():
-    assert rounding._sin_pi_frac_bits(49, 100, 6) == reference_sin_pi_frac_bits(
-        Fraction(49, 100), 6)
-    assert rounding._sin_pi_frac_bits(49, 100, 6).upper == 1
 
 
 def widening_bound(bits, guard):
@@ -174,28 +76,11 @@ def test_a_narrow_guard_still_encloses_pi_sin_and_cos(monkeypatch, guard):
                 assert (b.upper - want.upper) * 2**bits <= widening_bound(bits, guard)
 
 
-@pytest.mark.parametrize("bits", [1, 8, 300])
-def test_sin_of_zero_stops_at_the_first_term(bits):
-    # x = 0: every term after `first` is 0, the first below 2^-bits
-    one = 1 << (bits + rounding._GUARD)
-    assert _fixed_series(0, Fraction(0), _sin_step, bits, rounding._GUARD) == (0, 0)
-    assert reference_sin(Fraction(0), bits)[:2] == (0, 0)
-    assert _fixed_series(1, Fraction(0), _cos_step, bits, rounding._GUARD) == (one, one)
-
-
 SERIES = [  # t_0 as a function of x, the step, and the largest x tried
     pytest.param(lambda x: x, _sin_step, Fraction(2), id="sin"),
     pytest.param(lambda x: 1, _cos_step, Fraction(8, 5), id="cos"),
     pytest.param(lambda x: x, _atan_step, Fraction(1, 2), id="atan"),
 ]
-
-
-def arguments(upper):
-    """0, dyadic and non-dyadic rationals in [0, upper]."""
-    dyadic = st.integers(0, 900).flatmap(
-        lambda e: st.integers(0, int(upper * 2**e)).map(lambda k: Fraction(k, 2**e)))
-    return st.one_of(st.just(Fraction(0)), dyadic,
-                     st.fractions(0, upper, max_denominator=10**9))
 
 
 def check_enclosure(first, step, x, bits, guard):
