@@ -26,8 +26,10 @@ argument is such a limit, so `root_of_enclosure` evaluates the root at the
 two ends of its interval, each end tightened on its own.
 
 `sin_pi_frac`, `tan_pi_frac` and `cot_pi_frac` check their argument, then
-call a private core that an `lru_cache` of at most `TRIG_MEMO_SIZE` entries
-memoises per (c, digits).  A process therefore computes each enclosure once,
+call `_pi_frac(fn, c, digits)`, one `lru_cache` of at most `TRIG_MEMO_SIZE`
+entries over sin, cos, tan and cot; tan and cot are quotients of its sin and
+cos, so a cot after a tan at the same c reuses both.  Below it only pi is
+memoised, per bits.  A process therefore computes each enclosure once,
 however many polynomials of one degree it certifies and replays.
 """
 from __future__ import annotations
@@ -44,12 +46,11 @@ DEFAULT_DIGITS = 12
 # The largest digits accepted from a user: --digits, POLYCERT_DIGITS and a
 # certificate's "digits" field.
 MAX_DIGITS = 200
-# The entries memoised for each of sin_pi_frac, tan_pi_frac and cot_pi_frac,
-# and for each of the enclosures they are built from: pi, sin and cos on the
-# 2^-bits grid.  The public keys are (c, digits) with c = 1/n or 1/(2n) for n
-# up to a degree and digits up to 2*MAX_DIGITS (replay doubles the digits); a
-# fixed bound keeps a process that walks through degrees or digits from
-# growing any of these memos.
+# The entries of each of the two trig memos: sin, cos, tan and cot per
+# (fn, c, digits), and pi on the 2^-bits grid.  The keys hold c = 1/n or
+# 1/(2n) for n up to a degree and digits up to 2*MAX_DIGITS (replay doubles
+# the digits); a fixed bound keeps a process that walks through degrees or
+# digits from growing either memo.
 TRIG_MEMO_SIZE = 256
 # The extra bits of the fixed-point series sums; at least 1, or a series
 # never stops.  The rounding error of J terms, about J * 2^-(bits+_GUARD),
@@ -339,21 +340,37 @@ def pi_bounds(digits: int = DEFAULT_DIGITS) -> BoundedReal:
     return _refine(_pi_bits, 4 * digits + 16, digits)
 
 
-def _trig_bits(first, step, x_low: Fraction, x_high: Fraction, bits: int) -> BoundedReal:
-    """sin or cos, monotone on the argument's enclosure, on the 2^-bits grid:
-    the lower end from the series at x_low, the upper end, at most 1, from
-    the series at x_high.  first(x) is the series' t_0."""
-    lo = _fixed_series(first(x_low), x_low, step, bits, _GUARD)[0]
-    hi = _fixed_series(first(x_high), x_high, step, bits, _GUARD)[1]
+def _sin_cos_bits(cos: bool, c: Fraction, bits: int) -> BoundedReal:
+    """sin(pi*c), or cos(pi*c) if cos, for c in (0, 1/2] on the 2^-bits grid.
+    Both are monotone there, so the lower end comes from the series at one end
+    of an enclosure of pi*c and the upper end, at most 1, from the other."""
+    x = (_pi_bits(bits + 8) * c).rounded(bits + 8)
+    low, high = (x.upper, x.lower) if cos else (x.lower, x.upper)  # cos decreases
+    step = _cos_step if cos else _sin_step
+    lo = _fixed_series(1 if cos else low, low, step, bits, _GUARD)[0]
+    hi = _fixed_series(1 if cos else high, high, step, bits, _GUARD)[1]
     return _on_grid(lo, min(hi, 1 << (bits + _GUARD)), _GUARD, bits)
 
 
+# The values the enclosures give exactly.
+_EXACT = {("sin", Fraction(1, 2)): 1, ("sin", Fraction(1, 6)): Fraction(1, 2),
+          ("tan", Fraction(1, 4)): 1, ("cot", Fraction(1, 2)): 0,
+          ("cot", Fraction(1, 4)): 1}
+
+
 @lru_cache(maxsize=TRIG_MEMO_SIZE)
-def _sin_pi_frac_bits(num: int, den: int, bits: int) -> BoundedReal:
-    # sin(pi*num/den) on (0, 1/2]: increasing, so evaluate at the endpoints of
-    # an enclosure of the argument.
-    x = (_pi_bits(bits + 8) * Fraction(num, den)).rounded(bits + 8)
-    return _trig_bits(lambda x: x, _sin_step, x.lower, x.upper, bits)
+def _pi_frac(fn: str, c: Fraction, digits: int) -> BoundedReal:
+    """fn(pi*c) for fn in "sin", "cos", "tan" and "cot", meeting the digits
+    target; the public functions check c.  tan and cot are the quotients of
+    the memoised sin and cos."""
+    if (fn, c) in _EXACT:
+        return BoundedReal.exact(_EXACT[fn, c])
+    if fn in ("sin", "cos"):
+        return _refine(lambda bits: _sin_cos_bits(fn == "cos", c, bits),
+                       4 * digits + 16, digits)
+    num, den = ("sin", "cos") if fn == "tan" else ("cos", "sin")
+    return _refine(lambda work: _pi_frac(num, c, work) / _pi_frac(den, c, work),
+                   digits + 2, digits)
 
 
 def sin_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -361,28 +378,7 @@ def sin_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     c = Fraction(c)
     if not 0 < c <= Fraction(1, 2):
         raise ValueError("sin_pi_frac expects c in (0, 1/2]")
-    return _sin_pi_frac(c, digits)
-
-
-@lru_cache(maxsize=TRIG_MEMO_SIZE)
-def _sin_pi_frac(c: Fraction, digits: int) -> BoundedReal:
-    if c == Fraction(1, 2):
-        return BoundedReal.exact(1)
-    if c == Fraction(1, 6):
-        return BoundedReal.exact(Fraction(1, 2))
-    return _refine(lambda bits: _sin_pi_frac_bits(c.numerator, c.denominator, bits),
-                   4 * digits + 16, digits)
-
-
-@lru_cache(maxsize=TRIG_MEMO_SIZE)
-def _cos_pi_frac_bits(num: int, den: int, bits: int) -> BoundedReal:
-    x = (_pi_bits(bits + 8) * Fraction(num, den)).rounded(bits + 8)
-    return _trig_bits(lambda x: 1, _cos_step, x.upper, x.lower, bits)  # decreasing
-
-
-def _cos_pi_frac(c: Fraction, digits: int) -> BoundedReal:
-    return _refine(lambda bits: _cos_pi_frac_bits(c.numerator, c.denominator, bits),
-                   4 * digits + 16, digits)
+    return _pi_frac("sin", c, digits)
 
 
 def tan_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -390,15 +386,7 @@ def tan_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     c = Fraction(c)
     if not 0 < c <= Fraction(1, 4):
         raise ValueError("tan_pi_frac expects c in (0, 1/4]")
-    return _tan_pi_frac(c, digits)
-
-
-@lru_cache(maxsize=TRIG_MEMO_SIZE)
-def _tan_pi_frac(c: Fraction, digits: int) -> BoundedReal:
-    if c == Fraction(1, 4):
-        return BoundedReal.exact(1)
-    return _refine(lambda work: sin_pi_frac(c, work) / _cos_pi_frac(c, work),
-                   digits + 2, digits)
+    return _pi_frac("tan", c, digits)
 
 
 def cot_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
@@ -406,17 +394,7 @@ def cot_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     c = Fraction(c)
     if not 0 < c <= Fraction(1, 2):
         raise ValueError("cot_pi_frac expects c in (0, 1/2]")
-    return _cot_pi_frac(c, digits)
-
-
-@lru_cache(maxsize=TRIG_MEMO_SIZE)
-def _cot_pi_frac(c: Fraction, digits: int) -> BoundedReal:
-    if c == Fraction(1, 2):
-        return BoundedReal.exact(0)
-    if c == Fraction(1, 4):
-        return BoundedReal.exact(1)
-    return _refine(lambda work: _cos_pi_frac(c, work) / sin_pi_frac(c, work),
-                   digits + 2, digits)
+    return _pi_frac("cot", c, digits)
 
 
 # -- decimal rendering --------------------------------------------------------

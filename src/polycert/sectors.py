@@ -180,7 +180,7 @@ def sector_candidates(f: Polynomial, digits: int = DEFAULT_DIGITS) -> list[Secto
         out.append(sector_neg_sum(f, digits))
         out.append(sector_min_over_positives(f, digits))
         out.append(sector_summed_denominator(f, digits))
-    if sign_blocks(f).sign_changes >= 1:
+        # the leading coefficient is positive, so a negative one is a sign change
         out.append(sector_sign_blocks(f, digits))
     for alpha in (0, 1):
         s = sector_shifted(f, alpha)

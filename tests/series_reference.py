@@ -105,8 +105,8 @@ def arguments(upper):
                      st.fractions(0, upper, max_denominator=10**9))
 
 
-BUILDERS = (rounding._pi_bits, rounding._sin_pi_frac_bits, rounding._cos_pi_frac_bits)
-MEMOS = (rounding._sin_pi_frac, rounding._tan_pi_frac, rounding._cot_pi_frac)
+BUILDERS = (rounding._pi_bits,)
+MEMOS = (rounding._pi_frac,)
 
 
 def clear_caches():
@@ -118,8 +118,7 @@ def build(c, bits):
     """pi, sin(pi*c) and cos(pi*c) on the 2^-bits grid, from cold caches."""
     clear_caches()
     try:
-        return (rounding._pi_bits(bits),
-                rounding._sin_pi_frac_bits(c.numerator, c.denominator, bits),
-                rounding._cos_pi_frac_bits(c.numerator, c.denominator, bits))
+        return (rounding._pi_bits(bits), rounding._sin_cos_bits(False, c, bits),
+                rounding._sin_cos_bits(True, c, bits))
     finally:
         clear_caches()

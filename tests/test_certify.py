@@ -366,6 +366,24 @@ def test_replay_rejects_a_lens_certificate_with_a_huge_coefficient(deadline):
     assert certificate_verify(data) is False
 
 
+@pytest.mark.parametrize("field, value", [
+    ("polynomial", [1, 1]),  # the rebuild finds no certificate
+    ("polynomial", [2162, 0, 0, -10, -1]),
+    ("m", 0),  # the rebuild raises ValueError: certification needs m >= 1
+])
+def test_replay_rejects_a_certificate_its_rebuild_refuses(field, value):
+    data = certify_any(FLAGSHIP, 3, modes=("lens",)).to_json()
+    data[field] = value
+    assert certificate_verify(data) is False
+
+
+def test_replay_rejects_an_unknown_criterion():
+    data = certify_any(FLAGSHIP, 3, modes=("lens",)).to_json()
+    data["criterion"] = "nope"
+    with pytest.raises(MalformedCertificateError, match="unknown criterion"):
+        certificate_verify(data)
+
+
 def test_replay_detects_missing_fields_and_schema():
     cert = certify_any(FLAGSHIP, 3, modes=("lens",)).to_json()
     bad = copy.deepcopy(cert)

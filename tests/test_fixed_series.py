@@ -144,11 +144,12 @@ def test_cold_high_precision_trig_is_fast(deadline):
 
 
 def test_the_inner_trig_caches_are_bounded():
-    for cached in BUILDERS:
+    for cached in BUILDERS + MEMOS:
         assert cached.cache_info().maxsize == rounding.TRIG_MEMO_SIZE
     clear_caches()
     for n in range(2, rounding.TRIG_MEMO_SIZE + 100):
         sin_pi_frac(Fraction(1, n), 12)
+    for bits in range(1, rounding.TRIG_MEMO_SIZE + 100):
+        rounding._pi_bits(bits)
     for cached in BUILDERS + MEMOS:
-        assert cached.cache_info().currsize <= rounding.TRIG_MEMO_SIZE
-    assert rounding._sin_pi_frac_bits.cache_info().currsize == rounding.TRIG_MEMO_SIZE
+        assert cached.cache_info().currsize == rounding.TRIG_MEMO_SIZE

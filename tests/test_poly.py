@@ -43,8 +43,9 @@ def test_parse_division_exact_only():
 
 
 def test_parse_negative_exponent_rejected():
-    with pytest.raises(ParseError):
-        parse_polynomial("X^(-1)")
+    for text in ("X^(-1)", "X^-1"):
+        with pytest.raises(ParseError):
+            parse_polynomial(text)
 
 
 def test_parse_error_position():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polycert import rounding
+from polycert.poly import Polynomial
 from polycert.rounding import (BoundedReal, cot_pi_frac, enclose_max,
                                enclose_min, format_decimal, iroot,
                                nth_root_bounds, pi_bounds, sin_pi_frac,
                                tan_pi_frac)
+from polycert.sectors import sector_neg_sum
 
 mpmath.mp.dps = 50
 
@@ -87,6 +89,26 @@ def test_nth_root_width_discipline():
             b = nth_root_bounds(x, k)
             assert b.lower**k <= x <= b.upper**k
             assert b.meets_target(12)
+
+
+@pytest.mark.parametrize("root", [
+    pytest.param(lambda x: nth_root_bounds(x, 2), id="nth_root_bounds"),
+    pytest.param(lambda x: sector_neg_sum(Polynomial([-x.numerator, 0, x.denominator])).vertex,
+                 id="sector_neg_sum")])
+def test_refine_doubles_until_the_lower_end_is_positive(root, monkeypatch):
+    # sqrt(2 * 10^-200) ~ 2^-332: the builds at 48, 96 and 192 bits meet the
+    # width target with a lower end of 0, and the one at 384 bits settles it
+    builds = []
+    refine = rounding._refine
+
+    def counted(build, start, digits, positive=False):
+        return refine(lambda p: builds.append(p) or build(p), start, digits, positive)
+    monkeypatch.setattr(rounding, "_refine", counted)
+    x = Fraction(2, 10**200)
+    b = root(x)
+    assert builds == [48, 96, 192, 384]
+    assert 0 < b.lower and b.lower**2 <= x <= b.upper**2
+    assert b.meets_target(12)
 
 
 def test_pi_bounds():
@@ -185,28 +207,44 @@ def test_repr_past_the_int_to_text_limit_prints_a_power_of_two():
 
 # -- the trig memo and the integer forms of the hot helpers -------------------
 
-MEMOISED = [(sin_pi_frac, rounding._sin_pi_frac, Fraction(1, 2)),
-            (tan_pi_frac, rounding._tan_pi_frac, Fraction(1, 4)),
-            (cot_pi_frac, rounding._cot_pi_frac, Fraction(1, 2))]
+MEMOISED = [(sin_pi_frac, "sin", Fraction(1, 2)),
+            (tan_pi_frac, "tan", Fraction(1, 4)),
+            (cot_pi_frac, "cot", Fraction(1, 2))]
+# the ids name the per-function memos that _pi_frac replaced, so they stay
+# the ids these tests have always had
+MEMO_IDS = ["sin_pi_frac-_sin_pi_frac-c_max0", "tan_pi_frac-_tan_pi_frac-c_max1",
+            "cot_pi_frac-_cot_pi_frac-c_max2"]
 
 
-@pytest.mark.parametrize("public, core, c_max", MEMOISED)
+@pytest.mark.parametrize("public, fn, c_max", MEMOISED, ids=MEMO_IDS)
 @pytest.mark.parametrize("digits", [1, 12, 100, 200])
-def test_a_memoised_enclosure_equals_a_cold_computation(public, core, c_max, digits):
-    core.cache_clear()
+def test_a_memoised_enclosure_equals_a_cold_computation(public, fn, c_max, digits):
     for n in range(2, 17):
         for c in (Fraction(1, n), Fraction(1, 2 * n)):
             if c > c_max:
                 continue
+            rounding._pi_frac.cache_clear()
             memoised = public(c, digits)
-            assert memoised == core.__wrapped__(c, digits)
             assert public(c, digits=digits) is memoised  # a keyword call hits
+            rounding._pi_frac.cache_clear()
+            assert memoised == rounding._pi_frac.__wrapped__(fn, c, digits)
 
 
-@pytest.mark.parametrize("public, core, c_max", MEMOISED)
-def test_the_trig_memo_is_bounded(public, core, c_max):
+@pytest.mark.parametrize("public, fn, c_max", MEMOISED, ids=MEMO_IDS)
+def test_the_trig_memo_is_bounded(public, fn, c_max):
     assert rounding.TRIG_MEMO_SIZE == 256
-    assert core.cache_info().maxsize == rounding.TRIG_MEMO_SIZE
+    assert rounding._pi_frac.cache_info().maxsize == rounding.TRIG_MEMO_SIZE
+    rounding._pi_frac.cache_clear()
+    memoised = public(c_max, 12)
+    assert rounding._pi_frac(fn, c_max, 12) is memoised  # the one memo holds it
+
+
+def test_tan_and_cot_share_the_sin_and_cos_memo():
+    rounding._pi_frac.cache_clear()
+    tan_pi_frac(Fraction(1, 8), 12)  # misses tan, then sin and cos at 14 digits
+    cot_pi_frac(Fraction(1, 8), 12)  # misses cot, then hits cos and sin
+    info = rounding._pi_frac.cache_info()
+    assert (info.misses, info.hits) == (4, 2)
 
 
 def test_the_memo_keeps_the_argument_checks():

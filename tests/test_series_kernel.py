@@ -68,9 +68,9 @@ def test_pi_sin_cos_builders_match_fraction_loop(c, bits):
 
 
 def test_sin_upper_end_is_clamped_at_one():
-    assert rounding._sin_pi_frac_bits(49, 100, 6) == reference_sin_pi_frac_bits(
-        Fraction(49, 100), 6)
-    assert rounding._sin_pi_frac_bits(49, 100, 6).upper == 1
+    assert rounding._sin_cos_bits(False, Fraction(49, 100), 6) == \
+        reference_sin_pi_frac_bits(Fraction(49, 100), 6)
+    assert rounding._sin_cos_bits(False, Fraction(49, 100), 6).upper == 1
 
 
 def test_alternating_stops_where_the_fraction_loop_stops():
