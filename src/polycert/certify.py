@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus,
                     extract_witness_report, has_rational_root)
-from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
+from .lens import (AdmissibleInterval, DegenerateLensError, Lens, _cot_interval,
                    interval_disk_in_lens, lens_of)
 from .poly import Polynomial, sign_blocks, sign_index_sets
 from .rounding import (DEFAULT_DIGITS, MAX_DIGITS, format_decimal,
@@ -200,12 +200,14 @@ class Certifier:
     @cached_property
     def lens_intervals(self) -> Optional[tuple[AdmissibleInterval, AdmissibleInterval]]:
         """The lens's disk-in-lens and cot intervals, or None when the
-        reciprocal vertex is too large for them."""
+        reciprocal vertex is too large for them; the disk interval checks the
+        vertex for both."""
         lens = self.lens_status[0]
         try:
-            return interval_disk_in_lens(lens, self.digits), interval_cot(lens, self.digits)
+            disk = interval_disk_in_lens(lens, self.digits)
         except ValueError:
             return None
+        return disk, _cot_interval(lens, self.digits)
 
     @cached_property
     def sin_lo(self) -> Fraction:

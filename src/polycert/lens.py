@@ -116,22 +116,44 @@ def _check_narrow_vertex(lens: Lens, digits: int) -> None:
 def interval_disk_in_lens(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval:
     """The interval (1/(2vt) - delta, 1/(2vt) + delta) with
     delta = sqrt(1 + 1/(4vt^2) - 1/(vt sin(pi/n))); unit disks centered on
-    integer points of this interval fit inside the lens."""
+    integer points of this interval fit inside the lens.
+
+    vt and s = sin(pi/n) are positive, so the radicand's lower end takes
+    vt.upper in the square and vt.lower*s.lower in the product, and its upper
+    end the other ends.  Each end is one fraction over a common denominator,
+    so it is the same canonical Fraction that interval arithmetic gives."""
     _check_narrow_vertex(lens, digits)
     vt = lens.v_tilde
     s = sin_pi_frac(Fraction(1, lens.n), digits)
-    half = 1 / (2 * vt)
-    radicand = 1 + half * half - 1 / (vt * s)
-    delta = root_of_enclosure(radicand, 2, digits)
-    return AdmissibleInterval(half - delta, half + delta, "thm_disk_in_lens")
+    ends = []
+    for square, product, sine in (
+            (vt.upper, vt.lower, s.lower), (vt.lower, vt.upper, s.upper)):
+        (a, b), (c, d), (e, g) = (x.as_integer_ratio() for x in (square, product, sine))
+        # 1 + b^2/(4a^2) - (d*g)/(c*e)
+        den = 4 * a * a * c * e
+        ends.append(Fraction(den + b * b * c * e - 4 * a * a * d * g, den))
+    delta = root_of_enclosure(BoundedReal(*ends), 2, digits)
+    half_lo = Fraction(vt.upper.denominator, 2 * vt.upper.numerator)
+    half_hi = Fraction(vt.lower.denominator, 2 * vt.lower.numerator)
+    return AdmissibleInterval(BoundedReal(half_lo - delta.upper, half_hi - delta.lower),
+                              BoundedReal(half_lo + delta.lower, half_hi + delta.upper),
+                              "thm_disk_in_lens")
+
+
+def _cot_interval(lens: Lens, digits: int) -> AdmissibleInterval:
+    """interval_cot without the vertex check, for a lens already checked."""
+    cot = cot_pi_frac(Fraction(1, 2 * lens.n), digits)
+    vt = lens.v_tilde
+    hi = BoundedReal(Fraction(vt.upper.denominator, vt.upper.numerator) - cot.upper,
+                     Fraction(vt.lower.denominator, vt.lower.numerator) - cot.lower)
+    return AdmissibleInterval(cot, hi, "cor_cot")
 
 
 def interval_cot(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval:
     """The interval (cot(pi/(2n)), 1/vt - cot(pi/(2n))), contained in the
     disk-in-lens interval."""
     _check_narrow_vertex(lens, digits)
-    cot = cot_pi_frac(Fraction(1, 2 * lens.n), digits)
-    return AdmissibleInterval(cot, 1 / lens.v_tilde - cot, "cor_cot")
+    return _cot_interval(lens, digits)
 
 
 def interval_effective(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval:

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polycert.lens import (DegenerateLensError, Lens, combined_region,
+from polycert.lens import (AdmissibleInterval, DegenerateLensError, Lens,
+                           _check_narrow_vertex, combined_region,
                            interval_cot, interval_disk_in_lens,
                            interval_effective, lens_of)
 from polycert.poly import parse_polynomial
-from polycert.rounding import BoundedReal
+from polycert.rounding import (BoundedReal, cot_pi_frac, root_of_enclosure,
+                               sin_pi_frac)
 from polycert.sectors import best_sector
 
 mpmath.mp.dps = 50
@@ -191,3 +195,54 @@ def test_inversion_geometry_sample():
             d_plus = abs(w - complex(cx, cy))
             d_minus = abs(w - complex(cx, -cy))
             assert min(abs(d_plus - r), abs(d_minus - r)) < 1e-9
+
+
+# -- the integer radicand against the interval-arithmetic formula ---------------
+
+
+def _reference_disk(lens, digits):
+    """interval_disk_in_lens as BoundedReal operators, the form the integer
+    radicand replaced."""
+    _check_narrow_vertex(lens, digits)
+    vt = lens.v_tilde
+    s = sin_pi_frac(Fraction(1, lens.n), digits)
+    half = 1 / (2 * vt)
+    radicand = 1 + half * half - 1 / (vt * s)
+    delta = root_of_enclosure(radicand, 2, digits)
+    return AdmissibleInterval(half - delta, half + delta, "thm_disk_in_lens")
+
+
+def _reference_cot(lens, digits):
+    _check_narrow_vertex(lens, digits)
+    cot = cot_pi_frac(Fraction(1, 2 * lens.n), digits)
+    return AdmissibleInterval(cot, 1 / lens.v_tilde - cot, "cor_cot")
+
+
+def _outcome(fn, lens, digits):
+    try:
+        return fn(lens, digits)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _lenses(draw):
+    """A positive vertex enclosure, dyadic or not, most of them narrow enough
+    for the intervals (below about 0.78/n) and some too wide."""
+    n = draw(st.integers(3, 24))
+    if draw(st.booleans()):
+        s = draw(st.integers(1, 700))
+        den, width_den = 1 << s, 1 << (s + draw(st.integers(0, 64)))
+    else:
+        den, width_den = draw(st.integers(2, 10**40)), draw(st.integers(2, 10**60))
+    lower = Fraction(draw(st.integers(1, max(1, den // n))), den)
+    width = Fraction(draw(st.integers(0, width_den // n)), width_den)
+    return Lens(BoundedReal(lower, lower + width), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lenses(), st.sampled_from([12, 24, 100, 200]))
+def test_lens_intervals_match_the_interval_arithmetic_formula(lens, digits):
+    for fn, reference in ((interval_disk_in_lens, _reference_disk),
+                          (interval_cot, _reference_cot)):
+        assert _outcome(fn, lens, digits) == _outcome(reference, lens, digits)

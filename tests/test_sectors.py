@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polycert.poly import parse_polynomial, sign_index_sets
+from polycert.poly import parse_polynomial, sign_blocks, sign_index_sets
 from polycert.rounding import nth_root_bounds
 from polycert.sectors import (best_sector,
                               sector_candidates, sector_min_over_positives,
@@ -206,3 +206,44 @@ def test_sector_json_shape():
     j = s.to_json()
     assert set(j) == {"vertex_lower", "vertex_upper", "angle", "n", "method"}
     assert j["angle"] == "pi/n" and j["n"] == 4
+
+
+@pytest.fixture
+def radical_calls(monkeypatch):
+    """The (base, e, digits) of every nth_root_bounds call the producers make."""
+    import polycert.sectors as sectors_module
+    calls = []
+    original = sectors_module.nth_root_bounds
+
+    def counting(x, k, digits):
+        calls.append((Fraction(x), k, digits))
+        return original(x, k, digits)
+    monkeypatch.setattr(sectors_module, "nth_root_bounds", counting)
+    return calls
+
+
+def test_candidates_compute_the_shared_radical_once(radical_calls):
+    # all five radical producers of the flagship reciprocal need (10/2162)^(1/3)
+    g = parse_polynomial("2162*X^4-10*X+1")
+    for digits in (12, 24, 100):
+        radical_calls.clear()
+        sector_candidates(g, digits)
+        assert radical_calls == [(Fraction(10, 2162), 3, digits)]
+
+
+def test_candidates_compute_each_radical_once_per_call(radical_calls):
+    f = parse_polynomial("3*X^8-5*X^7+2*X^6-7*X^4+X^3+4*X^2-6*X+9")
+    assert sum(b.has_negative_part() for b in sign_blocks(f).blocks) == 3
+    needed = set()
+    for producer in (sector_neg_sum, sector_min_over_positives,
+                     sector_summed_denominator, sector_sign_blocks):
+        producer(f)
+        needed.update(radical_calls)
+        radical_calls.clear()
+    sector_parametrized(f, [Fraction(1, 3)] * 3)
+    needed.update(radical_calls)
+    for _ in range(2):  # the second call computes them again: no memo outlives a call
+        radical_calls.clear()
+        sector_candidates(f)
+        assert len(radical_calls) == len(set(radical_calls)) == len(needed) > 4
+        assert set(radical_calls) == needed
