@@ -7,8 +7,11 @@ test reports "probable" and certificates built on it are marked conditional.
 
 Nothing here factors an integer: the rational-root test isolates real roots
 (has_rational_root), and witness extraction divides out the primes up to
-q_max, sieved once per q_max.  The factoring that the brute-force oracle
-needs lives in oracles.py.
+q_max.  Beyond q_max 1000, those primes are sieved once per q_max and
+grouped in runs of consecutive primes, each with its product; a value meets
+each run in one gcd, only a run that shares a prime with it is walked, and
+the value is split once however many criteria and rebuilds ask for it.  The
+factoring that the brute-force oracle needs lives in oracles.py.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import compress
 from fractions import Fraction
 from typing import Optional
 
@@ -29,31 +33,43 @@ DETERMINISTIC_LIMIT = 3317044064679887385961981
 
 _EXTRA_PROBABLE_ROUNDS = 20
 
-# Largest supported cofactor bound: witness extraction sieves the primes up
-# to q_max (664579 of them at 10^7).
+# Largest supported cofactor bound.  Witness extraction at q_max holds the
+# primes up to q_max (664579 of them at 10^7) and the products of their runs.
 MAX_Q_MAX = 10**7
+
+# Primes per run: witness extraction takes one gcd with the product of each
+# run of this many consecutive primes, and walks a run only when that gcd
+# is not 1.  Longer runs take fewer gcds of the same total size but cost
+# more to build: at 10^7, 0.16 s for runs of 256 and 0.5 s for runs of 1024
+# on a 2 vCPU x86_64 VM.
+_RUN = 256
 
 
 def _sieve(limit: int) -> list[int]:
     if limit < 2:
         return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p::p] = b"\x00" * len(range(p * p, limit + 1, p))
-    return [i for i, v in enumerate(flags) if v]
+    flags = bytearray(b"\x01") * ((limit + 1) // 2)  # flags[i] stands for 2i + 1
+    flags[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+    return [2, *compress(range(1, limit + 1, 2), flags)]
 
 
 _SMALL_PRIMES = _sieve(1000)
 
 
 @lru_cache(maxsize=1)
-def _sieved(limit: int) -> list[int]:
-    """The primes up to limit > 1000, sieved once per limit.  One list is
-    held at a time (q_max may be 10^7: 664579 primes); callers must not
-    mutate it."""
-    return _sieve(limit)
+def _sieved(limit: int) -> tuple[list[int], list[int]]:
+    """The primes up to limit > 1000, and the product of each run of _RUN
+    consecutive ones: run i is primes[i * _RUN:(i + 1) * _RUN].  Built once
+    per limit, and one limit is held at a time; at 10^7 that is 664579
+    primes and 2597 products of about 5600 bits.  Callers must not mutate
+    them."""
+    primes = _sieve(limit)
+    return primes, [math.prod(primes[i:i + _RUN]) for i in range(0, len(primes), _RUN)]
 
 
 class PrimalityStatus(Enum):
@@ -276,23 +292,58 @@ class FactorizationWitness:
     alternatives: tuple[tuple[int, int, int], ...] = ()
 
 
-def _strip_small(value: int, q_max: int) -> tuple[int, dict[int, int], int]:
-    """Split value into a q_max-smooth part (as factor dict) and a cofactor."""
-    smooth = 1
-    exps: dict[int, int] = {}
-    rest = value
-    if q_max >= 2:
-        for p in _SMALL_PRIMES if q_max <= 1000 else _sieved(q_max):
-            if p > rest or p > q_max:
-                break
+def _strip_small(value: int, q_max: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """Split value > 0 into its q_max-smooth part, that part's (prime,
+    exponent) pairs in increasing order, and the cofactor.  Up to q_max 1000
+    each prime is tried in turn, which costs less than a memo lookup."""
+    if q_max > 1000:
+        return _strip_by_runs(value, q_max)
+    smooth, exps, rest = 1, [], value
+    for p in _SMALL_PRIMES:
+        if p > rest or p > q_max:
+            break
+        if rest % p == 0:
             e = 0
             while rest % p == 0:
                 rest //= p
                 e += 1
-            if e:
-                exps[p] = e
+            exps.append((p, e))
+            smooth *= p**e
+    return smooth, tuple(exps), rest
+
+
+@lru_cache(maxsize=1)
+def _strip_by_runs(value: int, q_max: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """_strip_small for q_max > 1000.  g = gcd(rest, product of a run) holds
+    the run's primes that divide what is left of the value (after Bernstein,
+    "How to find smooth parts of integers", 2004), so a run is walked only
+    when g > 1, and only until g is 1; once p^2 > g, g is itself a prime.  A
+    rest below the square of the next prime is 1 or a prime, which ends the
+    walk over the runs.
+
+    The latest split is kept: the pq and prime_power criteria at one f(m),
+    and the two rebuilds of a replay, split one value."""
+    smooth, exps, rest = 1, [], value
+    primes, products = _sieved(q_max)
+    for i, product in enumerate(products):
+        j = i * _RUN
+        if rest < primes[j] ** 2:
+            if 1 < rest <= q_max:
+                exps.append((rest, 1))
+                smooth, rest = smooth * rest, 1
+            break
+        g = math.gcd(rest, product)
+        while g > 1:
+            p = primes[j]
+            if p * p > g:
+                p = g
+            if g % p == 0:
+                g //= p
+                e, rest = p_adic_valuation(rest, p)
+                exps.append((p, e))
                 smooth *= p**e
-    return smooth, exps, rest
+            j += 1
+    return smooth, tuple(exps), rest
 
 
 def extract_witness_report(value: int, derivative_value: int, q_max: int = 1,
@@ -328,7 +379,7 @@ def extract_witness_report(value: int, derivative_value: int, q_max: int = 1,
         # value is q_max-smooth; pick the prime whose full power leaves the
         # smallest q, recording the other admissible splits
         candidates = []
-        for p, e in sorted(exps.items()):
+        for p, e in exps:
             if mode == "pq" and e != 1:
                 continue
             q = value // p**e

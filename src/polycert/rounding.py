@@ -25,12 +25,13 @@ lower limit on the width, or the loop never ends.  The width of an interval
 argument is such a limit, so `root_of_enclosure` evaluates the root at the
 two ends of its interval, each end tightened on its own.
 
-`sin_pi_frac`, `tan_pi_frac` and `cot_pi_frac` check their argument, then
-call `_pi_frac(fn, c, digits)`, one `lru_cache` of at most `TRIG_MEMO_SIZE`
-entries over sin, cos, tan and cot; tan and cot are quotients of its sin and
-cos, so a cot after a tan at the same c reuses both.  Below it only pi is
-memoised, per bits.  A process therefore computes each enclosure once,
-however many polynomials of one degree it certifies and replays.
+`sin_pi_frac`, `tan_pi_frac` and `cot_pi_frac` check their argument in
+integers, then call `_pi_frac(fn, num, den, digits)` on c = num/den, one
+`lru_cache` of at most `TRIG_MEMO_SIZE` entries over sin, cos, tan and cot,
+keyed on ints; tan and cot are quotients of its sin and cos, so a cot after
+a tan at the same c reuses both.  Below it only pi is memoised, per bits.
+A process therefore computes each enclosure once, however many polynomials
+of one degree it certifies and replays.
 """
 from __future__ import annotations
 
@@ -47,10 +48,10 @@ DEFAULT_DIGITS = 12
 # certificate's "digits" field.
 MAX_DIGITS = 200
 # The entries of each of the two trig memos: sin, cos, tan and cot per
-# (fn, c, digits), and pi on the 2^-bits grid.  The keys hold c = 1/n or
-# 1/(2n) for n up to a degree and digits up to 2*MAX_DIGITS (replay doubles
-# the digits); a fixed bound keeps a process that walks through degrees or
-# digits from growing either memo.
+# (fn, num, den, digits), and pi on the 2^-bits grid.  The keys hold
+# c = num/den = 1/n or 1/(2n) for n up to a degree and digits up to
+# 2*MAX_DIGITS (replay doubles the digits); a fixed bound keeps a process
+# that walks through degrees or digits from growing either memo.
 TRIG_MEMO_SIZE = 256
 # The extra bits of the fixed-point series sums; at least 1, or a series
 # never stops.  The rounding error of J terms, about J * 2^-(bits+_GUARD),
@@ -352,49 +353,59 @@ def _sin_cos_bits(cos: bool, c: Fraction, bits: int) -> BoundedReal:
     return _on_grid(lo, min(hi, 1 << (bits + _GUARD)), _GUARD, bits)
 
 
-# The values the enclosures give exactly.
-_EXACT = {("sin", Fraction(1, 2)): 1, ("sin", Fraction(1, 6)): Fraction(1, 2),
-          ("tan", Fraction(1, 4)): 1, ("cot", Fraction(1, 2)): 0,
-          ("cot", Fraction(1, 4)): 1}
+# The values the enclosures give exactly, keyed on (fn, numerator, denominator).
+_EXACT = {("sin", 1, 2): 1, ("sin", 1, 6): Fraction(1, 2), ("tan", 1, 4): 1,
+          ("cot", 1, 2): 0, ("cot", 1, 4): 1}
 
 
 @lru_cache(maxsize=TRIG_MEMO_SIZE)
-def _pi_frac(fn: str, c: Fraction, digits: int) -> BoundedReal:
-    """fn(pi*c) for fn in "sin", "cos", "tan" and "cot", meeting the digits
-    target; the public functions check c.  tan and cot are the quotients of
-    the memoised sin and cos."""
-    if (fn, c) in _EXACT:
-        return BoundedReal.exact(_EXACT[fn, c])
+def _pi_frac(fn: str, num: int, den: int, digits: int) -> BoundedReal:
+    """fn(pi*num/den) for fn in "sin", "cos", "tan" and "cot", meeting the
+    digits target; num/den is in lowest terms with den > 0, and the public
+    functions check it.  tan and cot are the quotients of the memoised sin
+    and cos.  The key holds ints: hashing a Fraction costs more than the
+    lookup it serves."""
+    if (fn, num, den) in _EXACT:
+        return BoundedReal.exact(_EXACT[fn, num, den])
     if fn in ("sin", "cos"):
+        c = Fraction(num, den)
         return _refine(lambda bits: _sin_cos_bits(fn == "cos", c, bits),
                        4 * digits + 16, digits)
-    num, den = ("sin", "cos") if fn == "tan" else ("cos", "sin")
-    return _refine(lambda work: _pi_frac(num, c, work) / _pi_frac(den, c, work),
+    top, bottom = ("sin", "cos") if fn == "tan" else ("cos", "sin")
+    return _refine(lambda work: (_pi_frac(top, num, den, work)
+                                 / _pi_frac(bottom, num, den, work)),
                    digits + 2, digits)
+
+
+def _ratio(c) -> tuple[int, int]:
+    """c as (numerator, denominator) in lowest terms, denominator > 0."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 def sin_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     """Enclosure of sin(pi*c) for rational c in (0, 1/2]."""
-    c = Fraction(c)
-    if not 0 < c <= Fraction(1, 2):
+    num, den = _ratio(c)
+    if not 0 < 2 * num <= den:
         raise ValueError("sin_pi_frac expects c in (0, 1/2]")
-    return _pi_frac("sin", c, digits)
+    return _pi_frac("sin", num, den, digits)
 
 
 def tan_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     """Enclosure of tan(pi*c) for rational c in (0, 1/4]."""
-    c = Fraction(c)
-    if not 0 < c <= Fraction(1, 4):
+    num, den = _ratio(c)
+    if not 0 < 4 * num <= den:
         raise ValueError("tan_pi_frac expects c in (0, 1/4]")
-    return _pi_frac("tan", c, digits)
+    return _pi_frac("tan", num, den, digits)
 
 
 def cot_pi_frac(c: Fraction, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     """Enclosure of cot(pi*c) for rational c in (0, 1/2]."""
-    c = Fraction(c)
-    if not 0 < c <= Fraction(1, 2):
+    num, den = _ratio(c)
+    if not 0 < 2 * num <= den:
         raise ValueError("cot_pi_frac expects c in (0, 1/2]")
-    return _pi_frac("cot", c, digits)
+    return _pi_frac("cot", num, den, digits)
 
 
 # -- decimal rendering --------------------------------------------------------

@@ -6,11 +6,11 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from polycert import arith
+from polycert import arith, certify
 from polycert.arith import (DETERMINISTIC_LIMIT, MAX_Q_MAX, PrimalityStatus,
                             extract_witness_report, has_rational_root,
                             is_prime, next_prime, p_adic_valuation,
-                            prime_power_decomposition, _SMALL_PRIMES, _sieve,
+                            prime_power_decomposition, _RUN, _SMALL_PRIMES, _sieve,
                             _strip_small)
 from polycert.oracles import divisors, factorize
 from polycert.poly import parse_polynomial
@@ -222,21 +222,29 @@ def test_sieve_runs_once_per_q_max(monkeypatch):
     calls = []
     monkeypatch.setattr(arith, "_sieve", lambda n: calls.append(n) or _sieve(n))
     arith._sieved.cache_clear()
+    arith._strip_by_runs.cache_clear()
     rng = random.Random(3)
     for _ in range(20):
         extract_witness_report(rng.randrange(2, 10**15), rng.randrange(1, 10**6), 10**5,
                                rng.choice(["pq", "prime_power"]))
     assert calls == [10**5]
+    primes, products = arith._sieved(10**5)
+    assert len(products) == -(-len(primes) // _RUN)  # the run products share the one entry
+    assert products[1] == math.prod(primes[_RUN:2 * _RUN])
+    arith._sieved.cache_clear()
+    extract_witness_report(10**15 + 37, 1, 10**5)  # a value not split before
+    assert calls == [10**5, 10**5]  # clearing the sieve clears the products too
     arith._sieved.cache_clear()
 
 
-def reference_strip_small(value, q_max):
-    """_strip_small as it was when every call sieved afresh."""
+def reference_strip_small(value, q_max, primes=None):
+    """_strip_small as it was when every call sieved afresh and tried every
+    prime, with the exponents as (prime, exponent) pairs."""
     smooth = 1
     exps = {}
     rest = value
     if q_max >= 2:
-        for p in _sieve(q_max):
+        for p in _sieve(q_max) if primes is None else primes:
             if p > rest:
                 break
             e = 0
@@ -246,19 +254,24 @@ def reference_strip_small(value, q_max):
             if e:
                 exps[p] = e
                 smooth *= p**e
-    return smooth, exps, rest
+    return smooth, tuple(exps.items()), rest
 
+
+# the last prime of the first run and the first prime of the second
+RUN_EDGES = _sieve(10**4)[_RUN - 1:_RUN + 1]
 
 smooth_times_large = st.builds(
     lambda ps, big: math.prod(ps) * big,
-    st.lists(st.sampled_from([2, 3, 5, 7, 997, 1009, 99991, 100003]), max_size=6),
+    st.lists(st.sampled_from([2, 3, 5, 7, 997, 1009, *RUN_EDGES, 99991, 100003]),
+             max_size=6),
     st.sampled_from([1, 2**61 - 1, 10**12 + 39, 100003**2]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.integers(1, 10**30), smooth_times_large),
        st.integers(-10**9, 10**9),
-       st.sampled_from([1, 2, 3, 10, 997, 1000, 1001, 1009, 10**4, 99991, 10**5]),
+       st.sampled_from([1, 2, 3, 10, 997, 1000, 1001, 1009, *RUN_EDGES, 10**4, 99991,
+                        10**5]),
        st.sampled_from(["pq", "prime_power"]))
 def test_witnesses_match_a_fresh_sieve(value, derivative, q_max, mode):
     assert _strip_small(value, q_max) == reference_strip_small(value, q_max)
@@ -269,6 +282,103 @@ def test_witnesses_match_a_fresh_sieve(value, derivative, q_max, mode):
         assert extract_witness_report(value, derivative, q_max, mode) == memoised
     finally:
         arith._strip_small = real
+
+
+def run_edge_values(primes, q_max, rng, n):
+    """Values whose primes sit at the edges of runs (the first three runs, the
+    last two and n others), in several runs (3n values), in one run together
+    (n values), and just above q_max."""
+    above = next_prime(q_max)
+    starts = list(range(0, len(primes), _RUN))
+    starts = sorted({*starts[:3], *starts[-2:], *rng.sample(starts, min(len(starts), n))})
+    edge_primes = sorted({primes[min(i, len(primes) - 1)] for k in starts
+                          for i in (k - 1, k, k + 1) if i >= 0})
+    values = [above, above**2, 2 * above, primes[-1], primes[-1]**2,
+              primes[-1] * above, math.prod(primes[-_RUN:]),
+              math.prod(edge_primes) * above, math.prod(p * p for p in edge_primes)]
+    for p in edge_primes:
+        values += [p, p * p, p * p * above]
+    for _ in range(3 * n):
+        picked = rng.sample(edge_primes, min(len(edge_primes), rng.randint(1, 6)))
+        values.append(math.prod(p**rng.randint(1, 3) for p in picked)
+                      * rng.choice([1, above, 2**61 - 1, rng.randrange(1, 10**20)]))
+    for k in rng.sample(starts, min(len(starts), n)):  # primes of one run: a long walk
+        run = primes[k:k + _RUN]
+        values.append(math.prod(rng.sample(run, min(len(run), rng.randint(2, 3))))
+                      * rng.choice([1, above]))
+    return values
+
+
+@pytest.mark.parametrize("q_max", [*RUN_EDGES, 10**6, MAX_Q_MAX],
+                         ids=["last-of-first-run", "first-of-second-run", "1e6", "max"])
+def test_run_gcds_match_the_prime_loop_across_run_edges(q_max):
+    primes = _sieve(q_max)
+    rng = random.Random(q_max)
+    if q_max < MAX_Q_MAX:
+        values = run_edge_values(primes, q_max, rng, 10)
+        values += [rng.randrange(1, 10**30) for _ in range(100)]
+    else:  # the prime loop takes ~0.1 s for each value with a cofactor above q_max
+        values = run_edge_values(primes, q_max, rng, 1)
+    arith._strip_by_runs.cache_clear()
+    for value in values:
+        assert _strip_small(value, q_max) == reference_strip_small(value, q_max, primes)
+    arith._sieved.cache_clear()
+    arith._strip_by_runs.cache_clear()
+
+
+def test_a_split_is_kept_for_the_pq_and_prime_power_criteria(monkeypatch):
+    # f(m) = 100003^2: lens is inapplicable, pq finds the value composite and
+    # prime_power certifies with the same split
+    calls = []
+    sieved = arith._sieved
+    monkeypatch.setattr(arith, "_sieved", lambda n: calls.append(n) or sieved(n))
+    arith._strip_by_runs.cache_clear()
+    f = parse_polynomial("X^2+200005")
+    cert, reasons = certify.Certifier(f, 10**5).certify(100002)
+    assert reasons == ["lens-inapplicable", "value-composite"]
+    assert cert.criterion == "thm35_prime_power"
+    assert calls == [10**5]
+    assert certify.certify_any(f, 100002, q_max=10**5) == cert
+    assert calls == [10**5]  # a second certification at the same f(m) splits nothing
+
+
+def test_a_replay_splits_its_value_once(monkeypatch):
+    f = parse_polynomial("X^4+7*X+1000003")
+    cert = certify.certify_any(f, 18, q_max=10**4)
+    assert cert.criterion == "thm31_pq" and cert.witness.q == 5
+    calls = []
+    sieved = arith._sieved
+    monkeypatch.setattr(arith, "_sieved", lambda n: calls.append(n) or sieved(n))
+    arith._strip_by_runs.cache_clear()
+    assert certify.certificate_verify(cert.to_json())  # rebuilt at 12 and 24 digits
+    assert calls == [10**4]
+
+
+def test_the_split_memo_holds_the_latest_split_immutable():
+    assert arith._strip_by_runs.cache_info().maxsize == 1
+    smooth, exps, rest = _strip_small(2**5 * 3 * 10007**2 * (2**61 - 1), 10**5)
+    assert (smooth, exps, rest) == (2**5 * 3 * 10007**2, ((2, 5), (3, 1), (10007, 2)),
+                                    2**61 - 1)
+    assert isinstance(exps, tuple)
+
+
+def test_the_cold_split_at_max_q_max_is_fast(deadline):
+    # ~0.45 s on a 2 vCPU x86_64 VM (sieve and run products built, then one
+    # split through all 2597 runs); a primorial built as one product tree
+    # takes ~9.5 s
+    value = 2**3 * 3 * 1000003 * 9999991**2 * (10**12 + 39)
+    real = arith._strip_small
+    try:
+        arith._strip_small = reference_strip_small
+        expected = extract_witness_report(value, 5, MAX_Q_MAX, "prime_power")
+    finally:
+        arith._strip_small = real
+    arith._sieved.cache_clear()
+    arith._strip_by_runs.cache_clear()
+    deadline(3)
+    assert extract_witness_report(value, 5, MAX_Q_MAX, "prime_power") == expected
+    assert expected[1] == "q-exceeds"
+    arith._sieved.cache_clear()
 
 
 def test_rational_root_examples():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import mpmath
@@ -227,7 +228,8 @@ def test_a_memoised_enclosure_equals_a_cold_computation(public, fn, c_max, digit
             memoised = public(c, digits)
             assert public(c, digits=digits) is memoised  # a keyword call hits
             rounding._pi_frac.cache_clear()
-            assert memoised == rounding._pi_frac.__wrapped__(fn, c, digits)
+            assert memoised == rounding._pi_frac.__wrapped__(
+                fn, c.numerator, c.denominator, digits)
 
 
 @pytest.mark.parametrize("public, fn, c_max", MEMOISED, ids=MEMO_IDS)
@@ -236,7 +238,8 @@ def test_the_trig_memo_is_bounded(public, fn, c_max):
     assert rounding._pi_frac.cache_info().maxsize == rounding.TRIG_MEMO_SIZE
     rounding._pi_frac.cache_clear()
     memoised = public(c_max, 12)
-    assert rounding._pi_frac(fn, c_max, 12) is memoised  # the one memo holds it
+    # the one memo holds it, keyed on the numerator and denominator
+    assert rounding._pi_frac(fn, c_max.numerator, c_max.denominator, 12) is memoised
 
 
 def test_tan_and_cot_share_the_sin_and_cos_memo():
@@ -248,10 +251,30 @@ def test_tan_and_cot_share_the_sin_and_cos_memo():
 
 
 def test_the_memo_keeps_the_argument_checks():
-    for public, _, c_max in MEMOISED:
-        for bad in (Fraction(0), c_max + Fraction(1, 100)):
-            with pytest.raises(ValueError):
-                public(bad, 12)
+    # the checks compare numerator and denominator; these are the arguments
+    # the Fraction comparisons accepted and refused, with the same messages
+    messages = {"sin": "sin_pi_frac expects c in (0, 1/2]",
+                "tan": "tan_pi_frac expects c in (0, 1/4]",
+                "cot": "cot_pi_frac expects c in (0, 1/2]"}
+    for public, fn, c_max in MEMOISED:
+        for c in (-1, 0, 1, Fraction(-1, 4), Fraction(1, 5), c_max, Fraction(0),
+                  c_max + Fraction(1, 100), c_max - Fraction(1, 10**30),
+                  c_max + Fraction(1, 10**30), 0.25, 0.5, "1/4", "3/8", -0.0):
+            if 0 < Fraction(c) <= c_max:
+                assert public(c, 12) == public(Fraction(c), 12)
+            else:
+                with pytest.raises(ValueError, match=re.escape(messages[fn])):
+                    public(c, 12)
+        with pytest.raises(TypeError):
+            public(None, 12)
+
+
+def test_the_trig_memo_keys_hold_ints():
+    rounding._pi_frac.cache_clear()
+    first = sin_pi_frac(0.25, 12)
+    assert sin_pi_frac(Fraction(2, 8), 12) is first  # the same key, a hit
+    assert rounding._pi_frac.cache_info().hits == 1
+    assert first is rounding._pi_frac("sin", 1, 4, 12)
 
 
 def reference_format_decimal(x, places=18, direction="floor"):
