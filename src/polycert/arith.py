@@ -303,10 +303,7 @@ def _strip_small(value: int, q_max: int) -> tuple[int, tuple[tuple[int, int], ..
         if p > rest or p > q_max:
             break
         if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
+            e, rest = p_adic_valuation(rest, p)
             exps.append((p, e))
             smooth *= p**e
     return smooth, tuple(exps), rest

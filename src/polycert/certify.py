@@ -5,10 +5,10 @@ Only the value witness of a certificate depends on the argument m: the
 sector angle depends only on deg f, its vertex only on the coefficients of
 f, and the lens comes from the reciprocal's sector.  A Certifier holds that
 per-polynomial part for one f (the best sector, the lens or why there is
-none, the lens's admissible intervals, the sin and tan bounds, and whether f
-has a rational root), builds each piece at most once, and tries the
-criteria at each m in one fixed order.  certify_any, search_m,
-certify_negative_m and replay all run through it.
+none, the lens's admissible intervals, and whether f has a rational root),
+builds each piece at most once, and tries the criteria at each m in one
+fixed order; the sin and tan bounds come from the trig memo in rounding.
+certify_any, search_m, certify_negative_m and replay all run through it.
 
 Every certificate records the region used, the factorization witness, and
 each real-number inequality together with its conservatively rounded bounds
@@ -26,11 +26,11 @@ from typing import Optional, Sequence
 
 from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus,
                     extract_witness_report, has_rational_root)
-from .lens import (AdmissibleInterval, DegenerateLensError, Lens, _cot_interval,
+from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
                    interval_disk_in_lens, lens_of)
 from .poly import Polynomial, sign_blocks, sign_index_sets
-from .rounding import (DEFAULT_DIGITS, MAX_DIGITS, format_decimal,
-                       nth_root_bounds, pow_upper, sin_pi_frac, tan_pi_frac)
+from .rounding import (DEFAULT_DIGITS, MAX_DIGITS, format_decimal, pow_upper,
+                       sin_pi_frac, tan_pi_frac)
 from .sectors import Sector, best_of, sector_candidates
 
 SCHEMA_VERSION = 1
@@ -163,9 +163,10 @@ DEFAULT_MODES = ("lens", "pq", "prime_power")
 class Certifier:
     """Everything certifying f needs that does not depend on the argument m.
 
-    Each region and constant is built at most once, when a criterion first
-    asks for it.  f(m) and its witnesses are kept for the latest m only, so
-    memory stays flat over any range of arguments.
+    Each region is built at most once, when a criterion first asks for it;
+    the trig constants are the process-wide memo's.  f(m) and its witnesses
+    are kept for the latest m only, so memory stays flat over any range of
+    arguments.
     """
 
     def __init__(self, f: Polynomial, q_max: int = 1, digits: int = DEFAULT_DIGITS):
@@ -200,24 +201,14 @@ class Certifier:
     @cached_property
     def lens_intervals(self) -> Optional[tuple[AdmissibleInterval, AdmissibleInterval]]:
         """The lens's disk-in-lens and cot intervals, or None when the
-        reciprocal vertex is too large for them; the disk interval checks the
-        vertex for both."""
+        reciprocal vertex is too large for them; both check the same vertex
+        bound."""
         lens = self.lens_status[0]
         try:
             disk = interval_disk_in_lens(lens, self.digits)
         except ValueError:
             return None
-        return disk, _cot_interval(lens, self.digits)
-
-    @cached_property
-    def sin_lo(self) -> Fraction:
-        """Lower bound on sin(pi/n), n = deg f."""
-        return sin_pi_frac(Fraction(1, self.f.degree()), self.digits).lower
-
-    @cached_property
-    def tan_lo(self) -> Fraction:
-        """Lower bound on tan(pi/(2n)), n = deg f."""
-        return tan_pi_frac(Fraction(1, 2 * self.f.degree()), self.digits).lower
+        return disk, interval_cot(lens, self.digits)
 
     @cached_property
     def derivative(self) -> Polynomial:
@@ -275,16 +266,16 @@ def _sector_report(ctx: Certifier, m: int, mode: str, q_max: int,
         return None, reason
     s = Fraction(0) if mode == "pq" else witness.s
     vertex = ctx.sector.vertex.upper
+    sine = sin_pi_frac(Fraction(1, f.degree()), digits).lower
     radius_up = pow_upper(witness.p, s, digits) * witness.q
-    threshold = vertex + radius_up / ctx.sin_lo
+    threshold = vertex + radius_up / sine
     used_sqrt = False
     if not m > threshold:
         if radius_up <= 1 or ctx.rational_root_exists:
             return None, "outside-region"
         a, b = s.numerator, s.denominator
-        sqrt_radius_up = nth_root_bounds(
-            Fraction(witness.p**a * witness.q**b), 2 * b, digits).upper
-        threshold = vertex + sqrt_radius_up / ctx.sin_lo
+        sqrt_radius_up = pow_upper(witness.p**a * witness.q**b, Fraction(1, 2 * b), digits)
+        threshold = vertex + sqrt_radius_up / sine
         if not m > threshold:
             return None, "outside-region"
         used_sqrt = True
@@ -331,9 +322,9 @@ def certify_lens_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], 
         return None, reason
     if not disk.contains_int(m):
         return None, "outside-region"
+    tangent = tan_pi_frac(Fraction(1, 2 * lens.n), ctx.digits).lower
     checks = [
-        Check("reciprocal vertex below tan(pi/(2n))/2",
-              lens.v_tilde.upper, ctx.tan_lo / 2),
+        Check("reciprocal vertex below tan(pi/(2n))/2", lens.v_tilde.upper, tangent / 2),
         Check("m above disk-in-lens interval lower end", disk.lo.upper, Fraction(m)),
         Check("m below disk-in-lens interval upper end", Fraction(m), disk.hi.lower),
     ]
@@ -354,16 +345,14 @@ def certify_combined_report(ctx: Certifier, m: int) -> tuple[Optional[Certificat
     """Union region: the lens interval or the ray beyond vertex + 1/sin(pi/n);
     tries the lens criterion first, then the prime-value sector criterion
     with q = 1 (the context's q_max is only recorded), and records the branch
-    that succeeded."""
-    lens_cert, lens_reason = certify_lens_report(ctx, m)
+    that succeeded.  A refusal gives the ray's reason: both branches split
+    the same f(m) at q = 1, so the ray's reason is never the less telling."""
+    lens_cert, _ = certify_lens_report(ctx, m)
     if lens_cert is not None:
         return _as_combined(lens_cert, "lens", ctx.q_max), "ok"
     ray_cert, ray_reason = _sector_report(ctx, m, "pq", 1)
     if ray_cert is not None:
         return _as_combined(ray_cert, "ray", ctx.q_max), "ok"
-    for preferred in ("value-composite", "outside-region"):
-        if preferred in (lens_reason, ray_reason):
-            return None, preferred
     return None, ray_reason
 
 
@@ -499,24 +488,10 @@ _MODE_OF_TAG = {
 }
 
 
-def _rebuild(f: Polynomial, m: int, criterion: str, q_max: int, digits: int,
-             negated: bool) -> Optional[Certificate]:
-    g, k = (_negated_form(f), -m) if negated else (f, m)
-    if criterion not in _MODE_OF_TAG:
-        raise MalformedCertificateError(f"unknown criterion {criterion!r}")
-    cert, _ = _criteria()[_MODE_OF_TAG[criterion]](Certifier(g, q_max, digits), k)
-    return _restated(cert, f, m) if negated else cert
-
-
-def certificate_verify(cert) -> bool:
-    """Re-derive every recorded quantity from scratch.
-
-    The certificate is recomputed at its recorded precision and must match
-    field for field; it is then recomputed at doubled precision to confirm
-    every margin stays strictly positive.  Structural problems raise
-    MalformedCertificateError; any mismatch returns False.
-    """
-    data = cert.to_json() if isinstance(cert, Certificate) else cert
+def _fields(data) -> tuple[Polynomial, int, str, int, int, bool]:
+    """(f, m, criterion, q_max, digits, negated) from certificate JSON;
+    MalformedCertificateError when its structure is wrong, a top-level number
+    that is not a JSON integer among them."""
     if not isinstance(data, dict):
         raise MalformedCertificateError("certificate must be a JSON object")
     missing = [k for k in _REQUIRED_FIELDS if k not in data]
@@ -524,27 +499,59 @@ def certificate_verify(cert) -> bool:
         raise MalformedCertificateError(f"missing fields: {missing}")
     if data["schema"] != SCHEMA_VERSION:
         raise MalformedCertificateError(f"unsupported schema {data['schema']!r}")
+    for key in ("schema", "m", "q_max", "digits"):
+        if type(data[key]) is not int:
+            raise MalformedCertificateError(f"bad field: {key} is not a JSON integer")
     try:
         f = Polynomial(data["polynomial"])
-        m = int(data["m"])
         criterion = str(data["criterion"])
-        q_max = int(data["q_max"])
-        digits = int(data["digits"])
-        negated = bool(data["negated_argument"])
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedCertificateError(f"bad field: {exc}") from None
+    m, q_max, digits = data["m"], data["q_max"], data["digits"]
     if not (1 <= digits <= MAX_DIGITS and 1 <= q_max <= MAX_Q_MAX):
         raise MalformedCertificateError("digits or q_max out of range")
+    if criterion not in _MODE_OF_TAG:
+        raise MalformedCertificateError(f"unknown criterion {criterion!r}")
+    return f, m, criterion, q_max, digits, bool(data["negated_argument"])
+
+
+def _rebuild(f: Polynomial, m: int, criterion: str, q_max: int, digits: int,
+             negated: bool) -> Optional[Certificate]:
+    """The certificate the criterion issues now, or None when it issues none
+    or raises ValueError."""
+    g, k = (_negated_form(f), -m) if negated else (f, m)
     try:
-        replay = _rebuild(f, m, criterion, q_max, digits, negated)
-    except ValueError as exc:
-        if isinstance(exc, MalformedCertificateError):
-            raise
-        return False
-    if replay is None or replay.to_json() != data:
-        return False
-    try:
-        doubled = _rebuild(f, m, criterion, q_max, 2 * digits, negated)
+        cert, _ = _criteria()[_MODE_OF_TAG[criterion]](Certifier(g, q_max, digits), k)
     except ValueError:
+        return None
+    return _restated(cert, f, m) if negated else cert
+
+
+def _same_types(a, b) -> bool:
+    """Whether the equal JSON values a and b also agree in type throughout:
+    == holds between True, 1 and 1.0."""
+    if type(a) is not type(b):
         return False
+    if type(a) is dict:
+        return all(map(_same_types, a.values(), map(b.__getitem__, a)))
+    return type(a) is not list or all(map(_same_types, a, b))
+
+
+def certificate_verify(cert) -> bool:
+    """Re-derive every recorded quantity from scratch.
+
+    The certificate is recomputed at its recorded precision and must match
+    field for field, in value and in type; it is then recomputed at doubled
+    precision to confirm every margin stays strictly positive.  Structural
+    problems raise MalformedCertificateError; any mismatch returns False.
+    """
+    data = cert.to_json() if isinstance(cert, Certificate) else cert
+    f, m, criterion, q_max, digits, negated = _fields(data)
+    replay = _rebuild(f, m, criterion, q_max, digits, negated)
+    if replay is None:
+        return False
+    rebuilt = replay.to_json()
+    if rebuilt != data or not _same_types(rebuilt, data):
+        return False
+    doubled = _rebuild(f, m, criterion, q_max, 2 * digits, negated)
     return doubled is not None and doubled.criterion == criterion

@@ -600,7 +600,7 @@ def _run(args) -> int:
     """Check the arguments and run the command: exit 0, 1 or 2."""
     try:
         _check_args(args)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     dispatch = {"analyze": _cmd_analyze, "certify": _cmd_certify,

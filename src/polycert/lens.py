@@ -88,7 +88,7 @@ class AdmissibleInterval:
         return not self.lo.upper < self.hi.lower
 
     def contains_int(self, m: int) -> bool:
-        return not self.empty and self.lo.upper < m < self.hi.lower
+        return self.lo.upper < m < self.hi.lower
 
     def to_json(self) -> dict:
         return {
@@ -140,20 +140,15 @@ def interval_disk_in_lens(lens: Lens, digits: int = DEFAULT_DIGITS) -> Admissibl
                               "thm_disk_in_lens")
 
 
-def _cot_interval(lens: Lens, digits: int) -> AdmissibleInterval:
-    """interval_cot without the vertex check, for a lens already checked."""
+def interval_cot(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval:
+    """The interval (cot(pi/(2n)), 1/vt - cot(pi/(2n))), contained in the
+    disk-in-lens interval."""
+    _check_narrow_vertex(lens, digits)
     cot = cot_pi_frac(Fraction(1, 2 * lens.n), digits)
     vt = lens.v_tilde
     hi = BoundedReal(Fraction(vt.upper.denominator, vt.upper.numerator) - cot.upper,
                      Fraction(vt.lower.denominator, vt.lower.numerator) - cot.lower)
     return AdmissibleInterval(cot, hi, "cor_cot")
-
-
-def interval_cot(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval:
-    """The interval (cot(pi/(2n)), 1/vt - cot(pi/(2n))), contained in the
-    disk-in-lens interval."""
-    _check_narrow_vertex(lens, digits)
-    return _cot_interval(lens, digits)
 
 
 def interval_effective(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import _SMALL_PRIMES, has_rational_root, is_prime
+from .arith import _strip_small, has_rational_root, is_prime
 from .poly import Polynomial, divide_exact
 from .sectors import Sector
 
@@ -123,12 +123,9 @@ def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 by trial division plus Pollard-Brent."""
     if n < 1:
         raise ValueError("factorize expects n >= 1")
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n]
+    _, exps, rest = _strip_small(n, 1000)
+    out = dict(exps)
+    stack = [rest]
     while stack:
         m = stack.pop()
         if m > 1 and is_prime(m).is_prime:

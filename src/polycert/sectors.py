@@ -201,11 +201,8 @@ def sector_candidates(f: Polynomial, digits: int = DEFAULT_DIGITS) -> list[Secto
     producers share one _Vertices, so each radical is computed once per call."""
     vertices = _Vertices(f, digits)
     ell = len(vertices.sets.neg_indices)
-    out: list[Sector] = []
-    if ell == 0:
-        out.append(sector_nonneg(f))  # neg-sum would fall back to the same
-    else:
-        out.append(vertices.neg_sum())
+    out = [vertices.neg_sum()]  # sector_nonneg's when no coefficient is negative
+    if ell >= 1:
         out.append(vertices.min_over_positives())
         out.append(vertices.summed_denominator())
         # the leading coefficient is positive, so a negative one is a sign change

@@ -3,6 +3,7 @@ from `polycert.__all__` must show up here as a reviewed edit."""
 import os
 import subprocess
 import sys
+import textwrap
 
 import polycert
 
@@ -38,13 +39,26 @@ def test_oracle_names_resolve_on_first_use():
     assert polycert.RootSet is oracles.RootSet
 
 
-def test_cli_import_leaves_the_oracles_out():
+def test_cli_import_leaves_the_oracles_out(tmp_path):
     # the oracles (cmath, brute force) cost start-up time every CLI process
-    # would pay; only the SVG plot and the tests use them
+    # would pay; only the SVG plot and the tests use them.  The runtime is
+    # standard-library only: the test dependencies stay out of sys.modules
+    # through a whole analyze, certify and verify.
     src = os.path.dirname(os.path.dirname(polycert.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, polycert.cli; print('polycert.oracles' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "False\n"
+    code = textwrap.dedent("""
+        import contextlib, os, sys
+        import polycert, polycert.cli
+        print('polycert.oracles' in sys.modules)
+        flagship, path = "X^4-10*X^3+2162", sys.argv[1]
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            assert polycert.cli.main(["analyze", flagship, "--json"]) == 0
+            with open(path, "w") as fh, contextlib.redirect_stdout(fh):
+                assert polycert.cli.main(["certify", flagship, "--m", "3", "--json"]) == 0
+            assert polycert.cli.main(["verify", path]) == 0
+        print(sorted({"mpmath", "sympy", "hypothesis"} & sys.modules.keys()))
+    """)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cert.json")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out == "False\n[]\n"

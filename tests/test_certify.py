@@ -16,7 +16,8 @@ from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
                               certify_any, certify_combined_report,
                               certify_lens_report, certify_negative_m,
                               certify_sector_prime_power_report,
-                              certify_sector_pq_report, search_m)
+                              certify_sector_pq_report, search_m, _sector_report)
+from polycert import rounding
 from polycert.oracles import irreducible_bruteforce
 from polycert.poly import Polynomial, parse_polynomial
 
@@ -198,6 +199,38 @@ def test_certifier_builds_each_region_once(monkeypatch):
         ctx.certify(m)
         certify_combined_report(ctx, m)
     assert calls["sector_candidates"] == calls["has_rational_root"] == 1
+
+
+def test_certifier_reads_the_trig_constants_from_the_memo():
+    # digits 17 is used by no other test, so the first m fills the memo here
+    ctx = Certifier(FLAGSHIP, q_max=3, digits=17)
+    before = rounding._pi_frac.cache_info().misses
+    ctx.certify(1)
+    after_first = rounding._pi_frac.cache_info().misses
+    assert after_first > before
+    for m in range(1, 31):
+        ctx.certify(m)
+    assert rounding._pi_frac.cache_info().misses == after_first
+
+
+def test_combined_refusal_gives_the_ray_reason(fuzz_corpus):
+    # both branches split f(m) at q = 1, so the preference the combined
+    # criterion once applied to the two reasons always picked the ray's
+    refusals = 0
+    for f in fuzz_corpus:
+        ctx = Certifier(f, q_max=3)
+        for m in range(1, 25):
+            cert, reason = certify_combined_report(ctx, m)
+            if cert is not None:
+                continue
+            refusals += 1
+            lens_reason = certify_lens_report(ctx, m)[1]
+            ray_reason = _sector_report(ctx, m, "pq", 1)[1]
+            assert reason == ray_reason, (f, m)
+            preferred = [r for r in ("value-composite", "outside-region")
+                         if r in (lens_reason, ray_reason)]
+            assert preferred[:1] in ([], [ray_reason]), (f, m, lens_reason)
+    assert refusals > 20000
 
 
 # Most draws are filtered out (f(m) must be a prime times a q_max-smooth q),
@@ -413,6 +446,34 @@ def test_replay_rejects_an_infinite_number(field):
     data[field] = json.loads("1e400")
     with pytest.raises(MalformedCertificateError, match="bad field"):
         certificate_verify(data)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("schema", True), ("q_max", True), ("m", 3.0), ("digits", 12.0)])
+def test_replay_rejects_a_top_level_number_that_is_not_an_integer(field, value):
+    data = json.loads(json.dumps(certify_any(FLAGSHIP, 3, modes=("lens",)).to_json()))
+    data[field] = value
+    with pytest.raises(MalformedCertificateError, match="bad field"):
+        certificate_verify(data)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("conditional",), 0),
+    (("negated_argument",), 0),
+    (("polynomial", 4), True),
+    (("witness", "k"), True),
+    (("witness", "q"), 1.0),
+    (("region", "intervals", 0, "empty"), 0),
+])
+def test_replay_compares_types_not_only_values(path, value):
+    # each edit leaves the certificate == to the rebuilt one: True == 1 == 1.0
+    data = json.loads(json.dumps(certify_any(FLAGSHIP, 3, modes=("lens",)).to_json()))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    assert node[path[-1]] == value
+    node[path[-1]] = value
+    assert certificate_verify(data) is False
 
 
 def test_certify_any_orders_lens_first():

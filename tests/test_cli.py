@@ -156,6 +156,18 @@ def test_verify_of_an_infinite_number_is_an_input_error(tmp_path, capsys):
     assert err.startswith("malformed certificate: bad field")
 
 
+@pytest.mark.parametrize("old, new, code", [
+    ('"m": 3,', '"m": 3.0,', 2),  # a top-level number must be a JSON integer
+    ('"k": 1,', '"k": true,', 1),  # equal to 1, but not the rebuilt type
+])
+def test_verify_of_a_type_confused_certificate(tmp_path, capsys, old, new, code):
+    out = run(capsys, "certify", "X^4-10*X^3+2162", "--m", "3", "--json")[1]
+    assert out.count(old) == 1
+    path = tmp_path / "confused.json"
+    path.write_text(out.replace(old, new))
+    assert run(capsys, "verify", str(path))[0] == code
+
+
 def test_svg_deterministic(tmp_path, capsys):
     f = parse_polynomial("X^4-10*X^3+2162")
     assert render_svg(f) == render_svg(f)
