@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import compress
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .poly import Polynomial, _shift_by_one, divide_exact
 from .rounding import iroot
@@ -79,8 +78,7 @@ class PrimalityStatus(Enum):
     UNIT = "unit"
 
 
-@dataclass(frozen=True)
-class PrimalityResult:
+class PrimalityResult(NamedTuple):
     status: PrimalityStatus
     method: str
     factor: Optional[int] = None
@@ -275,11 +273,10 @@ def next_prime(n: int) -> int:
 # -- factorization witnesses --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorizationWitness:
+class FactorizationWitness(NamedTuple):
     """Data certifying value = p^k * q with p prime and p coprime to q; in
     prime-power mode also |derivative_value| = p^ell * r with p coprime to r
-    and s = min(ell, k/2)."""
+    and s = min(ell, k/2).  Equality and hash ignore primality."""
 
     p: int
     k: int
@@ -287,9 +284,20 @@ class FactorizationWitness:
     ell: Optional[int] = None
     r: Optional[int] = None
     s: Optional[Fraction] = None
-    primality: PrimalityResult = field(
-        default=PrimalityResult(PrimalityStatus.UNIT, "unset"), compare=False)
+    primality: PrimalityResult = PrimalityResult(PrimalityStatus.UNIT, "unset")
     alternatives: tuple[tuple[int, int, int], ...] = ()
+
+    def _key(self) -> tuple:
+        return self[:6] + self[7:]  # every field but primality
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FactorizationWitness) and self._key() == other._key()
+
+    def __ne__(self, other) -> bool:  # tuple's own __ne__ would compare primality
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _strip_small(value: int, q_max: int) -> tuple[int, tuple[tuple[int, int], ...], int]:

@@ -18,11 +18,9 @@ doubled precision (margin discipline).
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus,
                     extract_witness_report, has_rational_root)
@@ -51,8 +49,7 @@ class MalformedCertificateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A verified strict inequality left < right, both sides conservatively
     rounded before the comparison was made."""
 
@@ -85,8 +82,7 @@ def _witness_json(w: FactorizationWitness) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     polynomial: Polynomial
     m: int
     criterion: str
@@ -358,7 +354,7 @@ def certify_combined_report(ctx: Certifier, m: int) -> tuple[Optional[Certificat
 
 def _as_combined(cert: Certificate, branch: str, q_max: int) -> Certificate:
     region = dict(cert.region, kind="combined", branch=branch)
-    return dataclasses.replace(cert, criterion=CRIT_COMBINED, region=region, q_max=q_max)
+    return cert._replace(criterion=CRIT_COMBINED, region=region, q_max=q_max)
 
 
 def _criteria() -> dict:
@@ -380,15 +376,13 @@ def certify_any(f: Polynomial, m: int, q_max: int = 1,
     return Certifier(f, q_max, digits).certify(m, modes)[0]
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     m: int
     outcome: str  # certified | value-composite | outside-region | witness-absent
     detail: str
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     lo: int
     hi: int
     scanned_hi: int
@@ -456,7 +450,7 @@ def _restated(cert: Optional[Certificate], f: Polynomial, m: int) -> Optional[Ce
     """A certificate for +-f(-X) at -m restated for f at m."""
     if cert is None:
         return None
-    return dataclasses.replace(cert, polynomial=f, m=m, negated_argument=True)
+    return cert._replace(polynomial=f, m=m, negated_argument=True)
 
 
 def certify_negative_m(f: Polynomial, m: int, q_max: int = 1,

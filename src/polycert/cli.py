@@ -456,7 +456,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"cannot read certificate: {exc}", file=sys.stderr)
         return 2
     try:
@@ -588,11 +588,14 @@ def _check_args(args) -> None:
     if args.command == "scan":
         if (args.family is None) == (args.family_json is None):
             raise ValueError("provide exactly one family source")
-        if args.family_json is not None:
-            desc = json.loads(args.family_json)
-        else:
-            with open(args.family, "r", encoding="utf-8") as fh:
-                desc = json.load(fh)
+        try:
+            if args.family_json is not None:
+                desc = json.loads(args.family_json)
+            else:
+                with open(args.family, "r", encoding="utf-8") as fh:
+                    desc = json.load(fh)
+        except RecursionError as exc:  # JSON nested past the recursion limit
+            raise ValueError(f"family descriptor: {exc}") from None
         args.family = _family_params(desc)
 
 

@@ -9,14 +9,13 @@ the reciprocal's sector vertex.  All admissible intervals are rounded inward
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .poly import Polynomial
-from .rounding import (DEFAULT_DIGITS, BoundedReal, cot_pi_frac, format_decimal,
-                       pi_bounds, power_of_two_text, root_of_enclosure,
-                       sin_pi_frac, tan_pi_frac)
+from .rounding import (DEFAULT_DIGITS, BoundedReal, _Frozen, cot_pi_frac,
+                       format_decimal, pi_bounds, power_of_two_text,
+                       root_of_enclosure, sin_pi_frac, tan_pi_frac)
 from .sectors import Sector, best_sector
 
 
@@ -25,17 +24,20 @@ class DegenerateLensError(ValueError):
     wedge at the origin instead of a bounded lens."""
 
 
-@dataclass(frozen=True)
-class Lens:
-    v_tilde: BoundedReal
-    n: int
-    method: str = ""
+class Lens(_Frozen):
+    """The lens of a degree-n polynomial whose reciprocal has the sector
+    vertex v_tilde."""
 
-    def __post_init__(self):
-        if self.v_tilde.lower <= 0:
+    __slots__ = ("v_tilde", "n", "method")
+
+    def __init__(self, v_tilde: BoundedReal, n: int, method: str = ""):
+        if v_tilde.lower <= 0:
             raise ValueError("lens needs a strictly positive reciprocal vertex")
-        if self.n < 3:
+        if n < 3:
             raise ValueError("lens needs degree >= 3")
+        object.__setattr__(self, "v_tilde", v_tilde)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "method", method)
 
     def radius(self, digits: int = DEFAULT_DIGITS) -> BoundedReal:
         return 1 / (2 * self.v_tilde * sin_pi_frac(Fraction(1, self.n), digits))
@@ -74,8 +76,7 @@ def lens_of(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Lens:
     return Lens(sector.vertex, n, sector.method)
 
 
-@dataclass(frozen=True)
-class AdmissibleInterval:
+class AdmissibleInterval(NamedTuple):
     """Open interval of admissible integer arguments, rounded inward: a point
     is inside only when lo.upper < m < hi.lower."""
 
@@ -159,8 +160,7 @@ def interval_effective(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleIn
     return AdmissibleInterval(bound, 1 / lens.v_tilde - bound, "cor_effective")
 
 
-@dataclass(frozen=True)
-class CombinedRegion:
+class CombinedRegion(NamedTuple):
     """Union of the cot-based lens interval (when available) and the ray to
     the right of vertex + 1/sin(pi/n)."""
 

@@ -8,17 +8,15 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import _strip_small, has_rational_root, is_prime
 from .poly import Polynomial, divide_exact
 from .sectors import Sector
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     roots: tuple[complex, ...]
     residual_bound: float
     converged: bool
@@ -144,8 +142,7 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class FactorSearchResult:
+class FactorSearchResult(NamedTuple):
     status: str  # "irreducible" | "reducible" | "out_of_reach"
     factor: Optional[Polynomial] = None
 

@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -238,8 +237,7 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial | None:
 # -- sign data -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignIndexSets:
+class SignIndexSets(NamedTuple):
     """Indices of negative coefficients, positive indices above them, and the
     absolute value of the sum of the negative coefficients."""
 
@@ -248,8 +246,7 @@ class SignIndexSets:
     neg_sum_abs: int
 
 
-@dataclass(frozen=True)
-class SignBlock:
+class SignBlock(NamedTuple):
     """One maximal positive run followed by the next maximal negative run.
 
     Index bounds are inclusive exponent ranges over nonzero coefficients;
@@ -268,14 +265,12 @@ class SignBlock:
         return self.neg_hi is not None
 
 
-@dataclass(frozen=True)
-class SignBlockPartition:
+class SignBlockPartition(NamedTuple):
     blocks: tuple[SignBlock, ...]
     sign_changes: int
 
 
-@dataclass(frozen=True)
-class PartialSums:
+class PartialSums(NamedTuple):
     """The sums alpha^j*a_n + alpha^(j-1)*a_{n-1} + ... + a_{n-j}, j = 0..n."""
 
     alpha: Fraction

@@ -36,7 +36,6 @@ of one degree it certifies and replays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -60,14 +59,49 @@ TRIG_MEMO_SIZE = 256
 _GUARD = 64
 
 
-@dataclass(frozen=True)
-class BoundedReal:
-    lower: Fraction
-    upper: Fraction
+class _Frozen:
+    """Base of the immutable slotted classes: equal, hashed, copied and
+    printed by the values of their __slots__, which __init__ sets through
+    object.__setattr__."""
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"inverted bounds [{self.lower}, {self.upper}]")
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class BoundedReal(_Frozen):
+    """An enclosure lower <= x <= upper.  Not a tuple: its + and * are
+    interval arithmetic."""
+
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: Fraction, upper: Fraction):
+        if lower > upper:
+            raise ValueError(f"inverted bounds [{lower}, {upper}]")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     @classmethod
     def exact(cls, x: Rat) -> "BoundedReal":

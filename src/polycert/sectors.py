@@ -9,17 +9,15 @@ conservative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .poly import Polynomial, partial_sums, sign_blocks, sign_index_sets
 from .rounding import (DEFAULT_DIGITS, BoundedReal, enclose_max, enclose_min,
                        format_decimal, nth_root_bounds)
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(NamedTuple):
     vertex: BoundedReal
     angle_denominator: int
     method: str

@@ -62,3 +62,16 @@ def test_cli_import_leaves_the_oracles_out(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cert.json")],
                          env=env, check=True, capture_output=True, text=True).stdout
     assert out == "False\n[]\n"
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the records are NamedTuples and slotted classes: `dataclasses` (with
+    # `inspect`, `ast` and `dis`) and its per-class generated code would add
+    # ~20 ms to every CLI process
+    src = os.path.dirname(os.path.dirname(polycert.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, polycert.cli; print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -168,6 +168,25 @@ def test_verify_of_a_type_confused_certificate(tmp_path, capsys, old, new, code)
     assert run(capsys, "verify", str(path))[0] == code
 
 
+def test_verify_of_json_nested_past_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("cannot read certificate: maximum recursion depth exceeded")
+
+
+@pytest.mark.parametrize("from_file", [False, True])
+def test_scan_of_json_nested_past_the_recursion_limit(tmp_path, capsys, from_file):
+    text = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    source = [str(path)] if from_file else ["--family-json", text]
+    code, out, err = run(capsys, "scan", *source)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: family descriptor: maximum recursion depth exceeded")
+
+
 def test_svg_deterministic(tmp_path, capsys):
     f = parse_polynomial("X^4-10*X^3+2162")
     assert render_svg(f) == render_svg(f)
