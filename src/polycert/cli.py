@@ -45,7 +45,7 @@ def _env_digits() -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="polycert",
+        prog="polycert", allow_abbrev=False,
         description="Zero-free sectors and lens regions for integer polynomials, "
                     "with irreducibility certificates from prime values.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -59,11 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"default ${ENV_DIGITS} or {DEFAULT_DIGITS}")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
-    pa = sub.add_parser("analyze", help="report zero-free sectors, lens, intervals")
+    pa = sub.add_parser("analyze", allow_abbrev=False,
+                        help="report zero-free sectors, lens, intervals")
     add_poly_args(pa)
     pa.add_argument("--plot", help="write an SVG of sector, lens and numeric roots")
 
-    pc = sub.add_parser("certify", help="issue an irreducibility certificate")
+    pc = sub.add_parser("certify", allow_abbrev=False,
+                        help="issue an irreducibility certificate")
     add_poly_args(pc)
     pc.add_argument("--m", type=int, help="integer argument to certify at")
     pc.add_argument("--search", help="scan a range LO..HI for the first certificate")
@@ -74,13 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--negative-m", action="store_true",
                     help="allow negative m (certifies through f(-X))")
 
-    ps = sub.add_parser("scan", help="certify a declarative family of polynomials")
+    ps = sub.add_parser("scan", allow_abbrev=False,
+                        help="certify a declarative family of polynomials")
     ps.add_argument("family", nargs="?", help="path to a family descriptor JSON file")
     ps.add_argument("--family-json", help="inline family descriptor JSON")
     ps.add_argument("--digits", type=int)
     ps.add_argument("--json", action="store_true")
 
-    pv = sub.add_parser("verify", help="replay a certificate file")
+    pv = sub.add_parser("verify", allow_abbrev=False,
+                        help="replay a certificate file")
     pv.add_argument("certificate", help="path to a certificate JSON file")
     return parser
 

@@ -14,8 +14,8 @@ from typing import NamedTuple, Optional
 
 from .poly import Polynomial
 from .rounding import (DEFAULT_DIGITS, BoundedReal, _Frozen, cot_pi_frac,
-                       format_decimal, pi_bounds, power_of_two_text,
-                       root_of_enclosure, sin_pi_frac, tan_pi_frac)
+                       format_decimal, nth_root_bounds, pi_bounds,
+                       power_of_two_text, sin_pi_frac, tan_pi_frac)
 from .sectors import Sector, best_sector
 
 
@@ -77,24 +77,25 @@ def lens_of(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Lens:
 
 
 class AdmissibleInterval(NamedTuple):
-    """Open interval of admissible integer arguments, rounded inward: a point
-    is inside only when lo.upper < m < hi.lower."""
+    """Open interval of admissible integer arguments, rounded inward: lo is at
+    or above the true lower end, hi at or below the true upper end, and a
+    point is inside only when lo < m < hi."""
 
-    lo: BoundedReal
-    hi: BoundedReal
+    lo: Fraction
+    hi: Fraction
     source: str
 
     @property
     def empty(self) -> bool:
-        return not self.lo.upper < self.hi.lower
+        return not self.lo < self.hi
 
     def contains_int(self, m: int) -> bool:
-        return self.lo.upper < m < self.hi.lower
+        return self.lo < m < self.hi
 
     def to_json(self) -> dict:
         return {
-            "lo": format_decimal(self.lo.upper, direction="ceil"),
-            "hi": format_decimal(self.hi.lower, direction="floor"),
+            "lo": format_decimal(self.lo, direction="ceil"),
+            "hi": format_decimal(self.hi, direction="floor"),
             "source": self.source,
             "empty": self.empty,
         }
@@ -119,25 +120,20 @@ def interval_disk_in_lens(lens: Lens, digits: int = DEFAULT_DIGITS) -> Admissibl
     delta = sqrt(1 + 1/(4vt^2) - 1/(vt sin(pi/n))); unit disks centered on
     integer points of this interval fit inside the lens.
 
-    vt and s = sin(pi/n) are positive, so the radicand's lower end takes
-    vt.upper in the square and vt.lower*s.lower in the product, and its upper
-    end the other ends.  Each end is one fraction over a common denominator,
-    so it is the same canonical Fraction that interval arithmetic gives."""
+    Only the inward ends are built.  vt and s = sin(pi/n) are positive, so
+    the radicand's lower end takes vt.upper in the square and vt.lower*s.lower
+    in the product; it is one fraction over a common denominator, the same
+    canonical Fraction that interval arithmetic gives, and delta is the lower
+    end of its one square root."""
     _check_narrow_vertex(lens, digits)
     vt = lens.v_tilde
-    s = sin_pi_frac(Fraction(1, lens.n), digits)
-    ends = []
-    for square, product, sine in (
-            (vt.upper, vt.lower, s.lower), (vt.lower, vt.upper, s.upper)):
-        (a, b), (c, d), (e, g) = (x.as_integer_ratio() for x in (square, product, sine))
-        # 1 + b^2/(4a^2) - (d*g)/(c*e)
-        den = 4 * a * a * c * e
-        ends.append(Fraction(den + b * b * c * e - 4 * a * a * d * g, den))
-    delta = root_of_enclosure(BoundedReal(*ends), 2, digits)
-    half_lo = Fraction(vt.upper.denominator, 2 * vt.upper.numerator)
-    half_hi = Fraction(vt.lower.denominator, 2 * vt.lower.numerator)
-    return AdmissibleInterval(BoundedReal(half_lo - delta.upper, half_hi - delta.lower),
-                              BoundedReal(half_lo + delta.lower, half_hi + delta.upper),
+    (a, b), (c, d) = vt.upper.as_integer_ratio(), vt.lower.as_integer_ratio()
+    e, g = sin_pi_frac(Fraction(1, lens.n), digits).lower.as_integer_ratio()
+    # 1 + b^2/(4a^2) - (d*g)/(c*e)
+    den = 4 * a * a * c * e
+    radicand = Fraction(den + b * b * c * e - 4 * a * a * d * g, den)
+    delta = nth_root_bounds(max(Fraction(0), radicand), 2, digits).lower
+    return AdmissibleInterval(Fraction(d, 2 * c) - delta, Fraction(b, 2 * a) + delta,
                               "thm_disk_in_lens")
 
 
@@ -145,39 +141,37 @@ def interval_cot(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval
     """The interval (cot(pi/(2n)), 1/vt - cot(pi/(2n))), contained in the
     disk-in-lens interval."""
     _check_narrow_vertex(lens, digits)
-    cot = cot_pi_frac(Fraction(1, 2 * lens.n), digits)
-    vt = lens.v_tilde
-    hi = BoundedReal(Fraction(vt.upper.denominator, vt.upper.numerator) - cot.upper,
-                     Fraction(vt.lower.denominator, vt.lower.numerator) - cot.lower)
-    return AdmissibleInterval(cot, hi, "cor_cot")
+    cot = cot_pi_frac(Fraction(1, 2 * lens.n), digits).upper
+    vt = lens.v_tilde.upper
+    return AdmissibleInterval(cot, Fraction(vt.denominator, vt.numerator) - cot, "cor_cot")
 
 
 def interval_effective(lens: Lens, digits: int = DEFAULT_DIGITS) -> AdmissibleInterval:
     """The trig-free interval (2n/pi, 1/vt - 2n/pi); needs vt < pi/(4n)."""
     pi = pi_bounds(digits)
     _check_vertex_below(lens, pi.lower / (4 * lens.n), f"pi/(4*{lens.n})")
-    bound = (2 * lens.n) / pi
-    return AdmissibleInterval(bound, 1 / lens.v_tilde - bound, "cor_effective")
+    bound = 2 * lens.n / pi.lower
+    return AdmissibleInterval(bound, 1 / lens.v_tilde.upper - bound, "cor_effective")
 
 
 class CombinedRegion(NamedTuple):
     """Union of the cot-based lens interval (when available) and the ray to
-    the right of vertex + 1/sin(pi/n)."""
+    the right of vertex + 1/sin(pi/n); ray_lo is at or above that end."""
 
     interval: Optional[AdmissibleInterval]
-    ray_lo: BoundedReal
+    ray_lo: Fraction
     simplification: Optional[str]
     notes: tuple[str, ...]
 
     def admits_int(self, m: int) -> bool:
-        if m > self.ray_lo.upper:
+        if m > self.ray_lo:
             return True
         return self.interval is not None and self.interval.contains_int(m)
 
     def to_json(self) -> dict:
         return {
             "intervals": [] if self.interval is None else [self.interval.to_json()],
-            "ray_lo": format_decimal(self.ray_lo.upper, direction="ceil"),
+            "ray_lo": format_decimal(self.ray_lo, direction="ceil"),
             "simplification": self.simplification,
             "notes": list(self.notes),
         }
@@ -191,8 +185,8 @@ def combined_region(sector: Sector, lens: Optional[Lens],
     n = sector.angle_denominator
     if n < 2:
         raise ValueError("combined region needs degree >= 2")
-    s = sin_pi_frac(Fraction(1, n), digits)
-    ray_lo = sector.vertex + 1 / s
+    inv_sin = 1 / sin_pi_frac(Fraction(1, n), digits).lower
+    ray_lo = sector.vertex.upper + inv_sin
     notes: list[str] = []
     interval = None
     if lens is None:
@@ -207,7 +201,7 @@ def combined_region(sector: Sector, lens: Optional[Lens],
     if sector.vertex.upper <= cot_n.lower:
         simplification = "ray-covers-interval"
     elif interval is not None and not interval.empty:
-        threshold = interval.hi - 1 / s
-        if cot_n.upper < sector.vertex.lower and sector.vertex.upper < threshold.lower:
+        threshold = interval.hi - inv_sin
+        if cot_n.upper < sector.vertex.lower and sector.vertex.upper < threshold:
             simplification = "connected-above-cot-half"
     return CombinedRegion(interval, ray_lo, simplification, tuple(notes))

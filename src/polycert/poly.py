@@ -110,7 +110,8 @@ class Polynomial:
         """Coefficients of f(X + alpha), exact rationals."""
         return shift_coeffs(self.coeffs, alpha)
 
-    # -- arithmetic (used by the parser, the oracles, and tests) ------------
+    # -- arithmetic (the parser's +, - and *, negation, and tests; powers are
+    # _ExprParser.power, which charges the parse budget) -------------------
 
     def __add__(self, other: "Polynomial | int") -> "Polynomial":
         oc = other.coeffs if isinstance(other, Polynomial) else (int(other),)
@@ -142,18 +143,6 @@ class Polynomial:
         return Polynomial([c * int(other) for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "Polynomial":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Polynomial([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     # -- presentation -------------------------------------------------------
 

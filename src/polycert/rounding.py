@@ -21,9 +21,8 @@ every case measured.
 `_refine` is the one precision loop: it doubles the working precision until
 an enclosure meets the digits target, and every producer here calls it.  Its
 one precondition: each doubling must make the enclosure narrower, with no
-lower limit on the width, or the loop never ends.  The width of an interval
-argument is such a limit, so `root_of_enclosure` evaluates the root at the
-two ends of its interval, each end tightened on its own.
+lower limit on the width, or the loop never ends, so every producer takes
+an exact rational argument.
 
 `sin_pi_frac`, `tan_pi_frac` and `cot_pi_frac` check their argument in
 integers, then call `_pi_frac(fn, num, den, digits)` on c = num/den, one
@@ -277,16 +276,6 @@ def nth_root_bounds(x: Rat, k: int, digits: int = DEFAULT_DIGITS) -> BoundedReal
         return BoundedReal(Fraction(iroot(shifted // den, k), 1 << s),
                            Fraction(_iroot_ceil(-(-shifted // den), k), 1 << s))
     return _refine(build, max(16, 4 * digits), digits, positive=True)
-
-
-def root_of_enclosure(v: BoundedReal, k: int, digits: int = DEFAULT_DIGITS) -> BoundedReal:
-    """Enclosure of v^(1/k); the lower endpoint is clamped at 0 so a slightly
-    negative rounding artifact on a true non-negative value stays usable."""
-    lo = max(Fraction(0), v.lower)
-    if v.upper < 0:
-        raise ValueError("root of a negative enclosure")
-    return BoundedReal(nth_root_bounds(lo, k, digits).lower,
-                       nth_root_bounds(v.upper, k, digits).upper)
 
 
 def pow_upper(base: int, exponent: Fraction, digits: int = DEFAULT_DIGITS) -> Fraction:

@@ -183,10 +183,10 @@ def test_acceptance_7_dominance_and_inclusion(fuzz_corpus):
                 disk = interval_disk_in_lens(lens)
                 cot = interval_cot(lens)
                 eff = interval_effective(lens)
-                assert disk.lo.upper <= cot.lo.upper, (n, vt)
-                assert cot.hi.lower <= disk.hi.lower, (n, vt)
-                assert cot.lo.upper <= eff.lo.upper, (n, vt)
-                assert eff.hi.lower <= cot.hi.lower, (n, vt)
+                assert disk.lo <= cot.lo, (n, vt)
+                assert cot.hi <= disk.hi, (n, vt)
+                assert cot.lo <= eff.lo, (n, vt)
+                assert eff.hi <= cot.hi, (n, vt)
 
 
 def test_acceptance_8_partial_sum_shift_exhaustive():

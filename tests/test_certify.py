@@ -352,6 +352,21 @@ def test_replay_round_trip():
         assert certificate_verify(data)
 
 
+@pytest.mark.parametrize("text, m, q_max, digits, mode, issued, doubled", [
+    ("X^4-2000000002*X^3+25672533065054", 21, 1, 12, "lens", "thm39_lens", "cor310_cot"),
+    ("X^4-3*X^3+7243", 11, 1, 4, "lens", "thm39_lens", "cor310_cot"),
+    ("X^3-150304*X+34", 390, 2, 4, "pq", "thm31_sqrt_q", "thm31_pq"),
+])
+def test_replay_accepts_a_sibling_tag_at_doubled_digits(text, m, q_max, digits, mode,
+                                                        issued, doubled):
+    f = parse_polynomial(text)
+    cert = certify_any(f, m, q_max, digits)
+    assert cert.criterion == issued
+    # the same criterion still certifies m at 2*digits, under its sibling tag
+    assert certify_any(f, m, q_max, 2 * digits, modes=(mode,)).criterion == doubled
+    assert certificate_verify(json.loads(json.dumps(cert.to_json())))
+
+
 def test_replay_rejects_all_single_field_tampers():
     cert = certify_any(FLAGSHIP, 3, modes=("lens",))
     base = cert.to_json()

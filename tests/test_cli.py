@@ -246,6 +246,18 @@ def test_scan_bad_family(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (["scan", "--family", "desc.json"], "--family"),  # once read as --family-json
+    (["certify", "X^4-10*X^3+2162", "--m", "3", "--q", "3"], "--q 3"),  # as --q-max
+    (["analyze", "--coeff", "-1,0,1"], "--coeff -1,0,1"),  # past the --coeffs rewrite
+])
+def test_abbreviated_options_are_unrecognized(capsys, argv, unknown):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {unknown}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("desc", [
     '{"family": "digit_polynomials"}',
     '[1]',

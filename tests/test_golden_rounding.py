@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from polycert.rounding import (BoundedReal, cot_pi_frac, nth_root_bounds,
-                               pi_bounds, pow_upper, root_of_enclosure,
-                               sin_pi_frac, tan_pi_frac)
+                               pi_bounds, pow_upper, sin_pi_frac, tan_pi_frac)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_rounding.json")
                     .read_text(encoding="utf-8"))
@@ -47,9 +46,6 @@ for _x, _k in ((F(2), 2), (F(3), 3), (F(10), 5), (F(7, 3), 2), (F(1, 1000), 3),
                (F(10**12 + 1), 4), (F(27, 8), 3)):
     CASES[f"nth_root_bounds {_x} {_k}"] = (
         DIGITS, lambda d, x=_x, k=_k: _pair(nth_root_bounds(x, k, d)))
-for _lo, _hi, _k in ((F(-1, 100), F(2), 2), (F(5), F(7), 3), (F(1, 3), F(1, 2), 2)):
-    CASES[f"root_of_enclosure [{_lo}, {_hi}] {_k}"] = (
-        DIGITS, lambda d, lo=_lo, hi=_hi, k=_k: _pair(root_of_enclosure(BoundedReal.of(lo, hi), k, d)))
 for _base, _e in ((2, F(1, 2)), (10, F(3, 4)), (7, F(5, 3)), (5, F(2))):
     CASES[f"pow_upper {_base} {_e}"] = (
         DIGITS, lambda d, b=_base, e=_e: (pow_upper(b, e, d),))

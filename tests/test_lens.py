@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycert.lens import (AdmissibleInterval, DegenerateLensError, Lens,
-                           _check_narrow_vertex, combined_region,
-                           interval_cot, interval_disk_in_lens,
-                           interval_effective, lens_of)
+from polycert.lens import (DegenerateLensError, Lens, _check_narrow_vertex,
+                           _check_vertex_below, combined_region, interval_cot,
+                           interval_disk_in_lens, interval_effective, lens_of)
 from polycert.poly import parse_polynomial
-from polycert.rounding import (BoundedReal, cot_pi_frac, root_of_enclosure,
-                               sin_pi_frac)
+from polycert.rounding import (BoundedReal, cot_pi_frac, nth_root_bounds,
+                               pi_bounds, sin_pi_frac)
 from polycert.sectors import best_sector
 
 mpmath.mp.dps = 50
@@ -70,10 +69,10 @@ def test_disk_interval_flagship():
     lo_oracle, hi_oracle = mp_disk_interval(vt_oracle, 4)
     assert disk.contains_int(3)
     # inward rounding: reported interval sits inside the oracle interval
-    assert lo_oracle <= float(disk.lo.upper) <= lo_oracle + 1e-6
-    assert hi_oracle - 1e-6 <= float(disk.hi.lower) <= hi_oracle
-    assert abs(float(disk.lo.upper) - 1.769) < 1e-2
-    assert abs(float(disk.hi.lower) - 4.233) < 1e-2
+    assert lo_oracle <= float(disk.lo) <= lo_oracle + 1e-6
+    assert hi_oracle - 1e-6 <= float(disk.hi) <= hi_oracle
+    assert abs(float(disk.lo) - 1.769) < 1e-2
+    assert abs(float(disk.hi) - 4.233) < 1e-2
 
 
 def test_disk_interval_boundary_vertex_rejected():
@@ -93,8 +92,8 @@ def test_disk_interval_widens_as_vertex_shrinks():
         for vt in sorted(vts):
             disk = interval_disk_in_lens(Lens(BoundedReal.exact(vt), n))
             if prev is not None:
-                assert prev.lo.upper <= disk.lo.upper + Fraction(1, 10**9)
-                assert disk.hi.lower <= prev.hi.lower + Fraction(1, 10**9)
+                assert prev.lo <= disk.lo + Fraction(1, 10**9)
+                assert disk.hi <= prev.hi + Fraction(1, 10**9)
             prev = disk
 
 
@@ -102,16 +101,16 @@ def test_cot_interval_flagship():
     lens = lens_of(FLAGSHIP)
     cot = interval_cot(lens)
     assert cot.contains_int(3)
-    assert abs(float(cot.lo.upper) - 2.414) < 1e-2
-    assert abs(float(cot.hi.lower) - 3.588) < 1e-2
+    assert abs(float(cot.lo) - 2.414) < 1e-2
+    assert abs(float(cot.hi) - 3.588) < 1e-2
 
 
 def test_cot_interval_cubic_oracle():
     lens = Lens(BoundedReal.exact(Fraction(1, 10)), 3)
     cot = interval_cot(lens)
     oracle_lo = mp_frac(1 / mpmath.tan(mpmath.pi / 6))  # sqrt(3)
-    assert oracle_lo - SLACK <= cot.lo.upper <= oracle_lo + Fraction(1, 10**9)
-    assert abs(cot.hi.lower - (10 - oracle_lo)) < Fraction(1, 10**9)
+    assert oracle_lo - SLACK <= cot.lo <= oracle_lo + Fraction(1, 10**9)
+    assert abs(cot.hi - (10 - oracle_lo)) < Fraction(1, 10**9)
 
 
 def test_quartic_family_vertex_condition():
@@ -126,10 +125,10 @@ def test_effective_interval():
     lens = Lens(BoundedReal.exact(Fraction(1, 10)), 4)
     eff = interval_effective(lens)
     lo_oracle = mp_frac(8 / mpmath.pi)
-    assert lo_oracle - SLACK <= eff.lo.upper <= lo_oracle + Fraction(1, 10**9)
-    assert abs(eff.hi.lower - (10 - lo_oracle)) < Fraction(1, 10**9)
+    assert lo_oracle - SLACK <= eff.lo <= lo_oracle + Fraction(1, 10**9)
+    assert abs(eff.hi - (10 - lo_oracle)) < Fraction(1, 10**9)
     cot = interval_cot(lens)
-    assert cot.lo.upper <= eff.lo.upper and eff.hi.lower <= cot.hi.lower
+    assert cot.lo <= eff.lo and eff.hi <= cot.hi
 
 
 def test_effective_interval_precondition():
@@ -148,8 +147,8 @@ def test_interval_inclusions_on_grid():
             disk = interval_disk_in_lens(lens)
             cot = interval_cot(lens)
             eff = interval_effective(lens)
-            assert disk.lo.upper <= cot.lo.upper < cot.hi.lower <= disk.hi.lower
-            assert cot.lo.upper <= eff.lo.upper and eff.hi.lower <= cot.hi.lower
+            assert disk.lo <= cot.lo < cot.hi <= disk.hi
+            assert cot.lo <= eff.lo and eff.hi <= cot.hi
 
 
 def test_combined_region_flagship():
@@ -159,7 +158,7 @@ def test_combined_region_flagship():
     assert region.admits_int(3)
     assert not region.admits_int(5)
     assert region.admits_int(13)
-    assert abs(float(region.ray_lo.upper) - (10 + math.sqrt(2))) < 1e-9
+    assert abs(float(region.ray_lo) - (10 + math.sqrt(2))) < 1e-9
 
 
 def test_combined_region_simplifications():
@@ -197,32 +196,44 @@ def test_inversion_geometry_sample():
             assert min(abs(d_plus - r), abs(d_minus - r)) < 1e-9
 
 
-# -- the integer radicand against the interval-arithmetic formula ---------------
+# -- the inward ends against the interval-arithmetic formula --------------------
 
 
 def _reference_disk(lens, digits):
-    """interval_disk_in_lens as BoundedReal operators, the form the integer
-    radicand replaced."""
+    """interval_disk_in_lens as BoundedReal operators, both ends of the
+    radicand and of its root, the form the inward ends replaced."""
     _check_narrow_vertex(lens, digits)
     vt = lens.v_tilde
     s = sin_pi_frac(Fraction(1, lens.n), digits)
     half = 1 / (2 * vt)
     radicand = 1 + half * half - 1 / (vt * s)
-    delta = root_of_enclosure(radicand, 2, digits)
-    return AdmissibleInterval(half - delta, half + delta, "thm_disk_in_lens")
+    if radicand.upper < 0:
+        raise ValueError("root of a negative enclosure")
+    delta = BoundedReal(nth_root_bounds(max(Fraction(0), radicand.lower), 2, digits).lower,
+                        nth_root_bounds(radicand.upper, 2, digits).upper)
+    return half - delta, half + delta
 
 
 def _reference_cot(lens, digits):
     _check_narrow_vertex(lens, digits)
     cot = cot_pi_frac(Fraction(1, 2 * lens.n), digits)
-    return AdmissibleInterval(cot, 1 / lens.v_tilde - cot, "cor_cot")
+    return cot, 1 / lens.v_tilde - cot
+
+
+def _reference_effective(lens, digits):
+    pi = pi_bounds(digits)
+    _check_vertex_below(lens, pi.lower / (4 * lens.n), f"pi/(4*{lens.n})")
+    bound = (2 * lens.n) / pi
+    return bound, 1 / lens.v_tilde - bound
 
 
 def _outcome(fn, lens, digits):
+    """fn's inward ends (the reference's lo.upper and hi.lower), or its error."""
     try:
-        return fn(lens, digits)
+        lo, hi = fn(lens, digits)[:2]
     except ValueError as exc:
         return type(exc), str(exc)
+    return getattr(lo, "upper", lo), getattr(hi, "lower", hi)
 
 
 @st.composite
@@ -244,5 +255,34 @@ def _lenses(draw):
 @given(_lenses(), st.sampled_from([12, 24, 100, 200]))
 def test_lens_intervals_match_the_interval_arithmetic_formula(lens, digits):
     for fn, reference in ((interval_disk_in_lens, _reference_disk),
-                          (interval_cot, _reference_cot)):
+                          (interval_cot, _reference_cot),
+                          (interval_effective, _reference_effective)):
         assert _outcome(fn, lens, digits) == _outcome(reference, lens, digits)
+
+
+def test_disk_in_lens_takes_one_square_root(monkeypatch):
+    import polycert.lens
+    import polycert.rounding
+    lens = lens_of(FLAGSHIP)
+    roots = []
+    original = polycert.rounding.nth_root_bounds
+
+    def counted(*args):
+        roots.append(args)
+        return original(*args)
+    monkeypatch.setattr(polycert.rounding, "nth_root_bounds", counted)
+    monkeypatch.setattr(polycert.lens, "nth_root_bounds", counted)
+    interval_disk_in_lens(lens, 12)
+    assert len(roots) == 1
+
+
+def test_combined_region_ends_are_the_inward_ends():
+    lens = lens_of(FLAGSHIP)
+    sector = best_sector(FLAGSHIP)
+    region = combined_region(sector, lens)
+    s = sin_pi_frac(Fraction(1, 4), 12)
+    assert type(region.ray_lo) is Fraction
+    assert region.ray_lo == (sector.vertex + 1 / s).upper
+    for fn in (interval_disk_in_lens, interval_cot, interval_effective):
+        interval = fn(lens)
+        assert type(interval.lo) is Fraction and type(interval.hi) is Fraction

@@ -1,3 +1,5 @@
+import functools
+import operator
 import sys
 from fractions import Fraction
 
@@ -395,4 +397,4 @@ def test_inputs_past_the_budget_are_a_parse_error(deadline, text):
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=5), st.integers(0, 12))
 def test_a_parsed_power_is_the_polynomial_power(coeffs, e):
     f = Polynomial(coeffs)
-    assert parse_polynomial(f"({f})^{e}") == f**e
+    assert parse_polynomial(f"({f})^{e}") == functools.reduce(operator.mul, [f] * e, Polynomial([1]))

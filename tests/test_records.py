@@ -28,7 +28,7 @@ PROVEN = PrimalityResult(PrimalityStatus.PROVEN_PRIME, "trial")
 WITNESS = FactorizationWitness(7, 1, 1, primality=PROVEN)
 CHECK = Check("m exceeds vertex", THIRD, Fraction(3))
 BLOCK = SignBlock(4, 3, 2, 0, 5, -7)
-INTERVAL = AdmissibleInterval(V, BoundedReal(Fraction(3), Fraction(4)), "cor_cot")
+INTERVAL = AdmissibleInterval(HALF, Fraction(3), "cor_cot")
 CERT = Certificate(Polynomial([1, 1, 1]), 2, "thm31_pq", {"kind": "sector"}, WITNESS,
                    (CHECK,), "proven_prime", False, 1, 12)
 OUTCOME = SearchOutcome(2, "certified", "thm31_pq")
@@ -47,9 +47,9 @@ RECORDS = [
       "primality": PrimalityResult(PrimalityStatus.UNIT, "unset"), "alternatives": ()},
      {"q": 3}),
     (Sector, (V, 4, "neg-sum"), {}, {"angle_denominator": 5}),
-    (AdmissibleInterval, (V, BoundedReal(Fraction(3), Fraction(4)), "cor_cot"), {},
+    (AdmissibleInterval, (HALF, Fraction(3), "cor_cot"), {},
      {"source": "thm_disk_in_lens"}),
-    (CombinedRegion, (INTERVAL, V, None, ("note",)), {}, {"simplification": "x"}),
+    (CombinedRegion, (INTERVAL, HALF, None, ("note",)), {}, {"simplification": "x"}),
     (Check, ("m exceeds vertex", THIRD, Fraction(3)), {}, {"left": HALF}),
     (Certificate, (Polynomial([1, 1, 1]), 2, "thm31_pq", {"kind": "sector"}, WITNESS,
                    (CHECK,), "proven_prime", False, 1, 12),
