@@ -231,7 +231,10 @@ class Certifier:
     def certify(self, m: int, modes: Optional[Sequence[str]] = None,
                 ) -> tuple[Optional[Certificate], list[str]]:
         """The first certificate at m from the enabled criteria, tried in
-        DEFAULT_MODES order, and the reason of each criterion that failed."""
+        DEFAULT_MODES order, and the reason of each criterion that failed;
+        ValueError for digits or q_max outside the ranges replay accepts."""
+        if not (1 <= self.digits <= MAX_DIGITS and 1 <= self.q_max <= MAX_Q_MAX):
+            raise ValueError(f"digits must be in 1..{MAX_DIGITS} and q_max in 1..{MAX_Q_MAX}")
         modes = DEFAULT_MODES if modes is None else tuple(modes)
         unknown = set(modes) - set(DEFAULT_MODES)
         if unknown:

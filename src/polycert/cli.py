@@ -628,7 +628,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for i, a in enumerate(argv[:-1]):
         if a == "--coeffs":
             argv[i:i + 2] = [f"--coeffs={argv[i + 1]}"]
-    args = _build_parser().parse_args(argv)
+    # ... and expressions in X: argparse takes "-10*X^3+X^4+2162" for an
+    # option but " -10*X^3+X^4+2162" for a value, whose space is then dropped
+    minus = {a for a in argv if a[:1] == "-" and a[1:2] != "-" and "x" in a.lower()}
+    args = _build_parser().parse_args([" " + a if a in minus else a for a in argv])
+    for name, value in list(vars(args).items()):
+        if isinstance(value, str) and value[:1] == " " and value[1:] in minus:
+            setattr(args, name, value[1:])
     try:
         return _run(args)
     except BrokenPipeError:

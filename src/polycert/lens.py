@@ -39,15 +39,6 @@ class Lens(_Frozen):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "method", method)
 
-    def radius(self, digits: int = DEFAULT_DIGITS) -> BoundedReal:
-        return 1 / (2 * self.v_tilde * sin_pi_frac(Fraction(1, self.n), digits))
-
-    def center_x(self) -> BoundedReal:
-        return 1 / (2 * self.v_tilde)
-
-    def center_y_abs(self, digits: int = DEFAULT_DIGITS) -> BoundedReal:
-        return cot_pi_frac(Fraction(1, self.n), digits) / (2 * self.v_tilde)
-
     def to_json(self) -> dict:
         return {
             "v_tilde_lower": format_decimal(self.v_tilde.lower, direction="floor"),
@@ -162,11 +153,6 @@ class CombinedRegion(NamedTuple):
     ray_lo: Fraction
     simplification: Optional[str]
     notes: tuple[str, ...]
-
-    def admits_int(self, m: int) -> bool:
-        if m > self.ray_lo:
-            return True
-        return self.interval is not None and self.interval.contains_int(m)
 
     def to_json(self) -> dict:
         return {

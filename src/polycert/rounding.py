@@ -1,10 +1,12 @@
 """Directed-rounding rational enclosures for the irrational quantities used
 by the region computations (radicals, pi, sin, tan, cot).
 
-Every value is carried as an exact rational enclosure [lower, upper].  All
-operations round outward, so an inequality verified against the appropriate
-endpoint of an enclosure holds for the enclosed real number.  Producers
-tighten until the width is at most 10^-digits relative to max(1, |upper|).
+Every value is carried as an exact rational enclosure [lower, upper], a
+BoundedReal with no arithmetic of its own: each producer builds the two ends
+it returns, each rounded outward, so an inequality verified against the
+appropriate end of an enclosure holds for the enclosed real number.
+Producers tighten until the width is at most 10^-digits relative to
+max(1, |upper|).
 
 The series hold the numerics: sin and cos, each given as a first term and a
 step (p, q) with t_j = t_(j-1) * x^2 * p/q, and pi through Machin's arctan
@@ -27,8 +29,10 @@ an exact rational argument.
 `sin_pi_frac`, `tan_pi_frac` and `cot_pi_frac` check their argument in
 integers, then call `_pi_frac(fn, num, den, digits)` on c = num/den, one
 `lru_cache` of at most `TRIG_MEMO_SIZE` entries over sin, cos, tan and cot,
-keyed on ints; tan and cot are quotients of its sin and cos, so a cot after
-a tan at the same c reuses both.  Below it only pi is memoised, per bits.
+keyed on ints.  sin and cos are refined until their lower ends are above 0,
+and tan and cot are the quotients of the memo's sin and cos built end by
+end: [top.lower/bottom.upper, top.upper/bottom.lower].  A cot after a tan at
+the same c reuses both.  Below it only pi is memoised, per bits.
 A process therefore computes each enclosure once, however many polynomials
 of one degree it certifies and replays.
 """
@@ -91,8 +95,8 @@ class _Frozen:
 
 
 class BoundedReal(_Frozen):
-    """An enclosure lower <= x <= upper.  Not a tuple: its + and * are
-    interval arithmetic."""
+    """An enclosure lower <= x <= upper.  Not a tuple, whose + would
+    silently concatenate two enclosures."""
 
     __slots__ = ("lower", "upper")
 
@@ -107,69 +111,12 @@ class BoundedReal(_Frozen):
         x = Fraction(x)
         return cls(x, x)
 
-    @classmethod
-    def of(cls, lo: Rat, hi: Rat) -> "BoundedReal":
-        return cls(Fraction(lo), Fraction(hi))
-
-    # -- queries -------------------------------------------------------------
-
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
     def meets_target(self, digits: int) -> bool:
         """Width at most 10^-digits relative to max(1, |upper|), compared
         cross-multiplied in integers."""
         a, b = self.lower.numerator, self.lower.denominator
         c, d = self.upper.numerator, self.upper.denominator
         return (c * b - a * d) * 10**digits <= b * max(d, abs(c))
-
-    # -- arithmetic (exact endpoints, outward by monotonicity) ---------------
-
-    def _coerce(self, other) -> "BoundedReal":
-        if isinstance(other, BoundedReal):
-            return other
-        return BoundedReal.exact(other)
-
-    def __add__(self, other) -> "BoundedReal":
-        o = self._coerce(other)
-        return BoundedReal(self.lower + o.lower, self.upper + o.upper)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BoundedReal":
-        return BoundedReal(-self.upper, -self.lower)
-
-    def __sub__(self, other) -> "BoundedReal":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "BoundedReal":
-        return (-self) + other
-
-    def __mul__(self, other) -> "BoundedReal":
-        o = self._coerce(other)
-        products = (self.lower * o.lower, self.lower * o.upper,
-                    self.upper * o.lower, self.upper * o.upper)
-        return BoundedReal(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "BoundedReal":
-        if self.lower <= 0 <= self.upper:
-            raise ZeroDivisionError("enclosure straddles zero")
-        return BoundedReal(1 / self.upper, 1 / self.lower)
-
-    def __truediv__(self, other) -> "BoundedReal":
-        return self * self._coerce(other).reciprocal()
-
-    def __rtruediv__(self, other) -> "BoundedReal":
-        return self.reciprocal() * other
-
-    def rounded(self, bits: int) -> "BoundedReal":
-        """Outward rounding to dyadic endpoints; keeps denominators bounded."""
-        scale = 1 << bits
-        lo = Fraction(math.floor(self.lower * scale), scale)
-        hi = Fraction(math.ceil(self.upper * scale), scale)
-        return BoundedReal(lo, hi)
 
     def __repr__(self) -> str:
         return f"BoundedReal({_exact_text(self.lower)}, {_exact_text(self.upper)})"
@@ -367,9 +314,12 @@ def pi_bounds(digits: int = DEFAULT_DIGITS) -> BoundedReal:
 def _sin_cos_bits(cos: bool, c: Fraction, bits: int) -> BoundedReal:
     """sin(pi*c), or cos(pi*c) if cos, for c in (0, 1/2] on the 2^-bits grid.
     Both are monotone there, so the lower end comes from the series at one end
-    of an enclosure of pi*c and the upper end, at most 1, from the other."""
-    x = (_pi_bits(bits + 8) * c).rounded(bits + 8)
-    low, high = (x.upper, x.lower) if cos else (x.lower, x.upper)  # cos decreases
+    of an enclosure of pi*c, on the 2^-(bits+8) grid, and the upper end, at
+    most 1, from the other."""
+    pi, k = _pi_bits(bits + 8), bits + 8
+    x_lo = Fraction(_scaled(pi.lower * c, k)[0], 1 << k)
+    x_hi = Fraction(_scaled(pi.upper * c, k)[1], 1 << k)
+    low, high = (x_hi, x_lo) if cos else (x_lo, x_hi)  # cos decreases
     step = _cos_step if cos else _sin_step
     lo = _fixed_series(1 if cos else low, low, step, bits, _GUARD)[0]
     hi = _fixed_series(1 if cos else high, high, step, bits, _GUARD)[1]
@@ -386,18 +336,21 @@ def _pi_frac(fn: str, num: int, den: int, digits: int) -> BoundedReal:
     """fn(pi*num/den) for fn in "sin", "cos", "tan" and "cot", meeting the
     digits target; num/den is in lowest terms with den > 0, and the public
     functions check it.  tan and cot are the quotients of the memoised sin
-    and cos.  The key holds ints: hashing a Fraction costs more than the
-    lookup it serves."""
+    and cos, both with a positive lower end, so each quotient takes the
+    lower end of one over the upper end of the other.  The key holds ints:
+    hashing a Fraction costs more than the lookup it serves."""
     if (fn, num, den) in _EXACT:
         return BoundedReal.exact(_EXACT[fn, num, den])
     if fn in ("sin", "cos"):
         c = Fraction(num, den)
         return _refine(lambda bits: _sin_cos_bits(fn == "cos", c, bits),
-                       4 * digits + 16, digits)
+                       4 * digits + 16, digits, positive=True)
     top, bottom = ("sin", "cos") if fn == "tan" else ("cos", "sin")
-    return _refine(lambda work: (_pi_frac(top, num, den, work)
-                                 / _pi_frac(bottom, num, den, work)),
-                   digits + 2, digits)
+
+    def quotient(work: int) -> BoundedReal:
+        t, b = _pi_frac(top, num, den, work), _pi_frac(bottom, num, den, work)
+        return BoundedReal(t.lower / b.upper, t.upper / b.lower)
+    return _refine(quotient, digits + 2, digits)
 
 
 def _ratio(c) -> tuple[int, int]:

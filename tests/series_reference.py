@@ -5,6 +5,7 @@ The reference sums first - t_1 + t_2 - ... term by term in exact rationals,
 t_j = t_(j-1) * x^2 * p/q with (p, q) the routine's own step, and stops at
 the first term below 2^-bits.
 """
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -64,28 +65,41 @@ def reference_atan(x, bits):
     return Fraction(lo, d), Fraction(hi, d)
 
 
+def outward(lo, hi, bits):
+    """[lo, hi] rounded outward onto the 2^-bits grid."""
+    scale = 1 << bits
+    return BoundedReal(Fraction(math.floor(lo * scale), scale),
+                       Fraction(math.ceil(hi * scale), scale))
+
+
 def reference_pi_bits(bits):
     a_lo, a_hi = reference_atan(Fraction(1, 5), bits + 8)
     b_lo, b_hi = reference_atan(Fraction(1, 239), bits + 8)
-    return BoundedReal(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo).rounded(bits)
+    return outward(16 * a_lo - 4 * b_hi, 16 * a_hi - 4 * b_lo, bits)
+
+
+def reference_pi_times(c, bits):
+    """pi*c for c >= 0, rounded outward onto the 2^-bits grid."""
+    pi = reference_pi_bits(bits)
+    return outward(pi.lower * c, pi.upper * c, bits)
 
 
 def on_grid(lo, lo_d, hi, hi_d, bits):
-    """BoundedReal(lo/lo_d, min(hi/hi_d, 1)).rounded(bits), without reducing
-    either fraction."""
+    """outward(lo/lo_d, min(hi/hi_d, 1), bits), without reducing either
+    fraction."""
     return BoundedReal(Fraction((lo << bits) // lo_d, 1 << bits),
                        Fraction(min(-((-hi << bits) // hi_d), 1 << bits), 1 << bits))
 
 
 def reference_sin_pi_frac_bits(c, bits):
-    x = (reference_pi_bits(bits + 8) * c).rounded(bits + 8)
+    x = reference_pi_times(c, bits + 8)
     lo, _, lo_d = reference_sin(x.lower, bits)
     _, hi, hi_d = reference_sin(x.upper, bits)
     return on_grid(lo, lo_d, hi, hi_d, bits)
 
 
 def reference_cos_pi_frac_bits(c, bits):
-    x = (reference_pi_bits(bits + 8) * c).rounded(bits + 8)
+    x = reference_pi_times(c, bits + 8)
     lo, _, lo_d = reference_cos(x.upper, bits)
     _, hi, hi_d = reference_cos(x.lower, bits)
     return on_grid(lo, lo_d, hi, hi_d, bits)

@@ -20,7 +20,7 @@ from polycert.lens import (DegenerateLensError, Lens, interval_cot,
                            interval_disk_in_lens, interval_effective, lens_of)
 from polycert.oracles import in_sector, irreducible_bruteforce, roots_numeric
 from polycert.poly import Polynomial, parse_polynomial, partial_sums
-from polycert.rounding import BoundedReal, pi_bounds
+from polycert.rounding import BoundedReal, cot_pi_frac, pi_bounds, sin_pi_frac
 from polycert.sectors import (sector_candidates, sector_min_over_positives,
                               sector_neg_sum)
 from polycert.poly import sign_index_sets
@@ -128,9 +128,15 @@ def test_acceptance_4_lens_soundness_fuzz(fuzz_corpus):
             if not rs.converged:
                 continue
             margin = 1e-6 + rs.residual_bound
-            r = float(lens.radius().lower)
-            cx = float(lens.center_x().upper)
-            cy = float(lens.center_y_abs().upper)
+            # disks of radius 1/(2 vt sin(pi/n)) centred at
+            # (1/(2 vt), +-cot(pi/n)/(2 vt)): the smallest radius, the centre
+            # farthest out
+            vt = lens.v_tilde
+            sin = sin_pi_frac(Fraction(1, lens.n))
+            cot = cot_pi_frac(Fraction(1, lens.n))
+            r = float(1 / (2 * vt.upper * sin.upper))
+            cx = float(1 / (2 * vt.lower))
+            cy = float(cot.upper / (2 * vt.lower))
             for z in rs.roots:
                 d_plus = abs(z - complex(cx, cy))
                 d_minus = abs(z - complex(cx, -cy))

@@ -282,6 +282,25 @@ def test_unknown_modes_are_rejected_everywhere(modes):
             attempt()
 
 
+@pytest.mark.parametrize("digits, q_max", [
+    (0, 1), (-3, 1), (rounding.MAX_DIGITS + 1, 1), (12, 0), (12, MAX_Q_MAX + 1)])
+def test_digits_and_q_max_out_of_range_are_rejected_everywhere(digits, q_max):
+    # replay refuses such certificates as malformed, so none may be issued
+    for f in (FLAGSHIP, parse_polynomial("X^2+X+1")):
+        for attempt in (lambda: certify_any(f, 3, q_max, digits),
+                        lambda: certify_negative_m(f, -3, q_max, digits),
+                        lambda: Certifier(f, q_max, digits).certify(3),
+                        lambda: search_m(f, 1, 3, q_max, digits=digits)):
+            with pytest.raises(ValueError, match="digits must be in"):
+                attempt()
+
+
+@pytest.mark.parametrize("digits", [1, rounding.MAX_DIGITS])
+def test_certificates_at_the_digits_bounds_verify(digits):
+    cert = certify_any(FLAGSHIP, 3, digits=digits)
+    assert cert is not None and certificate_verify(cert)
+
+
 def test_monotone_in_m_for_prime_values():
     # once past the fixed threshold, every later prime value certifies too
     f = parse_polynomial("X^3+9*X^2+7*X+3")

@@ -35,6 +35,15 @@ def test_certify_json_round_trip(capsys):
     assert data["criterion"] == "cor310_cot"
 
 
+def test_certify_an_expression_that_starts_with_a_minus_sign(capsys):
+    # argparse took "-10*X^3+X^4+2162" for an option
+    code, out, _ = run(capsys, "certify", "-10*X^3+X^4+2162", "--m", "3", "--json")
+    assert code == 0
+    assert out == run(capsys, "certify", "X^4-10*X^3+2162", "--m", "3", "--json")[1]
+    code, _, err = run(capsys, "certify", "-10*X^^3+X^4+2162", "--m", "3")
+    assert code == 2 and "(at position 6)" in err
+
+
 def test_certify_prime_power_flag(capsys):
     code, out, _ = run(capsys, "certify", "X^2+X+1", "--m", "2", "--prime-power",
                        "--json")
@@ -250,6 +259,8 @@ def test_scan_bad_family(capsys):
     (["scan", "--family", "desc.json"], "--family"),  # once read as --family-json
     (["certify", "X^4-10*X^3+2162", "--m", "3", "--q", "3"], "--q 3"),  # as --q-max
     (["analyze", "--coeff", "-1,0,1"], "--coeff -1,0,1"),  # past the --coeffs rewrite
+    (["certify", "-10*X^3+X^4+2162", "--m", "3", "--q", "3"], "--q 3"),  # past the
+    # leading-minus rewrite
 ])
 def test_abbreviated_options_are_unrecognized(capsys, argv, unknown):
     with pytest.raises(SystemExit) as exc:

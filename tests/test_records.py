@@ -112,7 +112,7 @@ def test_record_semantics(cls, required, defaults, change):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: BoundedReal(HALF, THIRD), "inverted bounds [1/2, 1/3]"),
-    (lambda: BoundedReal.of(1, 0), "inverted bounds [1, 0]"),
+    (lambda: BoundedReal(Fraction(1), Fraction(0)), "inverted bounds [1, 0]"),
     (lambda: Lens(BoundedReal.exact(0), 4), "lens needs a strictly positive reciprocal vertex"),
     (lambda: Lens(BoundedReal(-THIRD, HALF), 4),
      "lens needs a strictly positive reciprocal vertex"),
