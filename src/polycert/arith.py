@@ -9,9 +9,11 @@ Nothing here factors an integer: the rational-root test isolates real roots
 (has_rational_root), and witness extraction divides out the primes up to
 q_max.  Beyond q_max 1000, those primes are sieved once per q_max and
 grouped in runs of consecutive primes, each with its product; a value meets
-each run in one gcd, only a run that shares a prime with it is walked, and
-the value is split once however many criteria and rebuilds ask for it.  The
-factoring that the brute-force oracle needs lives in oracles.py.
+each run in one gcd, and only a run that shares a prime with it is walked.
+A split (_Split) is decided once for both witness modes, each decision made
+only when a mode asks for it; the certifier keeps one per f(m) and q_max,
+and the latest split beyond q_max 1000 is memoised for replay's rebuilds.
+The factoring that the brute-force oracle needs lives in oracles.py.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import compress
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .poly import Polynomial, _shift_by_one, divide_exact
 from .rounding import iroot
@@ -236,28 +238,13 @@ def prime_power_decomposition(c: int) -> Optional[tuple[int, int, PrimalityResul
     taking e-th roots for every prime exponent e up to that bound, the bound
     shrinking with the base (after Bernstein, "Detecting perfect powers in
     essentially linear time", Math. Comp. 1998).  Roots come first: the one
-    primality test is made on that base, never on a large power of it, and
-    skips the trial division already done here.  A caller that has already
-    divided out small primes pays for the trial division again; it is 168
-    single-word remainders, small beside one root or one strong test.
+    primality test is made on that base, never on a large power of it.
+    Witness extraction decides its cofactors the same way (_Split), with
+    the trial division starting past the primes it has already divided out.
     """
     if c < 2:
         return None
-    for p in _SMALL_PRIMES:
-        if c % p == 0:
-            k, rest = p_adic_valuation(c, p)
-            return (p, k, is_prime(p)) if rest == 1 else None
-    k, bound = 1, c.bit_length() // 9
-    for e in _SMALL_PRIMES if bound <= 1000 else _sieve(bound):
-        if e > c.bit_length() // 9:
-            break
-        r = iroot(c, e)
-        while r**e == c:
-            c, k = r, k * e
-            r = iroot(c, e)
-    limit = _SMALL_PRIMES[-1] ** 2
-    res = is_prime(c) if c < limit else _strong_classify(c)
-    return (c, k, res) if res.is_prime else None
+    return _Split(c, 1).prime_power() or None
 
 
 def next_prime(n: int) -> int:
@@ -326,8 +313,8 @@ def _strip_by_runs(value: int, q_max: int) -> tuple[int, tuple[tuple[int, int], 
     rest below the square of the next prime is 1 or a prime, which ends the
     walk over the runs.
 
-    The latest split is kept: the pq and prime_power criteria at one f(m),
-    and the two rebuilds of a replay, split one value."""
+    The latest split is kept: the two rebuilds of a replay, each through its
+    own Certifier, split one value."""
     smooth, exps, rest = 1, [], value
     primes, products = _sieved(q_max)
     for i, product in enumerate(products):
@@ -351,6 +338,131 @@ def _strip_by_runs(value: int, q_max: int) -> tuple[int, tuple[tuple[int, int], 
     return smooth, tuple(exps), rest
 
 
+@lru_cache(maxsize=None)
+def _primes_past(q_max: int) -> tuple[int, ...]:
+    """The primes up to 1000 that exceed q_max <= 1000."""
+    return tuple(p for p in _SMALL_PRIMES if p > q_max)
+
+
+_TRIAL_PRIME = PrimalityResult(PrimalityStatus.PROVEN_PRIME, "trial-division")
+# A number below this with no prime factor up to 1000 is prime.
+_TRIAL_LIMIT = _SMALL_PRIMES[-1] ** 2
+
+
+class _Split:
+    """A value split at q_max and decided once for both witness modes.
+
+    The split is value's q_max-smooth part with its (prime, exponent) pairs
+    and the cofactor; one trial division of the cofactor by the primes from
+    q_max to 1000 then gives its smallest such prime factor (factor), the
+    cofactor itself when that proves it prime, or None when it has no such
+    factor and is at least 997^2.  The rest is decided when a mode first
+    asks, and kept: whether the cofactor is prime (pq) and whether it is a
+    prime power (prime_power).  Each reuses the other's strong test: a prime
+    cofactor is its own prime power, a cofactor with no root taken is tested
+    once, and a proper power is composite without a test."""
+
+    __slots__ = ("value", "q_max", "smooth", "exps", "cofactor", "factor", "_prime", "_power")
+
+    def __init__(self, value: int, q_max: int):
+        if not 1 <= q_max <= MAX_Q_MAX:
+            raise ValueError(f"q_max must be in 1..{MAX_Q_MAX}")
+        self.value, self.q_max = value, q_max
+        self._prime = self._power = None  # undecided; False when decided no
+        if value <= 0:
+            return
+        self.smooth, self.exps, rest = _strip_small(value, q_max)
+        factor = None
+        if rest > 1:
+            for p in _primes_past(min(q_max, 1000)):
+                if p * p > rest:
+                    break
+                if rest % p == 0:
+                    factor = p
+                    break
+            if factor is None and rest < _TRIAL_LIMIT:
+                factor = rest
+        self.cofactor, self.factor = rest, factor
+
+    def prime(self) -> PrimalityResult | bool:
+        """is_prime(cofactor) when the cofactor is prime, else False."""
+        if self._prime is None:
+            if self.factor is not None:
+                self._prime = self.factor == self.cofactor and _TRIAL_PRIME
+            else:
+                res = _strong_classify(self.cofactor)
+                self._prime = res.is_prime and res
+        return self._prime
+
+    def prime_power(self) -> tuple[int, int, PrimalityResult] | bool:
+        """prime_power_decomposition(cofactor), False for None."""
+        if self._power is None:
+            self._power = self._decompose()
+        return self._power
+
+    def _decompose(self) -> tuple[int, int, PrimalityResult] | bool:
+        c, p = self.cofactor, self.factor
+        if p is not None:
+            k, rest = p_adic_valuation(c, p)
+            return rest == 1 and (p, k, _TRIAL_PRIME)
+        if self._prime:
+            return c, 1, self._prime
+        k, bound = 1, c.bit_length() // 9
+        for e in _SMALL_PRIMES if bound <= 1000 else _sieve(bound):
+            if e > c.bit_length() // 9:
+                break
+            r = iroot(c, e)
+            while r**e == c:
+                c, k = r, k * e
+                r = iroot(c, e)
+        if k == 1:
+            res = self.prime()
+            return res and (c, 1, res)
+        self._prime = False  # a proper power
+        res = _TRIAL_PRIME if c < _TRIAL_LIMIT else _strong_classify(c)
+        return res.is_prime and (c, k, res)
+
+    def witness(self, mode: str, derivative: Callable[[], int],
+                ) -> tuple[Optional[FactorizationWitness], str]:
+        """extract_witness_report on the value; derivative() gives the
+        derivative value, asked for only by a prime_power witness."""
+        if self.value <= 0:
+            return None, "value-nonpositive"
+        if self.cofactor > 1:
+            if mode == "pq":
+                res = self.prime()
+                found = res and (self.cofactor, 1, res)
+            else:
+                found = self.prime_power()
+            if not found:
+                return None, "value-composite"
+            if self.smooth > self.q_max:
+                return None, "q-exceeds"
+            p, k, res = found
+            q, alternatives = self.smooth, ()
+        else:
+            # value is q_max-smooth; pick the prime whose full power leaves
+            # the smallest q, recording the other admissible splits
+            splits = sorted((q, p, e) for p, e in self.exps
+                            if (e == 1 or mode != "pq")
+                            and (q := self.value // p**e) <= self.q_max)
+            if not splits:
+                return None, "no-split"
+            (q, p, k), *others = splits
+            res = _TRIAL_PRIME if p < _TRIAL_LIMIT else _strong_classify(p)
+            alternatives = tuple((p2, e2, q2) for q2, p2, e2 in others)
+        if mode == "pq":
+            return FactorizationWitness(p, k, q, primality=res,
+                                        alternatives=alternatives), "ok"
+        d = derivative()
+        if d == 0:
+            return None, "derivative-zero"
+        ell, r = p_adic_valuation(abs(d), p)
+        s = min(Fraction(ell), Fraction(k, 2))
+        return FactorizationWitness(p, k, q, ell, r, s, primality=res,
+                                    alternatives=alternatives), "ok"
+
+
 def extract_witness_report(value: int, derivative_value: int, q_max: int = 1,
                            mode: str = "pq",
                            ) -> tuple[Optional[FactorizationWitness], str]:
@@ -358,55 +470,7 @@ def extract_witness_report(value: int, derivative_value: int, q_max: int = 1,
     "value-composite", "q-exceeds", "no-split", or "derivative-zero"."""
     if mode not in ("pq", "prime_power"):
         raise ValueError(f"unknown witness mode {mode!r}")
-    if not 1 <= q_max <= MAX_Q_MAX:
-        raise ValueError(f"q_max must be in 1..{MAX_Q_MAX}")
-    if value <= 0:
-        return None, "value-nonpositive"
-
-    smooth, exps, cofactor = _strip_small(value, q_max)
-
-    if cofactor > 1:
-        if mode == "pq":
-            res = is_prime(cofactor)
-            if not res.is_prime:
-                return None, "value-composite"
-            p, k = cofactor, 1
-        else:
-            decomp = prime_power_decomposition(cofactor)
-            if decomp is None:
-                return None, "value-composite"
-            p, k, res = decomp
-        q = smooth
-        if q > q_max:
-            return None, "q-exceeds"
-        candidates = [(q, p, k, res)]
-    else:
-        # value is q_max-smooth; pick the prime whose full power leaves the
-        # smallest q, recording the other admissible splits
-        candidates = []
-        for p, e in exps:
-            if mode == "pq" and e != 1:
-                continue
-            q = value // p**e
-            if q <= q_max and q % p != 0:
-                candidates.append((q, p, e, is_prime(p)))
-        if not candidates:
-            return None, "no-split"
-        candidates.sort(key=lambda t: (t[0], t[1]))
-
-    q, p, k, res = candidates[0]
-    alternatives = tuple((c[1], c[2], c[0]) for c in candidates[1:])
-
-    if mode == "pq":
-        return FactorizationWitness(p, k, q, primality=res,
-                                    alternatives=alternatives), "ok"
-
-    if derivative_value == 0:
-        return None, "derivative-zero"
-    ell, r = p_adic_valuation(abs(derivative_value), p)
-    s = min(Fraction(ell), Fraction(k, 2))
-    return FactorizationWitness(p, k, q, ell, abs(r), s, primality=res,
-                                alternatives=alternatives), "ok"
+    return _Split(value, q_max).witness(mode, lambda: derivative_value)
 
 
 # -- rational roots by real-root isolation -------------------------------------

@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus,
-                    extract_witness_report, has_rational_root)
+from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus, _Split,
+                    has_rational_root)
 from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
                    interval_disk_in_lens, lens_of)
 from .poly import Polynomial, sign_blocks, sign_index_sets
@@ -144,13 +144,11 @@ def _sector_tag(f: Polynomial, sector: Sector, witness: FactorizationWitness,
     return CRIT_THM_PQ
 
 
-def _validate_sector_input(f: Polynomial, m: int) -> None:
+def _validate_sector_input(f: Polynomial) -> None:
     if f.degree() < 2:
         raise ValueError("certification needs degree >= 2")
     if f.leading_coefficient() <= 0:
         raise ValueError("certification needs a positive leading coefficient")
-    if m < 1:
-        raise ValueError("certification needs m >= 1")
 
 
 # The order criteria are tried in: the lens admits the smallest arguments.
@@ -161,18 +159,21 @@ class Certifier:
     """Everything certifying f needs that does not depend on the argument m.
 
     Each region is built at most once, when a criterion first asks for it;
-    the trig constants are the process-wide memo's.  f(m) and its witnesses
-    are kept for the latest m only, so memory stays flat over any range of
-    arguments.
+    the trig constants are the process-wide memo's.  f(m) is split once per
+    q_max (arith._Split), and the criteria read their witnesses or reasons
+    from that split: at q_max 1 the lens, pq and prime_power criteria share
+    one.  f'(m) is evaluated only for a prime-power witness.  f(m) and its
+    splits are kept for the latest m only, so memory stays flat over any
+    range of arguments.
     """
 
     def __init__(self, f: Polynomial, q_max: int = 1, digits: int = DEFAULT_DIGITS):
         self.f = f
         self.q_max = q_max
         self.digits = digits
-        self._m: Optional[int] = None  # the argument f(m) and _witnesses belong to
+        self._m: Optional[int] = None  # the argument f(m) and _splits belong to
         self._value = 0
-        self._witnesses: dict = {}
+        self._splits: dict[int, _Split] = {}
 
     @cached_property
     def sectors(self) -> list[Sector]:
@@ -208,6 +209,12 @@ class Certifier:
         return disk, interval_cot(lens, self.digits)
 
     @cached_property
+    def _sector_degree(self) -> int:
+        """deg f, checked once to suit the sector criteria (ValueError)."""
+        _validate_sector_input(self.f)
+        return self.f.degree()
+
+    @cached_property
     def derivative(self) -> Polynomial:
         """f', whose value at m prime-power witnesses need."""
         return self.f.derivative()
@@ -219,14 +226,13 @@ class Certifier:
 
     def _witness(self, m: int, q_max: int, mode: str,
                  ) -> tuple[Optional[FactorizationWitness], str]:
-        """extract_witness_report on f(m), computed once per (m, q_max, mode)."""
+        """extract_witness_report on f(m), from one split per (m, q_max)."""
         if self._m != m:
-            self._m, self._value, self._witnesses = m, self.f.evaluate(m), {}
-        key = (q_max, mode)
-        if key not in self._witnesses:
-            deriv = self.derivative.evaluate(m) if mode == "prime_power" else 0
-            self._witnesses[key] = extract_witness_report(self._value, deriv, q_max, mode)
-        return self._witnesses[key]
+            self._m, self._value, self._splits = m, self.f.evaluate(m), {}
+        split = self._splits.get(q_max)
+        if split is None:
+            split = self._splits[q_max] = _Split(self._value, q_max)
+        return split.witness(mode, lambda: self.derivative.evaluate(m))
 
     def certify(self, m: int, modes: Optional[Sequence[str]] = None,
                 ) -> tuple[Optional[Certificate], list[str]]:
@@ -235,10 +241,13 @@ class Certifier:
         ValueError for digits or q_max outside the ranges replay accepts."""
         if not (1 <= self.digits <= MAX_DIGITS and 1 <= self.q_max <= MAX_Q_MAX):
             raise ValueError(f"digits must be in 1..{MAX_DIGITS} and q_max in 1..{MAX_Q_MAX}")
-        modes = DEFAULT_MODES if modes is None else tuple(modes)
-        unknown = set(modes) - set(DEFAULT_MODES)
-        if unknown:
-            raise ValueError(f"unknown modes {sorted(unknown)}; known: {list(DEFAULT_MODES)}")
+        if modes is None:
+            modes = DEFAULT_MODES
+        else:
+            modes = tuple(modes)
+            unknown = set(modes) - set(DEFAULT_MODES)
+            if unknown:
+                raise ValueError(f"unknown modes {sorted(unknown)}; known: {list(DEFAULT_MODES)}")
         criteria = _criteria()
         reasons: list[str] = []
         for mode in DEFAULT_MODES:
@@ -259,14 +268,15 @@ def _sector_report(ctx: Certifier, m: int, mode: str, q_max: int,
     inside the zero-free sector, or of radius (p^s*q)^(1/2) when f has no
     rational root.  Mode "prime_power" takes s = min(ell, k/2) from the
     derivative's p-valuation; mode "pq" is the prime-value case s = 0."""
-    f, digits = ctx.f, ctx.digits
-    _validate_sector_input(f, m)
+    f, digits, n = ctx.f, ctx.digits, ctx._sector_degree
+    if m < 1:
+        raise ValueError("certification needs m >= 1")
     witness, reason = ctx._witness(m, q_max, mode)
     if witness is None:
         return None, reason
     s = Fraction(0) if mode == "pq" else witness.s
     vertex = ctx.sector.vertex.upper
-    sine = sin_pi_frac(Fraction(1, f.degree()), digits).lower
+    sine = sin_pi_frac(Fraction(1, n), digits).lower
     radius_up = pow_upper(witness.p, s, digits) * witness.q
     threshold = vertex + radius_up / sine
     used_sqrt = False
@@ -423,7 +433,7 @@ def search_m(f: Polynomial, lo: int, hi: int, q_max: int = 1,
     certificate unless exhaustive.  The range may span at most
     MAX_SEARCH_SPAN values."""
     _check_search_range(lo, hi)
-    _validate_sector_input(f, lo)
+    _validate_sector_input(f)
 
     ctx = Certifier(f, q_max, digits)
     outcomes: list[SearchOutcome] = []

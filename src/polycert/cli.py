@@ -43,7 +43,8 @@ def _env_digits() -> int:
     return val
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """The parser, and the option strings of its commands."""
     parser = argparse.ArgumentParser(
         prog="polycert", allow_abbrev=False,
         description="Zero-free sectors and lens regions for integer polynomials, "
@@ -86,7 +87,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", allow_abbrev=False,
                         help="replay a certificate file")
     pv.add_argument("certificate", help="path to a certificate JSON file")
-    return parser
+    options = {s for p in sub.choices.values() for s in p._option_string_actions}
+    return parser, options
+
+
+def _is_polynomial(arg: str) -> bool:
+    """Whether a command-line argument that starts with a minus sign is a
+    polynomial (an expression in X or a coefficient list), not an option."""
+    return arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] != "-" and "x" in arg.lower())
 
 
 def _parse_poly_args(args) -> Polynomial:
@@ -624,14 +632,15 @@ def _run(args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # let --coeffs values start with a minus sign
-    for i, a in enumerate(argv[:-1]):
-        if a == "--coeffs":
-            argv[i:i + 2] = [f"--coeffs={argv[i + 1]}"]
-    # ... and expressions in X: argparse takes "-10*X^3+X^4+2162" for an
-    # option but " -10*X^3+X^4+2162" for a value, whose space is then dropped
-    minus = {a for a in argv if a[:1] == "-" and a[1:2] != "-" and "x" in a.lower()}
-    args = _build_parser().parse_args([" " + a if a in minus else a for a in argv])
+    # let polynomials start with a minus sign: argparse takes "-1,0,1" or
+    # "-10*X^3+X^4+2162" for an option but " -1,0,1" for a value, whose space
+    # is then dropped.  One after an option the parser does not know stays as
+    # typed, so that both are reported as unrecognized.
+    parser, options = _build_parser()
+    minus = {a for prev, a in zip(["", *argv], argv) if _is_polynomial(a)
+             and not (prev[:1] == "-" and not _is_polynomial(prev)
+                      and "=" not in prev and prev not in options)}
+    args = parser.parse_args([" " + a if a in minus else a for a in argv])
     for name, value in list(vars(args).items()):
         if isinstance(value, str) and value[:1] == " " and value[1:] in minus:
             setattr(args, name, value[1:])

@@ -13,7 +13,7 @@ from polycert.arith import (DETERMINISTIC_LIMIT, MAX_Q_MAX, PrimalityStatus,
                             prime_power_decomposition, _RUN, _SMALL_PRIMES, _sieve,
                             _strip_small)
 from polycert.oracles import divisors, factorize
-from polycert.poly import parse_polynomial
+from polycert.poly import Polynomial, parse_polynomial
 from polycert.rounding import iroot
 
 
@@ -202,6 +202,103 @@ def test_witness_reconstruction_fuzz():
             assert w.p**w.ell * w.r == abs(deriv)
             assert w.r % w.p != 0
             assert w.s == min(Fraction(w.ell), Fraction(w.k, 2))
+
+
+def reference_witness(value, derivative, q_max, mode, primes):
+    """extract_witness_report as it was, each mode deciding the value on its
+    own: is_prime on the cofactor for pq, the root loop for prime_power, and
+    is_prime on the chosen prime of a smooth value; primes are those up to
+    q_max."""
+    if value <= 0:
+        return None, "value-nonpositive"
+    smooth, exps, cofactor = reference_strip_small(value, q_max, primes)
+    if cofactor > 1:
+        if mode == "pq":
+            res = is_prime(cofactor)
+            found = (cofactor, 1, res) if res.is_prime else None
+        else:
+            found = reference_prime_power_decomposition(cofactor)
+        if found is None:
+            return None, "value-composite"
+        if smooth > q_max:
+            return None, "q-exceeds"
+        (p, k, res), q, alternatives = found, smooth, ()
+    else:
+        splits = sorted((value // p**e, p, e) for p, e in exps
+                        if (mode != "pq" or e == 1) and value // p**e <= q_max)
+        if not splits:
+            return None, "no-split"
+        (q, p, k), others = splits[0], splits[1:]
+        res, alternatives = is_prime(p), tuple((b, e, a) for a, b, e in others)
+    if mode == "pq":
+        return arith.FactorizationWitness(p, k, q, primality=res,
+                                          alternatives=alternatives), "ok"
+    if derivative == 0:
+        return None, "derivative-zero"
+    ell, r = p_adic_valuation(abs(derivative), p)
+    return arith.FactorizationWitness(p, k, q, ell, r, min(Fraction(ell), Fraction(k, 2)),
+                                      primality=res, alternatives=alternatives), "ok"
+
+
+def witness_corpus():
+    """(value, derivative) pairs: non-positive values, primes and prime powers
+    on both sides of 1000, smooth values, zero derivatives, and values above
+    DETERMINISTIC_LIMIT, with seeded products of them."""
+    rng = random.Random(22)
+    big = next_prime(DETERMINISTIC_LIMIT)  # probable, not proven
+    primes = [2, 3, 5, 997, 1009, 100003, 999983, 1000003, 2**61 - 1, big]
+    values = [0, -1, -1973, 1, 997**2, 999983 * 1000003, 2**10 * 1973,
+              2 * 3 * 5 * 7, 1000 * 1009, 10**5 * 7, 2**64, 3**20 * 5**9]
+    values += [p**k * q for p in primes for k in (1, 2, 3, 7)
+               for q in (1, 2, 3, 6, 1009, 100003)]
+    for _ in range(100):
+        picked = rng.sample(primes, rng.randint(1, 3))
+        values.append(math.prod(p**rng.randint(1, 4) for p in picked))
+        values.append(rng.randrange(-10, 10**rng.randint(2, 40)))
+    return [(v, rng.choice([0, 1, -6, 2**20 * 1009, rng.randrange(1, 10**12)]))
+            for v in values]
+
+
+@pytest.mark.parametrize("q_max", [1, 3, 1000, 1009, 10**5])
+def test_the_certifiers_shared_split_matches_extract_witness_report(q_max):
+    # f = X^2 + bX + a has f(1) = value and f'(1) = derivative; each Certifier
+    # splits f(1) once and asks the two modes in one of the two orders
+    seen, primes = set(), _sieve(q_max)
+    for value, derivative in witness_corpus():
+        b = derivative - 2
+        f = Polynomial([value - b - 1, b, 1])
+        for order in (("pq", "prime_power"), ("prime_power", "pq")):
+            ctx = certify.Certifier(f, q_max)
+            for mode in order:
+                shared = ctx._witness(1, q_max, mode)
+                alone = extract_witness_report(value, derivative, q_max, mode)
+                reference = reference_witness(value, derivative, q_max, mode, primes)
+                assert shared == alone == reference
+                if alone[0] is not None:  # == ignores primality
+                    assert shared[0].primality == alone[0].primality == reference[0].primality
+                seen.add(alone[1])
+    # at q_max 1 the smooth part is 1, so it never exceeds q_max
+    assert seen == {"ok", "value-nonpositive", "value-composite", "q-exceeds",
+                    "no-split", "derivative-zero"} - ({"q-exceeds"} if q_max == 1 else set())
+
+
+@pytest.mark.parametrize("value, order, tested", [
+    (2**61 - 1, ("pq", "prime_power"), [2**61 - 1]),  # prime: one test
+    (2**61 - 1, ("prime_power", "pq"), [2**61 - 1]),
+    ((2**61 - 1) * (2**89 - 1), ("prime_power", "pq"), [(2**61 - 1) * (2**89 - 1)]),
+    ((2**61 - 1) * (2**89 - 1), ("pq", "prime_power"), [(2**61 - 1) * (2**89 - 1)]),
+    ((2**61 - 1)**3, ("prime_power", "pq"), [2**61 - 1]),  # a proper power needs none
+    ((2**61 - 1)**3 * 1009**3, ("prime_power", "pq"), [1009 * (2**61 - 1)]),  # its base
+    (1009**1009, ("prime_power", "pq"), []),  # its base is below 997^2
+])
+def test_a_split_runs_one_strong_test_per_number(monkeypatch, value, order, tested):
+    calls = []
+    strong = arith._strong_classify
+    monkeypatch.setattr(arith, "_strong_classify", lambda n: calls.append(n) or strong(n))
+    split = arith._Split(value, 1)
+    for mode in order:
+        split.witness(mode, lambda: 1)
+    assert calls == tested
 
 
 def test_factorize_and_divisors():

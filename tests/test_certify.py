@@ -17,7 +17,7 @@ from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
                               certify_lens_report, certify_negative_m,
                               certify_sector_prime_power_report,
                               certify_sector_pq_report, search_m, _sector_report)
-from polycert import rounding
+from polycert import arith, rounding
 from polycert.oracles import irreducible_bruteforce
 from polycert.poly import Polynomial, parse_polynomial
 
@@ -178,20 +178,25 @@ def test_certifier_builds_each_region_once(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(certify_module, name, wrapper)
 
+    # _Split is the one split of f(m) per (m, q_max) that the criteria share
     for name in ("sector_candidates", "lens_of", "interval_disk_in_lens",
-                 "has_rational_root", "extract_witness_report"):
+                 "has_rational_root", "_Split"):
         counting(name)
     ctx = Certifier(parse_polynomial("(X-3)*(X^2+X+7)"), q_max=3)
     for m in range(1, 31):
         assert ctx.certify(m)[0] is None
     assert calls["lens_of"] == calls["interval_disk_in_lens"] == 1
     assert calls["sector_candidates"] == calls["has_rational_root"] == 1
-    # with q_max 1 the lens and prime-value criteria share one witness per m
+    assert calls["_Split"] == 30  # the lens stops at its vertex, before f(m)
+    # with q_max 1 the lens, prime-value and prime-power criteria share one
+    # split per m
     calls.clear()
     ctx = Certifier(FLAGSHIP)
     assert ctx.certify(2, ("lens", "pq"))[1] == ["value-composite"] * 2
-    assert calls == {"lens_of": 1, "interval_disk_in_lens": 1,
-                     "extract_witness_report": 1}
+    assert calls == {"lens_of": 1, "interval_disk_in_lens": 1, "_Split": 1}
+    assert ctx.certify(2)[1] == ["value-composite"] * 3
+    assert ctx.certify(4)[1] == ["value-composite"] * 3
+    assert calls == {"lens_of": 1, "interval_disk_in_lens": 1, "_Split": 2}
     # the combined criterion's ray branch runs on the caller's context too
     calls.clear()
     ctx = Certifier(parse_polynomial("X^3-X^2-3*X-3"), q_max=3)
@@ -199,6 +204,54 @@ def test_certifier_builds_each_region_once(monkeypatch):
         ctx.certify(m)
         certify_combined_report(ctx, m)
     assert calls["sector_candidates"] == calls["has_rational_root"] == 1
+    assert calls["_Split"] == 2 * 30  # the ray's at q_max 1, the rest at q_max 3
+
+
+class CountingDerivative:
+    """Stands in for Certifier.derivative and counts its evaluations."""
+
+    def __init__(self, f):
+        self.poly, self.calls = f.derivative(), 0
+
+    def evaluate(self, m):
+        self.calls += 1
+        return self.poly.evaluate(m)
+
+
+def test_the_derivative_is_evaluated_only_for_a_prime_power_witness():
+    ctx = Certifier(FLAGSHIP, q_max=3)
+    ctx.derivative = counting = CountingDerivative(FLAGSHIP)
+    for m in range(1, 60):
+        ctx.certify(m, ("pq",))
+    assert counting.calls == 0
+    # the values of a product are composite: only those that are p^k * q
+    # with q <= q_max need f'(m)
+    f = parse_polynomial("(X^2+3)*(X^2+X+5)")
+    witnessed = sum(extract_witness_report(f.evaluate(m), 1, 30, "prime_power")[0] is not None
+                    for m in range(1, 60))
+    ctx = Certifier(f, q_max=30)
+    ctx.derivative = counting = CountingDerivative(f)
+    for m in range(1, 60):
+        assert ctx.certify(m)[0] is None
+    assert counting.calls == witnessed == 5
+    # at m = 2 the value 2^2 * 3 is one
+    ctx = Certifier(parse_polynomial("X^2+8"), q_max=3)
+    ctx.derivative = counting = CountingDerivative(ctx.f)
+    assert ctx.certify(2, ("prime_power",))[1] == ["outside-region"]
+    assert counting.calls == 1
+
+
+def test_a_prime_power_request_tests_only_the_root_of_the_value(monkeypatch):
+    # f(4) = 1009^1009 (a scan of value_shift at exponent 1009): the roots are
+    # taken first, and 1009 < 997^2 is proven by trial division, so no strong
+    # test runs; a strong test of the whole value took seconds
+    f = parse_polynomial("X^2+X+1") + (1009**1009 - 21)
+    calls = []
+    monkeypatch.setattr(arith, "_strong_classify", lambda n: calls.append(n))
+    cert, reasons = Certifier(f).certify(4, ("prime_power",))
+    assert cert.criterion == CRIT_THM_POWER and (cert.witness.p, cert.witness.k) == (1009, 1009)
+    assert cert.primality_status == "proven_prime" and reasons == []
+    assert calls == []
 
 
 def test_certifier_reads_the_trig_constants_from_the_memo():

@@ -44,6 +44,28 @@ def test_certify_an_expression_that_starts_with_a_minus_sign(capsys):
     assert code == 2 and "(at position 6)" in err
 
 
+def test_a_positional_coefficient_list_may_start_with_a_minus_sign(capsys):
+    # argparse took "-1,0,1" for an option
+    code, out, _ = run(capsys, "analyze", "-1,0,1", "--json")
+    assert code == 0
+    assert out == run(capsys, "analyze", "--coeffs", "-1,0,1", "--json")[1]
+
+
+def test_a_leading_minus_expression_after_a_flag_is_the_polynomial(capsys):
+    code, out, _ = run(capsys, "certify", "--json", "-10*X^3+X^4+2162", "--m", "3")
+    assert code == 0
+    assert out == run(capsys, "certify", "X^4-10*X^3+2162", "--m", "3", "--json")[1]
+
+
+@pytest.mark.parametrize("value", ["-1,0,1", "-X^2+1"])
+def test_a_leading_minus_value_of_an_unknown_option_stays_unrecognized(capsys, value):
+    # the polynomial rule leaves the value of a misspelt option as typed
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--coeff", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --coeff {value}" in capsys.readouterr().err
+
+
 def test_certify_prime_power_flag(capsys):
     code, out, _ = run(capsys, "certify", "X^2+X+1", "--m", "2", "--prime-power",
                        "--json")
