@@ -12,13 +12,15 @@ grouped in runs of consecutive primes, each with its product; a value meets
 each run in one gcd, and only a run that shares a prime with it is walked.
 A split (_Split) is decided once for both witness modes, each decision made
 only when a mode asks for it; the certifier keeps one per f(m) and q_max,
-and the latest split beyond q_max 1000 is memoised for replay's rebuilds.
+and the latest split beyond q_max 1000 is memoised, so a certificate
+replayed in the process that issued it does not split f(m) again.
 The factoring that the brute-force oracle needs lives in oracles.py.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
 from itertools import compress
@@ -28,9 +30,17 @@ from typing import Callable, NamedTuple, Optional
 from .poly import Polynomial, _shift_by_one, divide_exact
 from .rounding import iroot
 
-# Strong-pseudoprime bases valid for every n below this bound.
+# The first 13 primes, and psi_t: the least odd composite that passes the
+# strong test to each of the first t of them (OEIS A014233; Jaeschke, Math.
+# Comp. 1993; Sorenson and Webster, Math. Comp. 2017).  An odd n < psi_t is
+# prime when it passes the first t bases, so the bases prove every n below
+# the last psi_t.
 _DET_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-DETERMINISTIC_LIMIT = 3317044064679887385961981
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
+DETERMINISTIC_LIMIT = _PSI[-1]
 
 _EXTRA_PROBABLE_ROUNDS = 20
 
@@ -196,9 +206,11 @@ def is_prime(x: int) -> PrimalityResult:
 
 def _strong_classify(x: int) -> PrimalityResult:
     """is_prime for an x >= 997^2 with no prime factor up to 1000, past the
-    trial division."""
+    trial division.  Below DETERMINISTIC_LIMIT it tries the first t bases,
+    t the least with x < psi_t; the first base that fails is the one the
+    full list would name."""
     if x < DETERMINISTIC_LIMIT:
-        for a in _DET_BASES:
+        for a in _DET_BASES[:bisect_right(_PSI, x) + 1]:
             if not _strong_test(x, a):
                 return PrimalityResult(PrimalityStatus.COMPOSITE,
                                        "strong-test", note=f"witness base {a}")
@@ -313,8 +325,10 @@ def _strip_by_runs(value: int, q_max: int) -> tuple[int, tuple[tuple[int, int], 
     rest below the square of the next prime is 1 or a prime, which ends the
     walk over the runs.
 
-    The latest split is kept: the two rebuilds of a replay, each through its
-    own Certifier, split one value."""
+    The latest split is kept, so replaying a certificate in the process that
+    has just issued it (certify, then verify) takes no second walk over the
+    runs.  The two passes of one replay need no memo: they share one _Split
+    (certify.Certifier.at_digits)."""
     smooth, exps, rest = 1, [], value
     primes, products = _sieved(q_max)
     for i, product in enumerate(products):

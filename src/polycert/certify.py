@@ -15,7 +15,11 @@ each real-number inequality together with its conservatively rounded bounds
 and a strictly positive margin.  certificate_verify re-derives everything
 from scratch at the recorded precision (field-exact replay), then requires
 only that the same criterion still certify m at doubled precision (margin
-discipline), under either of its tags.
+discipline), under either of its tags.  The second pass builds its regions
+afresh but reuses what the first pass's own rebuild decided that does not
+depend on digits (Certifier.at_digits): f(m) with its split and primality,
+f', and whether f has a rational root.  None of it is read from the
+certificate.
 """
 from __future__ import annotations
 
@@ -153,6 +157,9 @@ def _validate_sector_input(f: Polynomial) -> None:
 
 # The order criteria are tried in: the lens admits the smallest arguments.
 DEFAULT_MODES = ("lens", "pq", "prime_power")
+# The attributes of a Certifier that do not depend on its digits.
+_DIGIT_FREE = ("_m", "_value", "_splits", "_sector_degree", "derivative",
+               "rational_root_exists")
 
 
 class Certifier:
@@ -174,6 +181,16 @@ class Certifier:
         self._m: Optional[int] = None  # the argument f(m) and _splits belong to
         self._value = 0
         self._splits: dict[int, _Split] = {}
+
+    def at_digits(self, digits: int) -> "Certifier":
+        """A Certifier of f and q_max at other digits that starts with this
+        one's state that does not depend on digits: f(m) with its splits
+        and whatever they have decided, f', whether f has a rational root,
+        and the degree check.  Its regions are built afresh."""
+        other = Certifier(self.f, self.q_max, digits)
+        mine = self.__dict__
+        other.__dict__.update((name, mine[name]) for name in _DIGIT_FREE if name in mine)
+        return other
 
     @cached_property
     def sectors(self) -> list[Sector]:
@@ -248,11 +265,11 @@ class Certifier:
             unknown = set(modes) - set(DEFAULT_MODES)
             if unknown:
                 raise ValueError(f"unknown modes {sorted(unknown)}; known: {list(DEFAULT_MODES)}")
-        criteria = _criteria()
+        namespace = globals()
         reasons: list[str] = []
         for mode in DEFAULT_MODES:
             if mode in modes:
-                cert, reason = criteria[mode](self, m)
+                cert, reason = namespace[_CRITERIA[mode]](self, m)
                 if cert is not None:
                     return cert, reasons
                 reasons.append(reason)
@@ -371,12 +388,11 @@ def _as_combined(cert: Certificate, branch: str, q_max: int) -> Certificate:
     return cert._replace(criterion=CRIT_COMBINED, region=region, q_max=q_max)
 
 
-def _criteria() -> dict:
-    """Mode -> criterion.  Looked up per call, so wrappers installed on this
-    module's functions apply."""
-    return {"lens": certify_lens_report, "pq": certify_sector_pq_report,
-            "prime_power": certify_sector_prime_power_report,
-            "combined": certify_combined_report}
+# Mode -> the name of its criterion, looked up in globals() at each call so
+# that wrappers installed on this module's functions apply.
+_CRITERIA = {"lens": "certify_lens_report", "pq": "certify_sector_pq_report",
+             "prime_power": "certify_sector_prime_power_report",
+             "combined": "certify_combined_report"}
 
 
 # -- entry points ----------------------------------------------------------------
@@ -523,16 +539,13 @@ def _fields(data) -> tuple[Polynomial, int, str, int, int, bool]:
     return f, m, criterion, q_max, digits, bool(data["negated_argument"])
 
 
-def _rebuild(f: Polynomial, m: int, criterion: str, q_max: int, digits: int,
-             negated: bool) -> Optional[Certificate]:
-    """The certificate the criterion issues now, or None when it issues none
-    or raises ValueError."""
-    g, k = (_negated_form(f), -m) if negated else (f, m)
+def _rebuild(ctx: Certifier, m: int, criterion: str) -> Optional[Certificate]:
+    """The certificate the criterion issues at m on ctx now, or None when it
+    issues none or raises ValueError."""
     try:
-        cert, _ = _criteria()[_MODE_OF_TAG[criterion]](Certifier(g, q_max, digits), k)
+        return globals()[_CRITERIA[_MODE_OF_TAG[criterion]]](ctx, m)[0]
     except ValueError:
         return None
-    return _restated(cert, f, m) if negated else cert
 
 
 def _same_types(a, b) -> bool:
@@ -548,20 +561,26 @@ def _same_types(a, b) -> bool:
 def certificate_verify(cert) -> bool:
     """Re-derive every recorded quantity from scratch.
 
-    The certificate is recomputed at its recorded precision and must match
-    field for field, in value and in type; that pins the criterion tag.  The
+    The certificate is recomputed at its recorded precision, on the negated
+    form +-f(-X) at -m when negated_argument is set, and must match field
+    for field, in value and in type; that pins the criterion tag.  The
     recorded criterion alone is then run again at doubled precision and must
     still certify m: its margins stay strictly positive, though a tighter
     enclosure may name a sibling tag (cor310_cot for thm39_lens, thm31_pq for
-    thm31_sqrt_q).  Structural problems raise MalformedCertificateError; any
-    mismatch returns False.
+    thm31_sqrt_q).  That second pass runs on Certifier.at_digits of the first
+    pass's Certifier, so f(m) is split and its primality decided once, and
+    f', the rational-root test and the degree check are not repeated; the
+    regions are rebuilt at the doubled digits.  Structural problems raise
+    MalformedCertificateError; any mismatch returns False.
     """
     data = cert.to_json() if isinstance(cert, Certificate) else cert
     f, m, criterion, q_max, digits, negated = _fields(data)
-    replay = _rebuild(f, m, criterion, q_max, digits, negated)
+    g, k = (_negated_form(f), -m) if negated else (f, m)
+    ctx = Certifier(g, q_max, digits)
+    replay = _rebuild(ctx, k, criterion)
     if replay is None:
         return False
-    rebuilt = replay.to_json()
+    rebuilt = (_restated(replay, f, m) if negated else replay).to_json()
     if rebuilt != data or not _same_types(rebuilt, data):
         return False
-    return _rebuild(f, m, criterion, q_max, 2 * digits, negated) is not None
+    return _rebuild(ctx.at_digits(2 * digits), k, criterion) is not None

@@ -185,11 +185,6 @@ def iroot(n: int, k: int) -> int:
     return x
 
 
-def _iroot_ceil(n: int, k: int) -> int:
-    r = iroot(n, k)
-    return r if r**k == n else r + 1
-
-
 def _refine(build, start: int, digits: int, positive: bool = False) -> BoundedReal:
     """build(p) for p = start, 2*start, 4*start, ... until the enclosure meets
     the digits target (and, if positive, has a lower end above 0).  The width
@@ -203,7 +198,14 @@ def _refine(build, start: int, digits: int, positive: bool = False) -> BoundedRe
 
 
 def nth_root_bounds(x: Rat, k: int, digits: int = DEFAULT_DIGITS) -> BoundedReal:
-    """Enclosure of x^(1/k) for x >= 0; exact for perfect rational powers."""
+    """Enclosure of x^(1/k) for x >= 0; exact for perfect rational powers.
+
+    x = num/den in lowest terms is a rational k-th power only when den is
+    one, so den is tested first and num only after it.  Off perfect powers
+    the root is irrational, and the build on the 2^-s grid takes one iroot:
+    lo = floor(2^s x^(1/k)) gives [lo, lo + 1] / 2^s.  The first build, at
+    s = max(16, 4*digits), meets the width target; only a root below 2^-s
+    needs more."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("nth_root_bounds expects x >= 0")
@@ -214,14 +216,15 @@ def nth_root_bounds(x: Rat, k: int, digits: int = DEFAULT_DIGITS) -> BoundedReal
     if k == 1:
         return BoundedReal.exact(x)
     num, den = x.numerator, x.denominator
-    rn, rd = iroot(num, k), iroot(den, k)
-    if rn**k == num and rd**k == den:
-        return BoundedReal.exact(Fraction(rn, rd))
+    rd = iroot(den, k)
+    if rd**k == den:
+        rn = iroot(num, k)
+        if rn**k == num:
+            return BoundedReal.exact(Fraction(rn, rd))
 
     def build(s: int) -> BoundedReal:
-        shifted = num << (k * s)
-        return BoundedReal(Fraction(iroot(shifted // den, k), 1 << s),
-                           Fraction(_iroot_ceil(-(-shifted // den), k), 1 << s))
+        lo = iroot((num << (k * s)) // den, k)
+        return BoundedReal(Fraction(lo, 1 << s), Fraction(lo + 1, 1 << s))
     return _refine(build, max(16, 4 * digits), digits, positive=True)
 
 

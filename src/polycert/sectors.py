@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .poly import Polynomial, partial_sums, sign_blocks, sign_index_sets
-from .rounding import (DEFAULT_DIGITS, BoundedReal, enclose_max, enclose_min,
-                       format_decimal, nth_root_bounds)
+from .rounding import (DEFAULT_DIGITS, BoundedReal, Rat, format_decimal, iroot,
+                       nth_root_bounds)
 
 
 class Sector(NamedTuple):
@@ -51,17 +51,39 @@ def sector_nonneg(f: Polynomial) -> Sector:
     return Sector(BoundedReal.exact(0), f.degree(), "nonneg")
 
 
-_ONE = BoundedReal.exact(1)
+def _scaled_root(num: int, den: int, e: int, s: int, digits: int) -> tuple[Rat, Rat]:
+    """The ends of nth_root_bounds(num/den, e, digits) times 2^s, for
+    coprime num >= 0 and den >= 1 and s = max(16, 4*digits).
+
+    For e = 1 both ends are the base.  Otherwise, off perfect powers, the
+    root is irrational, and at or above 2^-s one iroot gives it as the ints
+    [lo, lo + 1].  When den divides 2^(e*s) the root is rational exactly
+    when lo^e = num * 2^(e*s) / den, and otherwise only if den is a perfect
+    e-th power.  Those roots, and roots below 2^-s, are left to
+    nth_root_bounds.  An end off the 2^-s grid is a Fraction."""
+    a, rem = divmod(num << (e * s), den)
+    if e == 1:
+        x = a if rem == 0 else Fraction(num << s, den)
+        return x, x
+    lo = iroot(a, e)
+    if lo and (lo**e != a if rem == 0 else iroot(den, e)**e != den):
+        return lo, lo + 1
+    root = nth_root_bounds(Fraction(num, den), e, digits)
+    return root.lower * (1 << s), root.upper * (1 << s)
 
 
 class _Vertices:
     """The sector vertices of one polynomial at one precision, built from
     radicals base^(1/e) that are each computed once.
 
-    The memo is keyed on ints, not on the Fraction base: hashing a Fraction
-    takes a modular inverse of its denominator, which on large coefficients
-    costs more than the memo saves.  It lives as long as the object, that is
-    one sector_candidates call or one producer call.
+    A radical or a vertex is carried as the pair of its ends times 2^s,
+    s = max(16, 4*digits): ints for an irrational radical (_scaled_root),
+    Fractions only for an exact or a very small one.  max and min of such
+    pairs are taken end by end, and each Sector divides its two ends by 2^s,
+    so it holds the Fractions that enclosing each radical with
+    nth_root_bounds and combining the enclosures would give.  The memo is
+    keyed on the integers of the base and lives as long as the object, that
+    is one sector_candidates call or one producer call.
     """
 
     def __init__(self, f: Polynomial, digits: int):
@@ -69,30 +91,41 @@ class _Vertices:
         self.f = f
         self.n = f.degree()
         self.digits = digits
+        self.s = max(16, 4 * digits)
+        self.one = (1 << self.s, 1 << self.s)
         self.sets = sign_index_sets(f)
-        self._roots: dict[tuple[int, int, int], BoundedReal] = {}
+        self._roots: dict[tuple[int, int, int], tuple[Rat, Rat]] = {}
 
-    def root(self, base: Fraction, e: int) -> BoundedReal:
-        key = (base.numerator, base.denominator, e)
+    def root(self, num: int, den: int, e: int) -> tuple[Rat, Rat]:
+        """(num/den)^(1/e), scaled; num/den need not be in lowest terms."""
+        g = math.gcd(num, den)
+        key = (num // g, den // g, e)
         out = self._roots.get(key)
         if out is None:
-            out = self._roots[key] = nth_root_bounds(base, e, self.digits)
+            out = self._roots[key] = _scaled_root(*key, self.s, self.digits)
         return out
 
-    def endpoint_max(self, base: Fraction, exponents: Sequence[int]) -> BoundedReal:
-        """max over the exponent set of base^(1/e).
+    def sector(self, ends: tuple[Rat, Rat], method: str) -> Sector:
+        """The Sector whose vertex has the scaled ends."""
+        scale = 1 << self.s
+        lower, upper = (Fraction(x, scale) if type(x) is int else x / scale for x in ends)
+        return Sector(BoundedReal(lower, upper), self.n, method)
+
+    def endpoint_max(self, num: int, den: int, exponents: Sequence[int]) -> tuple[Rat, Rat]:
+        """max over the exponent set of (num/den)^(1/e).
 
         base^(1/e) is monotone in e (direction depending on base vs 1), so
         the maximum over a contiguous exponent range is attained at one of
         the two extreme exponents; both are evaluated and the enclosures
         combined.
         """
-        return enclose_max(*(self.root(base, e) for e in {min(exponents), max(exponents)}))
+        return _max(*(self.root(num, den, e) for e in {min(exponents), max(exponents)}))
 
-    def over_negatives(self, base: Fraction, top: int) -> BoundedReal:
-        """endpoint_max of base over the exponents top - j, j a negative index."""
+    def over_negatives(self, num: int, den: int, top: int) -> tuple[Rat, Rat]:
+        """endpoint_max of num/den over the exponents top - j, j a negative
+        index."""
         neg = self.sets.neg_indices
-        return self.endpoint_max(base, [top - neg[0], top - neg[-1]])
+        return self.endpoint_max(num, den, [top - neg[0], top - neg[-1]])
 
     def require_negative(self, name: str) -> None:
         if not self.sets.neg_indices:
@@ -101,8 +134,8 @@ class _Vertices:
     def neg_sum(self) -> Sector:
         if not self.sets.neg_indices:
             return sector_nonneg(self.f)
-        base = Fraction(self.sets.neg_sum_abs, self.f.leading_coefficient())
-        return Sector(self.over_negatives(base, self.n), self.n, "neg-sum")
+        ends = self.over_negatives(self.sets.neg_sum_abs, self.f.leading_coefficient(), self.n)
+        return self.sector(ends, "neg-sum")
 
     def parametrized(self, lambdas: Sequence[Fraction]) -> Sector:
         self.require_negative("sector_parametrized")
@@ -115,22 +148,22 @@ class _Vertices:
         if sum(lams) != 1:
             raise ValueError("weights must sum exactly to 1")
         an = self.f.leading_coefficient()
-        radicals = [self.root(Fraction(-self.f.coeffs[j]) / (lam * an), self.n - j)
+        radicals = [self.root(-self.f.coeffs[j] * lam.denominator, lam.numerator * an, self.n - j)
                     for j, lam in zip(self.sets.neg_indices, lams)]
-        return Sector(enclose_max(*radicals), self.n, "parametrized")
+        return self.sector(_max(*radicals), "parametrized")
 
     def min_over_positives(self) -> Sector:
         self.require_negative("sector_min_over_positives")
-        candidates = [self.over_negatives(Fraction(self.sets.neg_sum_abs, self.f.coeffs[k]), k)
+        candidates = [self.over_negatives(self.sets.neg_sum_abs, self.f.coeffs[k], k)
                       for k in self.sets.pos_indices_above]
-        return Sector(enclose_min(*candidates), self.n, "min-over-positives")
+        return self.sector(_min(*candidates), "min-over-positives")
 
     def summed_denominator(self) -> Sector:
         self.require_negative("sector_summed_denominator")
         above = self.sets.pos_indices_above
-        base = Fraction(self.sets.neg_sum_abs, sum(self.f.coeffs[k] for k in above))
-        vertex = enclose_max(_ONE, self.over_negatives(base, above[0]))
-        return Sector(vertex, self.n, "summed-denominator")
+        d = sum(self.f.coeffs[k] for k in above)
+        ends = _max(self.one, self.over_negatives(self.sets.neg_sum_abs, d, above[0]))
+        return self.sector(ends, "summed-denominator")
 
     def sign_blocks(self) -> Sector:
         partition = sign_blocks(self.f)
@@ -140,10 +173,18 @@ class _Vertices:
         for block in partition.blocks:
             if not block.has_negative_part():
                 continue
-            base = Fraction(block.neg_sum, block.pos_sum)
             exps = [block.pos_lo - i for i in (block.neg_lo, block.neg_hi)]
-            per_block.append(enclose_max(_ONE, self.endpoint_max(base, exps)))
-        return Sector(enclose_max(*per_block), self.n, "sign-blocks")
+            per_block.append(_max(self.one, self.endpoint_max(block.neg_sum, block.pos_sum, exps)))
+        return self.sector(_max(*per_block), "sign-blocks")
+
+
+def _max(*ends: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
+    """The scaled ends of an enclosure of the maximum of the enclosed reals."""
+    return max(e[0] for e in ends), max(e[1] for e in ends)
+
+
+def _min(*ends: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
+    return min(e[0] for e in ends), min(e[1] for e in ends)
 
 
 def sector_neg_sum(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:

@@ -70,6 +70,41 @@ def test_deterministic_band_agrees_with_sympy():
         assert is_prime(x).status is not PrimalityStatus.PROBABLE_PRIME
 
 
+def full_list_classify(x):
+    """_strong_classify below DETERMINISTIC_LIMIT as it was when every value
+    tried all 13 bases."""
+    for a in arith._DET_BASES:
+        if not arith._strong_test(x, a):
+            return arith.PrimalityResult(PrimalityStatus.COMPOSITE, "strong-test",
+                                         note=f"witness base {a}")
+    return arith.PrimalityResult(PrimalityStatus.PROVEN_PRIME, "strong-test-deterministic")
+
+
+def test_each_psi_is_composite():
+    # psi_t passes the strong test to the first t bases, so classifying it
+    # takes base t + 1
+    for t, psi in enumerate(arith._PSI, 1):
+        assert all(arith._strong_test(psi, a) for a in arith._DET_BASES[:t])
+        assert not sympy.isprime(psi)
+        assert is_prime(psi).status is PrimalityStatus.COMPOSITE
+        if psi < DETERMINISTIC_LIMIT:
+            assert arith._strong_classify(psi) == full_list_classify(psi)
+    assert arith._PSI[-1] == DETERMINISTIC_LIMIT
+
+
+def test_sized_bases_agree_with_sympy_and_with_all_bases():
+    # odd values and primes from each band between consecutive psi_t
+    rng = random.Random(23)
+    bands = sorted({997**2, *(psi for psi in arith._PSI if psi > 997**2)})
+    for lo, hi in zip(bands, bands[1:]):
+        odd = [rng.randrange(lo, hi) | 1 for _ in range(40)]
+        primes = [p for p in map(next_prime, odd[:10]) if p < hi]
+        for x in odd + primes:
+            res = arith._strong_classify(x)
+            assert res == full_list_classify(x)
+            assert res.is_prime == sympy.isprime(x)
+
+
 def test_p_adic_examples():
     assert p_adic_valuation(12, 2) == (2, 3)
     assert p_adic_valuation(1973, 2) == (0, 1973)

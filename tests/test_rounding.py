@@ -12,6 +12,7 @@ from polycert.rounding import (BoundedReal, cot_pi_frac, enclose_max,
                                nth_root_bounds, pi_bounds, sin_pi_frac,
                                tan_pi_frac)
 from polycert.sectors import sector_neg_sum
+from sector_reference import nth_root_bounds as reference_nth_root_bounds
 
 mpmath.mp.dps = 50
 
@@ -90,6 +91,19 @@ def test_nth_root_width_discipline():
             b = nth_root_bounds(x, k)
             assert b.lower**k <= x <= b.upper**k
             assert b.meets_target(12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions(min_value=0, max_denominator=10**15),
+                 st.builds(lambda u, v, k: Fraction(u, v)**k, st.integers(0, 10**6),
+                           st.integers(1, 10**6), st.integers(1, 9)),
+                 st.builds(lambda u, e: Fraction(u, 2**e), st.integers(1, 10**9),
+                           st.integers(0, 900))),
+       st.integers(1, 9), st.sampled_from([1, 4, 12, 24, 100, 200]))
+@example(Fraction(2, 10**200), 2, 12)  # below 2^-48: refined three times
+@example(Fraction(27, 64 * 2**96), 3, 1)  # 3/2^34: exact, off the first grid
+def test_nth_root_bounds_matches_the_two_root_build(x, k, digits):
+    assert nth_root_bounds(x, k, digits) == reference_nth_root_bounds(x, k, digits)
 
 
 @pytest.mark.parametrize("root", [

@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from polycert.poly import parse_polynomial, sign_blocks, sign_index_sets
+from polycert.poly import Polynomial, parse_polynomial, sign_blocks, sign_index_sets
 from polycert.rounding import nth_root_bounds
 from polycert.sectors import (best_sector,
                               sector_candidates, sector_min_over_positives,
@@ -13,6 +14,7 @@ from polycert.sectors import (best_sector,
                               sector_sign_blocks, sector_summed_denominator)
 
 from conftest import random_polynomial
+from sector_reference import reference_candidates
 
 
 def test_nonneg_digit_cubic():
@@ -210,15 +212,16 @@ def test_sector_json_shape():
 
 @pytest.fixture
 def radical_calls(monkeypatch):
-    """The (base, e, digits) of every nth_root_bounds call the producers make."""
+    """The (base, e, digits) of every radical the producers compute, one
+    _scaled_root call each."""
     import polycert.sectors as sectors_module
     calls = []
-    original = sectors_module.nth_root_bounds
+    original = sectors_module._scaled_root
 
-    def counting(x, k, digits):
-        calls.append((Fraction(x), k, digits))
-        return original(x, k, digits)
-    monkeypatch.setattr(sectors_module, "nth_root_bounds", counting)
+    def counting(num, den, e, s, digits):
+        calls.append((Fraction(num, den), e, digits))
+        return original(num, den, e, s, digits)
+    monkeypatch.setattr(sectors_module, "_scaled_root", counting)
     return calls
 
 
@@ -247,3 +250,45 @@ def test_candidates_compute_each_radical_once_per_call(radical_calls):
         sector_candidates(f)
         assert len(radical_calls) == len(set(radical_calls)) == len(needed) > 4
         assert set(radical_calls) == needed
+
+
+@st.composite
+def vertex_polynomials(draw):
+    """Polynomials whose radicals are irrational, exact (some off every
+    2^-s grid, some on it), of exponent 1, or below 2^-4d: random ones with
+    zero coefficients and a negative one just below the top (exponent 1),
+    a*X^n - b*X^j with b/a = (v/u)^(n-j), and ones whose leading
+    coefficient dwarfs the rest."""
+    n = draw(st.integers(1, 8))
+    size = draw(st.sampled_from([3, 20, 10**6, 10**12]))
+    coeffs = draw(st.lists(st.one_of(st.just(0), st.integers(-size, size)),
+                           min_size=n, max_size=n))
+    lead = draw(st.integers(1, size))
+    shape = draw(st.sampled_from(["random", "top", "power", "tiny"]))
+    if shape == "top":
+        coeffs[-1] = -draw(st.integers(1, size))
+    elif shape == "power":
+        j = draw(st.integers(0, n - 1))
+        u, v = (draw(st.sampled_from([1, 2, 3, 4, 7, 8, 9, 2**17, 3**5, 10**6]))
+                for _ in range(2))
+        w = draw(st.integers(1, 5))
+        coeffs[j] = -(v ** (n - j)) * w
+        lead = u ** (n - j) * w
+    elif shape == "tiny":
+        lead <<= draw(st.sampled_from([8, 70, 900, 6500]))
+    return Polynomial(coeffs + [lead])
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_polynomials(), st.sampled_from([1, 4, 12, 24, 100, 200]))
+@example(Polynomial([-2, 0, 10**200]), 12)  # a root below 2^-48
+@example(Polynomial([-1, 2**40]), 12)  # exponent 1, on the 2^-48 grid
+@example(Polynomial([-1, 0, 0, 3**3 * 2**51]), 1)  # 1/(3 * 2^17): off the grid
+@example(Polynomial([-1, 0, 2**36]), 1)  # 2^-18: dyadic, below the 2^-16 grid
+def test_candidates_match_the_fraction_vertices(f, digits):
+    got, want = sector_candidates(f, digits), reference_candidates(f, digits)
+    assert [(s.method, s.angle_denominator) for s in got] == \
+        [(s.method, s.angle_denominator) for s in want]
+    for s, r in zip(got, want):
+        assert type(s.vertex.lower) is type(s.vertex.upper) is Fraction
+        assert (s.vertex.lower, s.vertex.upper) == (r.vertex.lower, r.vertex.upper)
