@@ -34,7 +34,7 @@ from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
 from .poly import Polynomial, sign_blocks, sign_index_sets
 from .rounding import (DEFAULT_DIGITS, MAX_DIGITS, format_decimal, pow_upper,
                        sin_pi_frac, tan_pi_frac)
-from .sectors import Sector, best_of, sector_candidates
+from .sectors import Sector, best_sector, sector_candidates
 
 SCHEMA_VERSION = 1
 
@@ -166,7 +166,9 @@ class Certifier:
     """Everything certifying f needs that does not depend on the argument m.
 
     Each region is built at most once, when a criterion first asks for it;
-    the trig constants are the process-wide memo's.  f(m) is split once per
+    the trig constants are the process-wide memo's.  The sector is
+    best_sector's, which builds only the candidates that can win; sectors,
+    every candidate, is built only for analyze.  f(m) is split once per
     q_max (arith._Split), and the criteria read their witnesses or reasons
     from that split: at q_max 1 the lens, pq and prime_power criteria share
     one.  f'(m) is evaluated only for a prime-power witness.  f(m) and its
@@ -199,7 +201,8 @@ class Certifier:
 
     @cached_property
     def sector(self) -> Sector:
-        return best_of(self.sectors)
+        """The best of sectors, built without the candidates that cannot win."""
+        return best_sector(self.f, digits=self.digits)
 
     @cached_property
     def lens_status(self) -> tuple[Optional[Lens], str, Optional[str]]:

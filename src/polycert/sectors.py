@@ -5,14 +5,23 @@ root z with Re(z) > vertex and |arg(z - x)| < theta for any real
 x >= vertex.upper, where theta is pi/n for a polynomial of degree n.
 Vertices are outward-rounded enclosures, so acting on vertex.upper is always
 conservative.
+
+sector_candidates builds every applicable producer's sector.  best_sector
+builds only those that can win: the same producers first run over
+_Estimates, which gives each vertex as a float estimate of its log2, and a
+candidate whose estimate is at least 2^-19 above log2 of the best
+vertex.upper built so far is left unbuilt.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
+from operator import methodcaller
 from typing import NamedTuple, Optional, Sequence
 
-from .poly import Polynomial, partial_sums, sign_blocks, sign_index_sets
+from .poly import (Polynomial, SignBlockPartition, partial_sums, sign_blocks,
+                   sign_index_sets)
 from .rounding import (DEFAULT_DIGITS, BoundedReal, Rat, format_decimal, iroot,
                        nth_root_bounds)
 
@@ -83,7 +92,12 @@ class _Vertices:
     so it holds the Fractions that enclosing each radical with
     nth_root_bounds and combining the enclosures would give.  The memo is
     keyed on the integers of the base and lives as long as the object, that
-    is one sector_candidates call or one producer call.
+    is one sector_candidates or best_sector call or one producer call.
+
+    The producers see radicals and constants only through root, sector,
+    zero and one.  So the same producers run on float logs in _Estimates,
+    whose docstring gives the 2^-20 margin argument, and on scaled ends
+    without a Sector in _Ends.
     """
 
     def __init__(self, f: Polynomial, digits: int):
@@ -92,7 +106,7 @@ class _Vertices:
         self.n = f.degree()
         self.digits = digits
         self.s = max(16, 4 * digits)
-        self.one = (1 << self.s, 1 << self.s)
+        self.zero, self.one = (0, 0), (1 << self.s, 1 << self.s)
         self.sets = sign_index_sets(f)
         self._roots: dict[tuple[int, int, int], tuple[Rat, Rat]] = {}
 
@@ -111,45 +125,50 @@ class _Vertices:
         lower, upper = (Fraction(x, scale) if type(x) is int else x / scale for x in ends)
         return Sector(BoundedReal(lower, upper), self.n, method)
 
-    def endpoint_max(self, num: int, den: int, exponents: Sequence[int]) -> tuple[Rat, Rat]:
-        """max over the exponent set of (num/den)^(1/e).
+    def endpoint_max(self, num: int, den: int, e1: int, e2: int) -> tuple[Rat, Rat]:
+        """max over the exponents e from e1 to e2 of (num/den)^(1/e).
 
         base^(1/e) is monotone in e (direction depending on base vs 1), so
         the maximum over a contiguous exponent range is attained at one of
         the two extreme exponents; both are evaluated and the enclosures
         combined.
         """
-        return _max(*(self.root(num, den, e) for e in {min(exponents), max(exponents)}))
+        ends = self.root(num, den, e1)
+        return ends if e1 == e2 else _max(ends, self.root(num, den, e2))
 
     def over_negatives(self, num: int, den: int, top: int) -> tuple[Rat, Rat]:
         """endpoint_max of num/den over the exponents top - j, j a negative
         index."""
         neg = self.sets.neg_indices
-        return self.endpoint_max(num, den, [top - neg[0], top - neg[-1]])
+        return self.endpoint_max(num, den, top - neg[0], top - neg[-1])
+
+    @cached_property
+    def partition(self) -> SignBlockPartition:
+        return sign_blocks(self.f)
 
     def require_negative(self, name: str) -> None:
         if not self.sets.neg_indices:
             raise ValueError(f"{name} needs a negative coefficient")
 
+    def shifted(self, alpha: Rat) -> Optional[Sector]:
+        """The sector of vertex alpha >= 0, or None when a partial sum at
+        alpha is negative."""
+        if not partial_sums(self.f, alpha).all_nonneg:
+            return None
+        x = alpha * (1 << self.s)
+        return self.sector((x, x), f"shifted:{alpha}")
+
     def neg_sum(self) -> Sector:
         if not self.sets.neg_indices:
-            return sector_nonneg(self.f)
+            return self.sector(self.zero, "nonneg")
         ends = self.over_negatives(self.sets.neg_sum_abs, self.f.leading_coefficient(), self.n)
         return self.sector(ends, "neg-sum")
 
     def parametrized(self, lambdas: Sequence[Fraction]) -> Sector:
-        self.require_negative("sector_parametrized")
-        ell = len(self.sets.neg_indices)
-        lams = [Fraction(l) for l in lambdas]
-        if len(lams) != ell:
-            raise ValueError(f"expected {ell} weights, got {len(lams)}")
-        if any(l <= 0 for l in lams):
-            raise ValueError("weights must be positive")
-        if sum(lams) != 1:
-            raise ValueError("weights must sum exactly to 1")
+        """The vertex for weights that sector_parametrized has checked."""
         an = self.f.leading_coefficient()
         radicals = [self.root(-self.f.coeffs[j] * lam.denominator, lam.numerator * an, self.n - j)
-                    for j, lam in zip(self.sets.neg_indices, lams)]
+                    for j, lam in zip(self.sets.neg_indices, lambdas)]
         return self.sector(_max(*radicals), "parametrized")
 
     def min_over_positives(self) -> Sector:
@@ -166,25 +185,80 @@ class _Vertices:
         return self.sector(ends, "summed-denominator")
 
     def sign_blocks(self) -> Sector:
-        partition = sign_blocks(self.f)
-        if partition.sign_changes < 1:
+        if self.partition.sign_changes < 1:
             raise ValueError("sector_sign_blocks needs at least one sign change")
-        per_block = []
-        for block in partition.blocks:
-            if not block.has_negative_part():
-                continue
-            exps = [block.pos_lo - i for i in (block.neg_lo, block.neg_hi)]
-            per_block.append(_max(self.one, self.endpoint_max(block.neg_sum, block.pos_sum, exps)))
+        per_block = [_max(self.one, self.endpoint_max(block.neg_sum, block.pos_sum,
+                                                      block.pos_lo - block.neg_lo,
+                                                      block.pos_lo - block.neg_hi))
+                     for block in self.partition.blocks if block.has_negative_part()]
         return self.sector(_max(*per_block), "sign-blocks")
 
 
 def _max(*ends: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
     """The scaled ends of an enclosure of the maximum of the enclosed reals."""
-    return max(e[0] for e in ends), max(e[1] for e in ends)
+    lower, upper = zip(*ends)
+    return max(lower), max(upper)
 
 
 def _min(*ends: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
-    return min(e[0] for e in ends), min(e[1] for e in ends)
+    lower, upper = zip(*ends)
+    return min(lower), min(upper)
+
+
+def _log2(num: int, den: int = 1) -> float:
+    """log2(num/den) for ints num >= 0 and den >= 1; -inf at 0."""
+    return math.log2(num) - math.log2(den) if num else -math.inf
+
+
+_MARGIN = 2.0 ** -20
+
+
+class _Estimates(_Vertices):
+    """The producers' vertices as floats near their log2, with no iroot, no
+    Fraction and no Sector: a radical (num/den)^(1/e) is
+    (log2 num - log2 den)/e, carried as the pair (x, x) so that _max and
+    _min apply, 0 and 1 are -inf and 0.0, and sector gives the float.
+
+    max and min are exact on floats, so each estimate is off the log2 of
+    its exact vertex V by the rounding of one radical's logs: a few ulps of
+    the larger of log2 num and log2 den, far below 2^-20 while the ints,
+    coefficients and scaled ends alike, have fewer than 2^28 bits.  V lies
+    at or below the vertex's upper end, so a candidate whose estimate less
+    2^-20 is at or above log2(b) + 2^-20, for the computed log2 of a built
+    upper end b, has V > b: its upper end exceeds b and it cannot win, not
+    even a tie.  Any choice of sector is sound; the margin only keeps
+    best_sector equal to best_of(sector_candidates).  The shifted sectors
+    are estimated at their vertex alpha whether or not the shift applies;
+    the exact build checks it.
+    """
+
+    def __init__(self, exact: _Vertices):
+        self.exact = exact
+        self.f, self.n, self.sets = exact.f, exact.n, exact.sets
+        self.zero, self.one = (-math.inf, -math.inf), (0.0, 0.0)
+
+    @property
+    def partition(self) -> SignBlockPartition:
+        return self.exact.partition
+
+    def root(self, num: int, den: int, e: int) -> tuple[float, float]:
+        x = _log2(num, den) / e
+        return x, x
+
+    def sector(self, ends: tuple[float, float], method: str) -> float:
+        return ends[0]
+
+    def shifted(self, alpha: Rat) -> float:
+        return _log2(alpha.numerator, alpha.denominator)
+
+
+class _Ends(_Vertices):
+    """_Vertices whose producers give (scaled ends, method) in place of a
+    Sector, so that best_sector compares the ends of its candidates as they
+    are and builds one Sector."""
+
+    def sector(self, ends: tuple[Rat, Rat], method: str) -> tuple[tuple[Rat, Rat], str]:
+        return ends, method
 
 
 def sector_neg_sum(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
@@ -198,7 +272,17 @@ def sector_parametrized(f: Polynomial, lambdas: Sequence[Fraction],
                         digits: int = DEFAULT_DIGITS) -> Sector:
     """Vertex max_i (|a_{j_i}| / (lambda_i * a_n))^(1/(n-j_i)) for a chosen
     positive weight vector summing exactly to 1."""
-    return _Vertices(f, digits).parametrized(lambdas)
+    vertices = _Vertices(f, digits)
+    vertices.require_negative("sector_parametrized")
+    ell = len(vertices.sets.neg_indices)
+    lams = [Fraction(l) for l in lambdas]
+    if len(lams) != ell:
+        raise ValueError(f"expected {ell} weights, got {len(lams)}")
+    if any(l <= 0 for l in lams):
+        raise ValueError("weights must be positive")
+    if sum(lams) != 1:
+        raise ValueError("weights must sum exactly to 1")
+    return vertices.parametrized(lams)
 
 
 def sector_min_over_positives(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
@@ -226,33 +310,32 @@ def sector_sign_blocks(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
 def sector_shifted(f: Polynomial, alpha) -> Optional[Sector]:
     """Vertex alpha whenever every partial sum at alpha is non-negative
     (exact check); None otherwise."""
-    _require_analyzable(f)
-    alpha = Fraction(alpha)
-    ps = partial_sums(f, alpha)
-    if not ps.all_nonneg:
-        return None
-    return Sector(BoundedReal.exact(alpha), f.degree(), f"shifted:{alpha}")
+    return _Vertices(f, DEFAULT_DIGITS).shifted(Fraction(alpha))
+
+
+def _producers(vertices: _Vertices) -> list:
+    """The producers that apply to the polynomial of vertices, each a call
+    on a _Vertices, in the fixed preference order used for tie-breaking.
+    The shifted sectors use alpha in {0, 1}; a shift by 1 that does not
+    apply gives None."""
+    ell = len(vertices.sets.neg_indices)
+    if not ell:
+        # a shift by 0 applies just when no coefficient is negative: the
+        # partial sums at 0 are the coefficients
+        return [methodcaller("neg_sum"), methodcaller("shifted", 0), methodcaller("shifted", 1)]
+    # the leading coefficient is positive, so a negative one is a sign change
+    return [*map(methodcaller, ("neg_sum", "min_over_positives", "summed_denominator",
+                                "sign_blocks")),
+            methodcaller("shifted", 1), methodcaller("parametrized", [Fraction(1, ell)] * ell)]
 
 
 def sector_candidates(f: Polynomial, digits: int = DEFAULT_DIGITS) -> list[Sector]:
     """Every applicable producer's sector, in the fixed preference order used
-    for tie-breaking.  The shifted sectors use alpha in {0, 1}.  The radical
-    producers share one _Vertices, so each radical is computed once per call."""
+    for tie-breaking.  The radical producers share one _Vertices, so each
+    radical is computed once per call."""
     vertices = _Vertices(f, digits)
-    ell = len(vertices.sets.neg_indices)
-    out = [vertices.neg_sum()]  # sector_nonneg's when no coefficient is negative
-    if ell >= 1:
-        out.append(vertices.min_over_positives())
-        out.append(vertices.summed_denominator())
-        # the leading coefficient is positive, so a negative one is a sign change
-        out.append(vertices.sign_blocks())
-    for alpha in (0, 1):
-        s = sector_shifted(f, alpha)
-        if s is not None:
-            out.append(s)
-    if ell >= 1:
-        out.append(vertices.parametrized([Fraction(1, ell)] * ell))
-    return out
+    return [s for s in (produce(vertices) for produce in _producers(vertices))
+            if s is not None]
 
 
 def best_of(sectors: Sequence[Sector]) -> Sector:
@@ -262,5 +345,29 @@ def best_of(sectors: Sequence[Sector]) -> Sector:
 
 
 def best_sector(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
-    """The best of sector_candidates."""
-    return best_of(sector_candidates(f, digits))
+    """best_of(sector_candidates(f, digits)), building only the candidates
+    that can win.
+
+    Every producer runs once over _Estimates.  The candidates are then
+    built exactly, as scaled ends (_Ends), in ascending order of estimate,
+    earliest first among equal ones, until one's estimate is past the
+    margin above the best upper end so far; every later one is too.  The
+    winner is the least upper end, the earliest in preference order among
+    equal ones, so an exact vertex 0 ends the search and shifted:1 is
+    checked only while the best is near or above 1.  Only the winner
+    becomes a Sector.  All built candidates share one radical memo.
+    """
+    vertices = _Ends(f, digits)
+    producers = _producers(vertices)
+    estimates = _Estimates(vertices)
+    logs = [produce(estimates) for produce in producers]
+    best, rank, bound = None, 0, math.inf
+    for i in sorted(range(len(producers)), key=logs.__getitem__):
+        if logs[i] - _MARGIN >= bound:
+            break
+        built = producers[i](vertices)
+        if built is not None and (best is None or (built[0][1], i) < (best[0][1], rank)):
+            best, rank = built, i
+            upper = built[0][1]
+            bound = _log2(upper.numerator, upper.denominator) - vertices.s + _MARGIN
+    return _Vertices.sector(vertices, *best)

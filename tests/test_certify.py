@@ -179,14 +179,14 @@ def test_certifier_builds_each_region_once(monkeypatch):
         monkeypatch.setattr(certify_module, name, wrapper)
 
     # _Split is the one split of f(m) per (m, q_max) that the criteria share
-    for name in ("sector_candidates", "lens_of", "interval_disk_in_lens",
+    for name in ("best_sector", "lens_of", "interval_disk_in_lens",
                  "has_rational_root", "_Split"):
         counting(name)
     ctx = Certifier(parse_polynomial("(X-3)*(X^2+X+7)"), q_max=3)
     for m in range(1, 31):
         assert ctx.certify(m)[0] is None
     assert calls["lens_of"] == calls["interval_disk_in_lens"] == 1
-    assert calls["sector_candidates"] == calls["has_rational_root"] == 1
+    assert calls["best_sector"] == calls["has_rational_root"] == 1
     assert calls["_Split"] == 30  # the lens stops at its vertex, before f(m)
     # with q_max 1 the lens, prime-value and prime-power criteria share one
     # split per m
@@ -203,7 +203,7 @@ def test_certifier_builds_each_region_once(monkeypatch):
     for m in range(1, 31):
         ctx.certify(m)
         certify_combined_report(ctx, m)
-    assert calls["sector_candidates"] == calls["has_rational_root"] == 1
+    assert calls["best_sector"] == calls["has_rational_root"] == 1
     assert calls["_Split"] == 2 * 30  # the ray's at q_max 1, the rest at q_max 3
 
 

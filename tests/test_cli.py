@@ -290,7 +290,8 @@ def test_scan_bad_family(capsys):
 @pytest.mark.parametrize("argv, unknown", [
     (["scan", "--family", "desc.json"], "--family"),  # once read as --family-json
     (["certify", "X^4-10*X^3+2162", "--m", "3", "--q", "3"], "--q 3"),  # as --q-max
-    (["analyze", "--coeff", "-1,0,1"], "--coeff -1,0,1"),  # past the --coeffs rewrite
+    # a polynomial after an unknown option stays as typed (cli._is_polynomial)
+    (["analyze", "--coeff", "-1,0,1"], "--coeff -1,0,1"),
     (["certify", "-10*X^3+X^4+2162", "--m", "3", "--q", "3"], "--q 3"),  # past the
     # leading-minus rewrite
 ])

@@ -12,7 +12,9 @@ from polycert.lens import (DegenerateLensError, Lens, _check_narrow_vertex,
 from polycert.poly import parse_polynomial
 from polycert.rounding import (BoundedReal, cot_pi_frac, nth_root_bounds,
                                sin_pi_frac)
-from polycert.sectors import best_sector
+from polycert.sectors import best_of, best_sector
+
+from sector_reference import reference_candidates
 
 mpmath.mp.dps = 50
 
@@ -59,6 +61,21 @@ def test_lens_of_matches_reciprocal_best_sector():
     lens = lens_of(f)
     recip_sector = best_sector(f.reciprocal())
     assert lens.v_tilde == recip_sector.vertex
+
+
+def test_lens_of_is_the_lens_of_the_best_reference_sector(fuzz_corpus):
+    for f in fuzz_corpus:
+        if f.degree() < 3 or f.coefficient(0) == 0:
+            continue
+        g = f.reciprocal()
+        want = best_of(reference_candidates(g if g.leading_coefficient() > 0 else -g))
+        if want.vertex.upper == 0:
+            with pytest.raises(DegenerateLensError):
+                lens_of(f)
+            continue
+        lens = lens_of(f)
+        assert (lens.v_tilde.lower, lens.v_tilde.upper, lens.n, lens.method) == \
+            (want.vertex.lower, want.vertex.upper, f.degree(), want.method)
 
 
 def test_disk_interval_flagship():

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polycert.certify import Certifier
 from polycert.poly import Polynomial, parse_polynomial, sign_blocks, sign_index_sets
 from polycert.rounding import nth_root_bounds
-from polycert.sectors import (best_sector,
+from polycert.sectors import (_Estimates, _producers, _Vertices, best_of, best_sector,
                               sector_candidates, sector_min_over_positives,
                               sector_neg_sum, sector_nonneg,
                               sector_parametrized, sector_shifted,
@@ -252,6 +253,50 @@ def test_candidates_compute_each_radical_once_per_call(radical_calls):
         assert set(radical_calls) == needed
 
 
+CLOSE_RADICALS = Polynomial([-635, 0, 1008, 1270])
+CLAMP_TIE = Polynomial([-5, 1, 4, 2, 1])
+# P/Q is a convergent of sqrt(2): min-over-positives' vertex Q/P is 10^-33
+# above neg-sum's (1/2)^(1/2), both are estimated at -0.5, the float log2 of
+# neg-sum's upper end at 24 digits is -0.5 too, and the former's upper end
+# is the lesser
+P, Q = 14398739476117879, 10181446324101389
+FLOAT_TIE = Polynomial([-Q, P, 2 * Q])
+
+
+def test_best_sector_builds_fewer_radicals(radical_calls):
+    f = parse_polynomial("3*X^8-5*X^7+2*X^6-7*X^4+X^3+4*X^2-6*X+9")
+    sector_candidates(f)
+    every = len(radical_calls)
+    radical_calls.clear()
+    best_sector(f)
+    assert len(radical_calls) < every
+    radical_calls.clear()
+    best_sector(parse_polynomial("2162*X^4-10*X+1"))
+    assert radical_calls == [(Fraction(10, 2162), 3, 12)]
+    # min-over-positives (635/1008)^(1/2) is 2^-22 below neg-sum (1/2)^(1/3):
+    # both are built, and the lesser wins
+    radical_calls.clear()
+    assert best_sector(CLOSE_RADICALS).method == "min-over-positives"
+    assert {(Fraction(635, 1008), 2, 12), (Fraction(1, 2), 3, 12)} <= set(radical_calls)
+
+
+def test_best_sector_examples_are_what_they_say():
+    tie = {s.method: s.vertex.upper for s in sector_candidates(parse_polynomial("2162*X^4-10*X+1"))}
+    assert tie["min-over-positives"] == tie["neg-sum"]
+    clamp = sector_candidates(CLAMP_TIE)
+    assert best_of(clamp).method == "summed-denominator"
+    assert {s.method: s.vertex.upper for s in clamp}["shifted:1"] == 1 == best_of(clamp).vertex.upper
+    close = {s.method: s.vertex.upper for s in sector_candidates(CLOSE_RADICALS)}
+    assert 0 < 1 - close["min-over-positives"] / close["neg-sum"] < Fraction(1, 2**20)
+    vertices = _Vertices(FLOAT_TIE, 24)
+    assert [produce(_Estimates(vertices)) for produce in _producers(vertices)][:2] == [-0.5] * 2
+    floats = {s.method: s.vertex.upper for s in sector_candidates(FLOAT_TIE, 24)}
+    upper = floats["neg-sum"]
+    assert math.log2(upper.numerator) - math.log2(upper.denominator) == -0.5
+    assert upper > floats["min-over-positives"] == Fraction(Q, P)
+    assert Fraction(Q, P) ** 2 > Fraction(1, 2)
+
+
 @st.composite
 def vertex_polynomials(draw):
     """Polynomials whose radicals are irrational, exact (some off every
@@ -292,3 +337,19 @@ def test_candidates_match_the_fraction_vertices(f, digits):
     for s, r in zip(got, want):
         assert type(s.vertex.lower) is type(s.vertex.upper) is Fraction
         assert (s.vertex.lower, s.vertex.upper) == (r.vertex.lower, r.vertex.upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_polynomials(), st.sampled_from([1, 4, 12, 24, 100, 200]))
+@example(parse_polynomial("2162*X^4-10*X+1"), 12)  # min-over-positives ties neg-sum
+@example(CLAMP_TIE, 12)  # shifted:1 ties the summed-denominator clamp at 1
+@example(Polynomial([3, 7, 9, 1]), 12)  # vertex 0 ends the search
+@example(CLOSE_RADICALS, 12)  # two radicals within 2^-20, both built
+@example(FLOAT_TIE, 24)  # within float error, the later candidate wins
+def test_best_sector_matches_the_best_fraction_vertex(f, digits):
+    got, want = best_sector(f, digits), best_of(reference_candidates(f, digits))
+    assert (got.method, got.angle_denominator) == (want.method, want.angle_denominator)
+    assert type(got.vertex.lower) is type(got.vertex.upper) is Fraction
+    assert (got.vertex.lower, got.vertex.upper) == (want.vertex.lower, want.vertex.upper)
+    ctx = Certifier(f, digits=digits)
+    assert ctx.sector == best_of(ctx.sectors)
