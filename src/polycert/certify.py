@@ -4,10 +4,12 @@ a zero-free region.
 Only the value witness of a certificate depends on the argument m: the
 sector angle depends only on deg f, its vertex only on the coefficients of
 f, and the lens comes from the reciprocal's sector.  A Certifier holds that
-per-polynomial part for one f (the best sector, the lens or why there is
-none, the lens's admissible intervals, and whether f has a rational root),
-builds each piece at most once, and tries the criteria at each m in one
-fixed order; the sin and tan bounds come from the trig memo in rounding.
+per-polynomial part for one f (the sector plans of f and its reciprocal,
+the best sector, the lens or why there is none, the lens's admissible
+intervals, and whether f has a rational root), builds each piece at most
+once, and not at all when the estimate decides, and tries the criteria at
+each m in one fixed order; the sin and tan bounds come from the trig memo in
+rounding.
 certify_any, search_m, certify_negative_m and replay all run through it.
 
 Every certificate records the region used, the factorization witness, and
@@ -18,8 +20,8 @@ only that the same criterion still certify m at doubled precision (margin
 discipline), under either of its tags.  The second pass builds its regions
 afresh but reuses what the first pass's own rebuild decided that does not
 depend on digits (Certifier.at_digits): f(m) with its split and primality,
-f', and whether f has a rational root.  None of it is read from the
-certificate.
+f', whether f has a rational root, and both sector plans.  None of it is
+read from the certificate.
 """
 from __future__ import annotations
 
@@ -30,11 +32,11 @@ from typing import NamedTuple, Optional, Sequence
 from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus, _Split,
                     has_rational_root)
 from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
-                   interval_disk_in_lens, lens_of)
+                   interval_disk_in_lens, planned_lens, reciprocal_plan)
 from .poly import Polynomial, sign_blocks, sign_index_sets
 from .rounding import (DEFAULT_DIGITS, MAX_DIGITS, format_decimal, pow_upper,
                        sin_pi_frac, tan_pi_frac)
-from .sectors import Sector, best_sector, sector_candidates
+from .sectors import Sector, _Estimates, planned_sector, sector_candidates
 
 SCHEMA_VERSION = 1
 
@@ -159,21 +161,23 @@ def _validate_sector_input(f: Polynomial) -> None:
 DEFAULT_MODES = ("lens", "pq", "prime_power")
 # The attributes of a Certifier that do not depend on its digits.
 _DIGIT_FREE = ("_m", "_value", "_splits", "_sector_degree", "derivative",
-               "rational_root_exists")
+               "rational_root_exists", "plan", "lens_plan")
 
 
 class Certifier:
     """Everything certifying f needs that does not depend on the argument m.
 
-    Each region is built at most once, when a criterion first asks for it;
-    the trig constants are the process-wide memo's.  The sector is
-    best_sector's, which builds only the candidates that can win; sectors,
-    every candidate, is built only for analyze.  f(m) is split once per
-    q_max (arith._Split), and the criteria read their witnesses or reasons
-    from that split: at q_max 1 the lens, pq and prime_power criteria share
-    one.  f'(m) is evaluated only for a prime-power witness.  f(m) and its
-    splits are kept for the latest m only, so memory stays flat over any
-    range of arguments.
+    Each region is built at most once, when a criterion first asks for it,
+    and not at all when the estimate decides; the trig constants are the
+    process-wide memo's.  The sector plans of f and its reciprocal
+    (sectors._Estimates) decide which sector candidates are built, and the
+    lens criterion's "lens-degenerate" and, where they can, its
+    "vertex-too-large"; sectors, every candidate, is built only for
+    analyze.  f(m) is split once per q_max (arith._Split), and the criteria
+    read their witnesses or reasons from that split: at q_max 1 the lens,
+    pq and prime_power criteria share one.  f'(m) is evaluated only for a
+    prime-power witness.  f(m) and its splits are kept for the latest m
+    only, so memory stays flat over any range of arguments.
     """
 
     def __init__(self, f: Polynomial, q_max: int = 1, digits: int = DEFAULT_DIGITS):
@@ -188,7 +192,8 @@ class Certifier:
         """A Certifier of f and q_max at other digits that starts with this
         one's state that does not depend on digits: f(m) with its splits
         and whatever they have decided, f', whether f has a rational root,
-        and the degree check.  Its regions are built afresh."""
+        the degree check and the sector plans.  Its regions are built
+        afresh from those plans."""
         other = Certifier(self.f, self.q_max, digits)
         mine = self.__dict__
         other.__dict__.update((name, mine[name]) for name in _DIGIT_FREE if name in mine)
@@ -200,21 +205,43 @@ class Certifier:
         return sector_candidates(self.f, digits=self.digits)
 
     @cached_property
+    def plan(self) -> _Estimates:
+        return _Estimates(self.f)
+
+    @cached_property
     def sector(self) -> Sector:
         """The best of sectors, built without the candidates that cannot win."""
-        return best_sector(self.f, digits=self.digits)
+        return planned_sector(self.plan, self.digits)
+
+    @cached_property
+    def lens_plan(self) -> tuple[Optional[_Estimates], Optional[str]]:
+        """The sector plan of f's reciprocal, or None and why f has no lens."""
+        try:
+            return reciprocal_plan(self.f), None
+        except ValueError as exc:
+            return None, str(exc)
 
     @cached_property
     def lens_status(self) -> tuple[Optional[Lens], str, Optional[str]]:
         """(lens, reason, note): the zero-free lens of f, or None with the
         reason tag ("lens-inapplicable" or "lens-degenerate") and lens_of's
         note that says why in words."""
+        plan, note = self.lens_plan
+        if plan is None:
+            return None, "lens-inapplicable", note
         try:
-            return lens_of(self.f, digits=self.digits), "ok", None
+            return planned_lens(plan, self.digits), "ok", None
         except DegenerateLensError as exc:
             return None, "lens-degenerate", str(exc)
         except ValueError as exc:
             return None, "lens-inapplicable", str(exc)
+
+    @cached_property
+    def lens_too_wide(self) -> bool:
+        """Whether the estimates prove lens_intervals None: the reciprocal's
+        vertex not below tan(pi/(2n))/2."""
+        plan = self.lens_plan[0]
+        return plan.exceeds(tan_pi_frac(Fraction(1, 2 * plan.n), self.digits).lower / 2)
 
     @cached_property
     def lens_intervals(self) -> Optional[tuple[AdmissibleInterval, AdmissibleInterval]]:
@@ -301,12 +328,13 @@ def _sector_report(ctx: Certifier, m: int, mode: str, q_max: int,
     threshold = vertex + radius_up / sine
     used_sqrt = False
     if not m > threshold:
-        if radius_up <= 1 or ctx.rational_root_exists:
+        if radius_up <= 1:
             return None, "outside-region"
         a, b = s.numerator, s.denominator
         sqrt_radius_up = pow_upper(witness.p**a * witness.q**b, Fraction(1, 2 * b), digits)
         threshold = vertex + sqrt_radius_up / sine
-        if not m > threshold:
+        # the rational-root test only where the square-root disk fits
+        if not m > threshold or ctx.rational_root_exists:
             return None, "outside-region"
         used_sqrt = True
     radius = "q" if mode == "pq" else "p^s*q"
@@ -337,11 +365,16 @@ def certify_lens_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], 
     lie in the inward-rounded admissible interval.  The cot-based interval is
     recorded as a cross-check and names the criterion when it also contains m.
     The certificate records q_max 1 whatever the context's."""
-    lens, reason, _ = ctx.lens_status
-    if reason == "lens-inapplicable":
-        return None, reason
+    plan = ctx.lens_plan[0]
+    if plan is None:
+        return None, "lens-inapplicable"
     if m < 1:
         raise ValueError("certification needs m >= 1")
+    if plan.zero_vertex:
+        return None, "lens-degenerate"
+    if ctx.lens_too_wide:
+        return None, "vertex-too-large"
+    lens, reason, _ = ctx.lens_status
     if lens is None:
         return None, reason
     if ctx.lens_intervals is None:

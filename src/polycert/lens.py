@@ -16,7 +16,7 @@ from .poly import Polynomial
 from .rounding import (DEFAULT_DIGITS, BoundedReal, _Frozen, cot_pi_frac,
                        format_decimal, nth_root_bounds, power_of_two_text,
                        sin_pi_frac, tan_pi_frac)
-from .sectors import best_sector
+from .sectors import _Estimates, planned_sector
 
 
 class DegenerateLensError(ValueError):
@@ -48,23 +48,33 @@ class Lens(_Frozen):
         }
 
 
-def lens_of(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Lens:
-    """Lens built from the best zero-free sector of the reciprocal of f;
-    ValueError when f has none, DegenerateLensError when it is degenerate."""
-    n = f.degree()
-    if n < 3:
+def reciprocal_plan(f: Polynomial) -> _Estimates:
+    """The sector plan of f's reciprocal; ValueError when f has no lens."""
+    if f.degree() < 3:
         raise ValueError("degree below 3; no lens")
     if f.coefficient(0) == 0:
         raise ValueError("zero constant term; no lens")
     g = f.reciprocal()
     if g.leading_coefficient() < 0:
         g = -g  # same roots; sector producers want a positive leading coefficient
-    sector = best_sector(g, digits)
+    return _Estimates(g)
+
+
+def lens_of(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Lens:
+    """Lens built from the best zero-free sector of the reciprocal of f;
+    ValueError when f has none, DegenerateLensError when it is degenerate."""
+    return planned_lens(reciprocal_plan(f), digits)
+
+
+def planned_lens(plan: _Estimates, digits: int) -> Lens:
+    """lens_of from the reciprocal's plan.  The lens is degenerate just when
+    plan.zero_vertex holds."""
+    sector = planned_sector(plan, digits)
     if sector.vertex.upper == 0:
         raise DegenerateLensError(
             "reciprocal sector vertex is 0; the region is the origin wedge "
             "of half-angle pi/n itself, not a bounded lens")
-    return Lens(sector.vertex, n, sector.method)
+    return Lens(sector.vertex, plan.n, sector.method)
 
 
 class AdmissibleInterval(NamedTuple):

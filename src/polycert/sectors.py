@@ -8,9 +8,9 @@ conservative.
 
 sector_candidates builds every applicable producer's sector.  best_sector
 builds only those that can win: the same producers first run over
-_Estimates, which gives each vertex as a float estimate of its log2, and a
-candidate whose estimate is at least 2^-19 above log2 of the best
-vertex.upper built so far is left unbuilt.
+_Estimates, the digit-free plan of one polynomial, which gives each vertex
+as a float estimate of its log2, and a candidate whose estimate is at least
+2^-19 above log2 of the best vertex.upper built so far is left unbuilt.
 """
 from __future__ import annotations
 
@@ -102,12 +102,13 @@ class _Vertices:
 
     def __init__(self, f: Polynomial, digits: int):
         _require_analyzable(f)
-        self.f = f
-        self.n = f.degree()
+        self.f, self.n, self.sets = f, f.degree(), sign_index_sets(f)
+        self._scale(digits)
+
+    def _scale(self, digits: int) -> None:
         self.digits = digits
         self.s = max(16, 4 * digits)
         self.zero, self.one = (0, 0), (1 << self.s, 1 << self.s)
-        self.sets = sign_index_sets(f)
         self._roots: dict[tuple[int, int, int], tuple[Rat, Rat]] = {}
 
     def root(self, num: int, den: int, e: int) -> tuple[Rat, Rat]:
@@ -211,35 +212,43 @@ def _log2(num: int, den: int = 1) -> float:
 
 
 _MARGIN = 2.0 ** -20
+_MAX_BITS = 1 << 28
 
 
 class _Estimates(_Vertices):
-    """The producers' vertices as floats near their log2, with no iroot, no
-    Fraction and no Sector: a radical (num/den)^(1/e) is
-    (log2 num - log2 den)/e, carried as the pair (x, x) so that _max and
-    _min apply, 0 and 1 are -inf and 0.0, and sector gives the float.
+    """The digit-free plan of best_sector for one polynomial, from which
+    planned_sector builds at any digits: its sign sets and partition, its
+    producers, their vertices as floats near their log2 (logs), and the
+    indices in ascending order of estimate, stable (order).  The producers
+    run over the plan itself, with no iroot, no Fraction and no Sector: a
+    radical (num/den)^(1/e) is (log2 num - log2 den)/e, carried as the pair
+    (x, x) so that _max and _min apply, 0 and 1 are -inf and 0.0, and
+    sector gives the float.  An estimate is -inf just when its vertex is 0:
+    with a negative coefficient, every radical has a positive base.
 
     max and min are exact on floats, so each estimate is off the log2 of
     its exact vertex V by the rounding of one radical's logs: a few ulps of
     the larger of log2 num and log2 den, far below 2^-20 while the ints,
-    coefficients and scaled ends alike, have fewer than 2^28 bits.  V lies
-    at or below the vertex's upper end, so a candidate whose estimate less
-    2^-20 is at or above log2(b) + 2^-20, for the computed log2 of a built
-    upper end b, has V > b: its upper end exceeds b and it cannot win, not
-    even a tie.  Any choice of sector is sound; the margin only keeps
-    best_sector equal to best_of(sector_candidates).  The shifted sectors
-    are estimated at their vertex alpha whether or not the shift applies;
-    the exact build checks it.
+    coefficients and scaled ends alike, have fewer than 2^28 (_MAX_BITS)
+    bits.  bounded says so of the bases, each at most n*max|a_i|; a scaled
+    end has some 4*digits bits more.  V lies at or below the vertex's upper
+    end, so a candidate whose estimate less 2^-20 is at or above
+    log2(b) + 2^-20, for the computed log2 of a rational b of few bits, has
+    V > b: its upper end exceeds b.  Any choice of sector is sound; the
+    margin only keeps best_sector equal to best_of(sector_candidates), and
+    lets exceeds refuse only what the exact vertex refuses.  The shifted
+    sectors are estimated at their vertex alpha whether or not the shift
+    applies; the exact build checks it.
     """
 
-    def __init__(self, exact: _Vertices):
-        self.exact = exact
-        self.f, self.n, self.sets = exact.f, exact.n, exact.sets
+    def __init__(self, f: Polynomial):
+        _require_analyzable(f)
+        self.f, self.n, self.sets = f, f.degree(), sign_index_sets(f)
         self.zero, self.one = (-math.inf, -math.inf), (0.0, 0.0)
-
-    @property
-    def partition(self) -> SignBlockPartition:
-        return self.exact.partition
+        self.producers = _producers(self)
+        self.logs = [produce(self) for produce in self.producers]
+        self.order = sorted(range(len(self.logs)), key=self.logs.__getitem__)
+        self.bounded = max(map(abs, f.coeffs)).bit_length() + self.n.bit_length() < _MAX_BITS
 
     def root(self, num: int, den: int, e: int) -> tuple[float, float]:
         x = _log2(num, den) / e
@@ -251,11 +260,32 @@ class _Estimates(_Vertices):
     def shifted(self, alpha: Rat) -> float:
         return _log2(alpha.numerator, alpha.denominator)
 
+    @property
+    def zero_vertex(self) -> bool:
+        """Whether a candidate's vertex is exactly 0."""
+        return self.logs[self.order[0]] == -math.inf
+
+    def exceeds(self, b: Fraction) -> bool:
+        """Whether the estimates prove every candidate's vertex above
+        b > 0, so that the best sector's upper end exceeds b; False, not
+        decided, where the margin argument does not hold."""
+        return self.bounded and (self.logs[self.order[0]] - _MARGIN
+                                 >= _log2(b.numerator, b.denominator) + _MARGIN)
+
 
 class _Ends(_Vertices):
-    """_Vertices whose producers give (scaled ends, method) in place of a
-    Sector, so that best_sector compares the ends of its candidates as they
-    are and builds one Sector."""
+    """_Vertices of a plan's polynomial, sharing its sign data, whose
+    producers give (scaled ends, method) in place of a Sector, so that
+    planned_sector compares the ends of its candidates as they are and
+    builds one Sector."""
+
+    def __init__(self, plan: _Estimates, digits: int):
+        self.plan, self.f, self.n, self.sets = plan, plan.f, plan.n, plan.sets
+        self._scale(digits)
+
+    @property
+    def partition(self) -> SignBlockPartition:
+        return self.plan.partition
 
     def sector(self, ends: tuple[Rat, Rat], method: str) -> tuple[tuple[Rat, Rat], str]:
         return ends, method
@@ -346,24 +376,27 @@ def best_of(sectors: Sequence[Sector]) -> Sector:
 
 def best_sector(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
     """best_of(sector_candidates(f, digits)), building only the candidates
-    that can win.
+    that can win: planned_sector of f's plan."""
+    return planned_sector(_Estimates(f), digits)
 
-    Every producer runs once over _Estimates.  The candidates are then
-    built exactly, as scaled ends (_Ends), in ascending order of estimate,
-    earliest first among equal ones, until one's estimate is past the
-    margin above the best upper end so far; every later one is too.  The
-    winner is the least upper end, the earliest in preference order among
-    equal ones, so an exact vertex 0 ends the search and shifted:1 is
-    checked only while the best is near or above 1.  Only the winner
-    becomes a Sector.  All built candidates share one radical memo.
+
+def planned_sector(plan: _Estimates, digits: int) -> Sector:
+    """best_sector of the plan's polynomial at digits.
+
+    The candidates are built exactly, as scaled ends (_Ends), in the plan's
+    order, until one's estimate is past the margin above the best upper
+    end so far; every later one is too.  Where the margin argument does not
+    hold, every candidate is built.  The winner is the least upper end, the
+    earliest in preference order among equal ones, so an exact vertex 0
+    ends the search and shifted:1 is checked only while the best is near or
+    above 1.  Only the winner becomes a Sector.  All built candidates share
+    one radical memo.
     """
-    vertices = _Ends(f, digits)
-    producers = _producers(vertices)
-    estimates = _Estimates(vertices)
-    logs = [produce(estimates) for produce in producers]
+    vertices = _Ends(plan, digits)
+    producers, logs = plan.producers, plan.logs
     best, rank, bound = None, 0, math.inf
-    for i in sorted(range(len(producers)), key=logs.__getitem__):
-        if logs[i] - _MARGIN >= bound:
+    for i in plan.order:
+        if plan.bounded and logs[i] - _MARGIN >= bound:
             break
         built = producers[i](vertices)
         if built is not None and (best is None or (built[0][1], i) < (best[0][1], rank)):

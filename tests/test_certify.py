@@ -17,7 +17,8 @@ from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
                               certify_lens_report, certify_negative_m,
                               certify_sector_prime_power_report,
                               certify_sector_pq_report, search_m, _sector_report)
-from polycert import arith, rounding
+from polycert import arith, rounding, sectors
+from polycert.lens import reciprocal_plan
 from polycert.oracles import irreducible_bruteforce
 from polycert.poly import Polynomial, parse_polynomial
 
@@ -170,41 +171,56 @@ def test_certifier_builds_each_region_once(monkeypatch):
     import polycert.certify as certify_module
     calls = {}
 
-    def counting(name):
-        original = getattr(certify_module, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(certify_module, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
+    # planned_sector and planned_lens build f's sector and the lens exactly;
     # _Split is the one split of f(m) per (m, q_max) that the criteria share
-    for name in ("best_sector", "lens_of", "interval_disk_in_lens",
+    for name in ("planned_sector", "planned_lens", "interval_disk_in_lens",
                  "has_rational_root", "_Split"):
-        counting(name)
+        counting(certify_module, name)
+    # one estimate pass for f and one for its reciprocal
+    counting(sectors._Estimates, "__init__")
     ctx = Certifier(parse_polynomial("(X-3)*(X^2+X+7)"), q_max=3)
     for m in range(1, 31):
+        cert, reasons = ctx.certify(m)
+        assert cert is None and reasons[0] == "vertex-too-large"
+    # the reciprocal's estimate refuses the lens, so no lens is built; the
+    # square-root disk never fits, so the rational-root test never runs
+    assert calls == {"__init__": 2, "planned_sector": 1, "_Split": 30}
+    # a lens the estimate cannot refuse is built exactly once
+    calls.clear()
+    ctx = Certifier(parse_polynomial("X^4-2000000002*X^3+25672533065054"))
+    for m in range(1, 21):
         assert ctx.certify(m)[0] is None
-    assert calls["lens_of"] == calls["interval_disk_in_lens"] == 1
-    assert calls["best_sector"] == calls["has_rational_root"] == 1
-    assert calls["_Split"] == 30  # the lens stops at its vertex, before f(m)
+    assert ctx.certify(21)[0].criterion == "thm39_lens"
+    # no f(m) below 21 has a witness, so f's own plan is never needed
+    assert calls == {"__init__": 1, "planned_lens": 1, "interval_disk_in_lens": 1,
+                     "_Split": 21}
     # with q_max 1 the lens, prime-value and prime-power criteria share one
     # split per m
     calls.clear()
     ctx = Certifier(FLAGSHIP)
     assert ctx.certify(2, ("lens", "pq"))[1] == ["value-composite"] * 2
-    assert calls == {"lens_of": 1, "interval_disk_in_lens": 1, "_Split": 1}
+    assert calls == {"__init__": 1, "planned_lens": 1, "interval_disk_in_lens": 1,
+                     "_Split": 1}
     assert ctx.certify(2)[1] == ["value-composite"] * 3
     assert ctx.certify(4)[1] == ["value-composite"] * 3
-    assert calls == {"lens_of": 1, "interval_disk_in_lens": 1, "_Split": 2}
+    assert calls == {"__init__": 1, "planned_lens": 1, "interval_disk_in_lens": 1,
+                     "_Split": 2}
     # the combined criterion's ray branch runs on the caller's context too
     calls.clear()
     ctx = Certifier(parse_polynomial("X^3-X^2-3*X-3"), q_max=3)
     for m in range(1, 31):
         ctx.certify(m)
         certify_combined_report(ctx, m)
-    assert calls["best_sector"] == calls["has_rational_root"] == 1
-    assert calls["_Split"] == 2 * 30  # the ray's at q_max 1, the rest at q_max 3
+    assert calls == {"__init__": 2, "planned_sector": 1, "has_rational_root": 1,
+                     "_Split": 2 * 30}  # the ray's at q_max 1, the rest at q_max 3
 
 
 class CountingDerivative:
@@ -457,6 +473,24 @@ def test_a_replay_decides_the_value_facts_once(monkeypatch, q_max):
         monkeypatch.setattr(module, name, counted)
     assert certificate_verify(data)
     assert sorted(calls) == ["_Split", "_strong_classify", "has_rational_root"]
+
+
+@pytest.mark.parametrize("poly, m", [("X^4-10*X^3+2162", 13), ("X^3-X^2-3*X-3", 8)])
+def test_a_replay_runs_one_estimate_pass_per_polynomial(monkeypatch, poly, m):
+    # a combined certificate's ray branch needs the plans of the reciprocal
+    # (its lens branch) and of f; the doubled-digits pass reuses both
+    f = parse_polynomial(poly)
+    data = certify_combined_report(Certifier(f), m)[0].to_json()
+    assert data["region"]["branch"] == "ray"
+    reciprocal = reciprocal_plan(f).f
+    passes = []
+
+    def counted(self, g, _original=sectors._Estimates.__init__):
+        passes.append(g)
+        _original(self, g)
+    monkeypatch.setattr(sectors._Estimates, "__init__", counted)
+    assert certificate_verify(data)
+    assert passes == [reciprocal, f]
 
 
 def test_replay_rejects_all_single_field_tampers():

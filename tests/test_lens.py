@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycert import sectors
+from polycert.certify import Certifier
 from polycert.lens import (DegenerateLensError, Lens, _check_narrow_vertex,
                            interval_cot, interval_disk_in_lens, lens_of)
-from polycert.poly import parse_polynomial
+from polycert.poly import Polynomial, parse_polynomial
 from polycert.rounding import (BoundedReal, cot_pi_frac, nth_root_bounds,
-                               sin_pi_frac)
-from polycert.sectors import best_of, best_sector
+                               sin_pi_frac, tan_pi_frac)
+from polycert.sectors import best_of, best_sector, sector_candidates
 
 from sector_reference import reference_candidates
 
@@ -286,3 +288,35 @@ def test_combined_region_ends_are_the_inward_ends():
     ray_lo = ray_cert.checks[0].left
     assert type(ray_lo) is Fraction
     assert ray_lo == _add(_ends(sector.vertex), _inv(_ends(s)))[1]
+
+
+def test_the_lens_gate_fires_only_where_the_margin_argument_holds(monkeypatch):
+    # the reciprocal's estimate refuses this lens with no lens built ...
+    f = parse_polynomial("(X-3)*(X^2+X+7)")
+    assert Certifier(f, q_max=3).lens_too_wide
+    # ... but not once its ints may be past the bits the margin argument
+    # allows: the exact path then gives the same reason
+    monkeypatch.setattr(sectors, "_MAX_BITS", 4)
+    ctx = Certifier(f, q_max=3)
+    assert not ctx.lens_plan[0].bounded and not ctx.lens_too_wide
+    assert ctx.certify(1)[1][0] == "vertex-too-large"
+    assert ctx.lens_status[0] is not None and ctx.lens_intervals is None
+    # best_sector then builds every candidate
+    for g in (f, FLAGSHIP, parse_polynomial("2162*X^4-10*X+1")):
+        assert best_sector(g) == best_of(sector_candidates(g))
+
+
+@pytest.mark.parametrize("digits", [1, 12, 100])
+def test_the_lens_gate_does_not_fire_near_the_bound(digits):
+    # X^4 - L*X + 2^30 has the reciprocal vertex L/2^30, exact, within 2^-22
+    # of tan(pi/8)/2 in log2 on both sides of it: the estimate decides
+    # neither, and the exact vertex decides both
+    bound = tan_pi_frac(Fraction(1, 8), digits).lower / 2
+    below = math.floor(bound * 2**30)
+    for lo, refused in ((below, False), (below + 1, True)):
+        assert abs(math.log2(lo) - 30 - math.log2(bound)) < 2**-22
+        ctx = Certifier(Polynomial([2**30, -lo, 0, 0, 1]), digits=digits)
+        assert ctx.lens_status[0].v_tilde == BoundedReal.exact(Fraction(lo, 2**30))
+        assert not ctx.lens_too_wide
+        assert (ctx.lens_intervals is None) == refused
+        assert (ctx.certify(1, ("lens",))[1] == ["vertex-too-large"]) == refused

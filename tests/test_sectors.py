@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polycert.certify import Certifier
+from polycert.lens import DegenerateLensError, interval_disk_in_lens, lens_of
 from polycert.poly import Polynomial, parse_polynomial, sign_blocks, sign_index_sets
 from polycert.rounding import nth_root_bounds
-from polycert.sectors import (_Estimates, _producers, _Vertices, best_of, best_sector,
+from polycert.sectors import (_Estimates, best_of, best_sector,
                               sector_candidates, sector_min_over_positives,
                               sector_neg_sum, sector_nonneg,
                               sector_parametrized, sector_shifted,
@@ -288,8 +289,7 @@ def test_best_sector_examples_are_what_they_say():
     assert {s.method: s.vertex.upper for s in clamp}["shifted:1"] == 1 == best_of(clamp).vertex.upper
     close = {s.method: s.vertex.upper for s in sector_candidates(CLOSE_RADICALS)}
     assert 0 < 1 - close["min-over-positives"] / close["neg-sum"] < Fraction(1, 2**20)
-    vertices = _Vertices(FLOAT_TIE, 24)
-    assert [produce(_Estimates(vertices)) for produce in _producers(vertices)][:2] == [-0.5] * 2
+    assert _Estimates(FLOAT_TIE).logs[:2] == [-0.5] * 2
     floats = {s.method: s.vertex.upper for s in sector_candidates(FLOAT_TIE, 24)}
     upper = floats["neg-sum"]
     assert math.log2(upper.numerator) - math.log2(upper.denominator) == -0.5
@@ -353,3 +353,50 @@ def test_best_sector_matches_the_best_fraction_vertex(f, digits):
     assert (got.vertex.lower, got.vertex.upper) == (want.vertex.lower, want.vertex.upper)
     ctx = Certifier(f, digits=digits)
     assert ctx.sector == best_of(ctx.sectors)
+
+
+def exact_lens_reason(f, digits):
+    """The lens criterion's refusal from the exact lens and interval, or "ok"."""
+    try:
+        lens = lens_of(f, digits)
+    except DegenerateLensError:
+        return "lens-degenerate"
+    except ValueError:
+        return "lens-inapplicable"
+    try:
+        interval_disk_in_lens(lens, digits)
+    except ValueError:
+        return "vertex-too-large"
+    return "ok"
+
+
+def assert_the_plan_refuses_as_the_exact_lens(f, digits, ms):
+    want = exact_lens_reason(f, digits)
+    ctx = Certifier(f, digits=digits)
+    plan = ctx.lens_plan[0]
+    assert (plan is None) == (want == "lens-inapplicable")
+    if plan is not None:
+        assert plan.zero_vertex == (want == "lens-degenerate")
+        assert not ctx.lens_too_wide or want == "vertex-too-large"
+    # the same certificates and reasons as with the estimate's gate off
+    exact = Certifier(f, digits=digits)
+    exact.lens_too_wide = False
+    modes = None if f.degree() >= 2 else ("lens",)
+    for m in ms:
+        got, ref = ctx.certify(m, modes), exact.certify(m, modes)
+        assert got[1] == ref[1]
+        assert (got[0] and got[0].to_json()) == (ref[0] and ref[0].to_json())
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertex_polynomials(), st.sampled_from([1, 12, 100, 200]), st.integers(1, 40))
+@example(Polynomial([3, 7, 9, 1]), 12, 1)  # the reciprocal has vertex 0
+@example(parse_polynomial("(X-3)*(X^2+X+7)"), 12, 1)  # refused by the estimate
+def test_the_plan_refuses_the_lens_as_the_exact_lens_does(f, digits, m):
+    assert_the_plan_refuses_as_the_exact_lens(f, digits, [m])
+
+
+@pytest.mark.parametrize("digits", [1, 12, 100, 200])
+def test_the_plan_refuses_the_fuzz_lenses_as_the_exact_lens_does(fuzz_corpus, digits):
+    for f in fuzz_corpus:
+        assert_the_plan_refuses_as_the_exact_lens(f, digits, [1, 2])
