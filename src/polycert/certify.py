@@ -32,10 +32,11 @@ from typing import NamedTuple, Optional, Sequence
 from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus, _Split,
                     has_rational_root)
 from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
-                   interval_disk_in_lens, planned_lens, reciprocal_plan)
+                   interval_disk_in_lens, _narrow_bound, planned_lens,
+                   reciprocal_plan, vertex_too_large)
 from .poly import Polynomial, sign_blocks, sign_index_sets
 from .rounding import (DEFAULT_DIGITS, MAX_DIGITS, format_decimal, pow_upper,
-                       sin_pi_frac, tan_pi_frac)
+                       sin_pi_frac)
 from .sectors import Sector, _Estimates, planned_sector, sector_candidates
 
 SCHEMA_VERSION = 1
@@ -170,8 +171,8 @@ class Certifier:
     Each region is built at most once, when a criterion first asks for it,
     and not at all when the estimate decides; the trig constants are the
     process-wide memo's.  The sector plans of f and its reciprocal
-    (sectors._Estimates) decide which sector candidates are built, and the
-    lens criterion's "lens-degenerate" and, where they can, its
+    (sectors._Estimates) decide which sector candidates are built, whether
+    the lens is degenerate, and, where they can, the lens criterion's
     "vertex-too-large"; sectors, every candidate, is built only for
     analyze.  f(m) is split once per q_max (arith._Split), and the criteria
     read their witnesses or reasons from that split: at q_max 1 the lens,
@@ -233,15 +234,11 @@ class Certifier:
             return planned_lens(plan, self.digits), "ok", None
         except DegenerateLensError as exc:
             return None, "lens-degenerate", str(exc)
-        except ValueError as exc:
-            return None, "lens-inapplicable", str(exc)
 
     @cached_property
     def lens_too_wide(self) -> bool:
-        """Whether the estimates prove lens_intervals None: the reciprocal's
-        vertex not below tan(pi/(2n))/2."""
-        plan = self.lens_plan[0]
-        return plan.exceeds(tan_pi_frac(Fraction(1, 2 * plan.n), self.digits).lower / 2)
+        """Whether the reciprocal's estimates prove lens_intervals None."""
+        return vertex_too_large(self.lens_plan[0], self.digits)
 
     @cached_property
     def lens_intervals(self) -> Optional[tuple[AdmissibleInterval, AdmissibleInterval]]:
@@ -370,8 +367,6 @@ def certify_lens_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], 
         return None, "lens-inapplicable"
     if m < 1:
         raise ValueError("certification needs m >= 1")
-    if plan.zero_vertex:
-        return None, "lens-degenerate"
     if ctx.lens_too_wide:
         return None, "vertex-too-large"
     lens, reason, _ = ctx.lens_status
@@ -385,9 +380,9 @@ def certify_lens_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], 
         return None, reason
     if not disk.contains_int(m):
         return None, "outside-region"
-    tangent = tan_pi_frac(Fraction(1, 2 * lens.n), ctx.digits).lower
     checks = [
-        Check("reciprocal vertex below tan(pi/(2n))/2", lens.v_tilde.upper, tangent / 2),
+        Check("reciprocal vertex below tan(pi/(2n))/2", lens.v_tilde.upper,
+              _narrow_bound(lens.n, ctx.digits)),
         Check("m above disk-in-lens interval lower end", disk.lo, Fraction(m)),
         Check("m below disk-in-lens interval upper end", Fraction(m), disk.hi),
     ]

@@ -8,14 +8,16 @@ the reciprocal's sector vertex.  All admissible intervals are rounded inward
 """
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .poly import Polynomial
-from .rounding import (DEFAULT_DIGITS, BoundedReal, _Frozen, cot_pi_frac,
-                       format_decimal, nth_root_bounds, power_of_two_text,
-                       sin_pi_frac, tan_pi_frac)
+from .rounding import (DEFAULT_DIGITS, TRIG_MEMO_SIZE, BoundedReal, _Frozen,
+                       cot_pi_frac, format_decimal, nth_root_bounds,
+                       power_of_two_text, sin_pi_frac, tan_pi_frac)
 from .sectors import _Estimates, planned_sector
 
 
@@ -67,13 +69,14 @@ def lens_of(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Lens:
 
 
 def planned_lens(plan: _Estimates, digits: int) -> Lens:
-    """lens_of from the reciprocal's plan.  The lens is degenerate just when
-    plan.zero_vertex holds."""
-    sector = planned_sector(plan, digits)
-    if sector.vertex.upper == 0:
+    """lens_of from the reciprocal's plan.  The plan's least estimate is
+    -inf just when the best vertex is exactly 0; the lens is then
+    degenerate, and no sector is built."""
+    if plan.least == -math.inf:
         raise DegenerateLensError(
             "reciprocal sector vertex is 0; the region is the origin wedge "
             "of half-angle pi/n itself, not a bounded lens")
+    sector = planned_sector(plan, digits)
     return Lens(sector.vertex, plan.n, sector.method)
 
 
@@ -102,12 +105,27 @@ class AdmissibleInterval(NamedTuple):
         }
 
 
+@lru_cache(maxsize=TRIG_MEMO_SIZE)
+def _narrow_bound(n: int, digits: int) -> Fraction:
+    """tan(pi/(2n))/2, rounded down: a lens has admissible intervals just
+    when its reciprocal vertex is provably below it.  Memoised beside the
+    trig memo, since every Certifier with a lens asks for it."""
+    return tan_pi_frac(Fraction(1, 2 * n), digits).lower / 2
+
+
+def vertex_too_large(plan: _Estimates, digits: int) -> bool:
+    """Whether the reciprocal's plan proves, from its estimates alone, that
+    planned_lens(plan, digits) fails _check_narrow_vertex.  False means not
+    decided: the exact vertex then decides."""
+    return plan.exceeds(_narrow_bound(plan.n, digits))
+
+
 def _check_narrow_vertex(lens: Lens, digits: int) -> None:
     """ValueError unless the reciprocal vertex is provably below
     tan(pi/(2n))/2; the vertex is printed .6g, or as a power of two past the
     float range."""
     v = lens.v_tilde.upper
-    if not v < tan_pi_frac(Fraction(1, 2 * lens.n), digits).lower / 2:
+    if not v < _narrow_bound(lens.n, digits):
         text = f"{float(v):.6g}" if v <= sys.float_info.max else power_of_two_text(v)
         raise ValueError(f"reciprocal vertex {text} is not provably below "
                          f"tan(pi/(2*{lens.n}))/2")

@@ -219,12 +219,14 @@ class _Estimates(_Vertices):
     """The digit-free plan of best_sector for one polynomial, from which
     planned_sector builds at any digits: its sign sets and partition, its
     producers, their vertices as floats near their log2 (logs), and the
-    indices in ascending order of estimate, stable (order).  The producers
-    run over the plan itself, with no iroot, no Fraction and no Sector: a
-    radical (num/den)^(1/e) is (log2 num - log2 den)/e, carried as the pair
-    (x, x) so that _max and _min apply, 0 and 1 are -inf and 0.0, and
-    sector gives the float.  An estimate is -inf just when its vertex is 0:
-    with a negative coefficient, every radical has a positive base.
+    indices in ascending order of estimate, stable (order), and the least
+    estimate (least).  The producers run over the plan itself, with no
+    iroot, no Fraction and no Sector: a radical (num/den)^(1/e) is
+    (log2 num - log2 den)/e, carried as the pair (x, x) so that _max and
+    _min apply, 0 and 1 are -inf and 0.0, and sector gives the float.
+    least is -inf just when the best vertex is exactly 0: with a negative
+    coefficient every radical has a positive base, and with none the
+    nonneg sector's vertex is the constant 0.
 
     max and min are exact on floats, so each estimate is off the log2 of
     its exact vertex V by the rounding of one radical's logs: a few ulps of
@@ -235,10 +237,11 @@ class _Estimates(_Vertices):
     end, so a candidate whose estimate less 2^-20 is at or above
     log2(b) + 2^-20, for the computed log2 of a rational b of few bits, has
     V > b: its upper end exceeds b.  Any choice of sector is sound; the
-    margin only keeps best_sector equal to best_of(sector_candidates), and
-    lets exceeds refuse only what the exact vertex refuses.  The shifted
-    sectors are estimated at their vertex alpha whether or not the shift
-    applies; the exact build checks it.
+    margin only keeps best_sector equal to best_of(sector_candidates).
+    exceeds, which refuses, checks bounded first: past it no estimate
+    refuses, and the exact vertex decides.  The shifted sectors are
+    estimated at their vertex alpha whether or not the shift applies; the
+    exact build checks it.
     """
 
     def __init__(self, f: Polynomial):
@@ -248,6 +251,7 @@ class _Estimates(_Vertices):
         self.producers = _producers(self)
         self.logs = [produce(self) for produce in self.producers]
         self.order = sorted(range(len(self.logs)), key=self.logs.__getitem__)
+        self.least = self.logs[self.order[0]]
         self.bounded = max(map(abs, f.coeffs)).bit_length() + self.n.bit_length() < _MAX_BITS
 
     def root(self, num: int, den: int, e: int) -> tuple[float, float]:
@@ -260,16 +264,11 @@ class _Estimates(_Vertices):
     def shifted(self, alpha: Rat) -> float:
         return _log2(alpha.numerator, alpha.denominator)
 
-    @property
-    def zero_vertex(self) -> bool:
-        """Whether a candidate's vertex is exactly 0."""
-        return self.logs[self.order[0]] == -math.inf
-
     def exceeds(self, b: Fraction) -> bool:
         """Whether the estimates prove every candidate's vertex above
         b > 0, so that the best sector's upper end exceeds b; False, not
         decided, where the margin argument does not hold."""
-        return self.bounded and (self.logs[self.order[0]] - _MARGIN
+        return self.bounded and (self.least - _MARGIN
                                  >= _log2(b.numerator, b.denominator) + _MARGIN)
 
 
@@ -385,18 +384,17 @@ def planned_sector(plan: _Estimates, digits: int) -> Sector:
 
     The candidates are built exactly, as scaled ends (_Ends), in the plan's
     order, until one's estimate is past the margin above the best upper
-    end so far; every later one is too.  Where the margin argument does not
-    hold, every candidate is built.  The winner is the least upper end, the
-    earliest in preference order among equal ones, so an exact vertex 0
-    ends the search and shifted:1 is checked only while the best is near or
-    above 1.  Only the winner becomes a Sector.  All built candidates share
-    one radical memo.
+    end so far; every later one is too.  The winner is the least upper
+    end, the earliest in preference order among equal ones, so an exact
+    vertex 0 ends the search and shifted:1 is checked only while the best
+    is near or above 1.  Only the winner becomes a Sector.  All built
+    candidates share one radical memo.
     """
     vertices = _Ends(plan, digits)
     producers, logs = plan.producers, plan.logs
     best, rank, bound = None, 0, math.inf
     for i in plan.order:
-        if plan.bounded and logs[i] - _MARGIN >= bound:
+        if logs[i] - _MARGIN >= bound:
             break
         built = producers[i](vertices)
         if built is not None and (best is None or (built[0][1], i) < (best[0][1], rank)):

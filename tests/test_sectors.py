@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polycert.certify import Certifier
-from polycert.lens import DegenerateLensError, interval_disk_in_lens, lens_of
+from polycert.lens import Lens, interval_disk_in_lens
 from polycert.poly import Polynomial, parse_polynomial, sign_blocks, sign_index_sets
 from polycert.rounding import nth_root_bounds
 from polycert.sectors import (_Estimates, best_of, best_sector,
@@ -356,15 +356,16 @@ def test_best_sector_matches_the_best_fraction_vertex(f, digits):
 
 
 def exact_lens_reason(f, digits):
-    """The lens criterion's refusal from the exact lens and interval, or "ok"."""
-    try:
-        lens = lens_of(f, digits)
-    except DegenerateLensError:
-        return "lens-degenerate"
-    except ValueError:
+    """The lens criterion's refusal from the reciprocal's exact sector
+    candidates, every one built, and the interval, or "ok"."""
+    if f.degree() < 3 or f.coefficient(0) == 0:
         return "lens-inapplicable"
+    g = f.reciprocal()
+    sector = best_of(sector_candidates(g if g.leading_coefficient() > 0 else -g, digits))
+    if sector.vertex.upper == 0:
+        return "lens-degenerate"
     try:
-        interval_disk_in_lens(lens, digits)
+        interval_disk_in_lens(Lens(sector.vertex, f.degree(), sector.method), digits)
     except ValueError:
         return "vertex-too-large"
     return "ok"
@@ -375,9 +376,8 @@ def assert_the_plan_refuses_as_the_exact_lens(f, digits, ms):
     ctx = Certifier(f, digits=digits)
     plan = ctx.lens_plan[0]
     assert (plan is None) == (want == "lens-inapplicable")
-    if plan is not None:
-        assert plan.zero_vertex == (want == "lens-degenerate")
-        assert not ctx.lens_too_wide or want == "vertex-too-large"
+    assert (ctx.lens_status[1] == "lens-degenerate") == (want == "lens-degenerate")
+    assert plan is None or not ctx.lens_too_wide or want == "vertex-too-large"
     # the same certificates and reasons as with the estimate's gate off
     exact = Certifier(f, digits=digits)
     exact.lens_too_wide = False
