@@ -5,8 +5,8 @@ Only the value witness of a certificate depends on the argument m: the
 sector angle depends only on deg f, its vertex only on the coefficients of
 f, and the lens comes from the reciprocal's sector.  A Certifier holds that
 per-polynomial part for one f (the sector plans of f and its reciprocal,
-the best sector, the lens or why there is none, the lens's admissible
-intervals, and whether f has a rational root), builds each piece at most
+the best sector, the lens and its admissible intervals or why there are
+none, and whether f has a rational root), builds each piece at most
 once, and not at all when the estimate decides, and tries the criteria at
 each m in one fixed order; the sin and tan bounds come from the trig memo in
 rounding.
@@ -33,11 +33,11 @@ from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus, _Split,
                     has_rational_root)
 from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
                    interval_disk_in_lens, _narrow_bound, planned_lens,
-                   reciprocal_plan, vertex_too_large)
-from .poly import Polynomial, sign_blocks, sign_index_sets
+                   reciprocal_plan)
+from .poly import Polynomial
 from .rounding import (DEFAULT_DIGITS, MAX_DIGITS, format_decimal, pow_upper,
                        sin_pi_frac)
-from .sectors import Sector, _Estimates, planned_sector, sector_candidates
+from .sectors import Sector, _Estimates, _planned_candidates, planned_sector
 
 SCHEMA_VERSION = 1
 
@@ -132,7 +132,7 @@ def _finish(f: Polynomial, m: int, criterion: str, region: dict,
         q_max=q_max, digits=digits)
 
 
-def _sector_tag(f: Polynomial, sector: Sector, witness: FactorizationWitness,
+def _sector_tag(plan: _Estimates, sector: Sector, witness: FactorizationWitness,
                 used_sqrt: bool) -> str:
     if used_sqrt:
         return CRIT_THM_PQ_SQRT
@@ -142,11 +142,10 @@ def _sector_tag(f: Polynomial, sector: Sector, witness: FactorizationWitness,
         if sector.method == "shifted:1":
             return CRIT_PARTIAL_SUMS
         if sector.method == "neg-sum":
-            sets = sign_index_sets(f)
-            if f.leading_coefficient() > sets.neg_sum_abs:
+            if plan.f.leading_coefficient() > plan.sets.neg_sum_abs:
                 return CRIT_LEADING_DOMINANT
         if sector.method in ("summed-denominator", "sign-blocks"):
-            if sign_blocks(f).sign_changes == 1 and f.evaluate(1) > 0:
+            if plan.partition.sign_changes == 1 and plan.f.evaluate(1) > 0:
                 return CRIT_SINGLE_VARIATION
     return CRIT_THM_PQ
 
@@ -170,10 +169,11 @@ class Certifier:
 
     Each region is built at most once, when a criterion first asks for it,
     and not at all when the estimate decides; the trig constants are the
-    process-wide memo's.  The sector plans of f and its reciprocal
-    (sectors._Estimates) decide which sector candidates are built, whether
-    the lens is degenerate, and, where they can, the lens criterion's
-    "vertex-too-large"; sectors, every candidate, is built only for
+    process-wide memo's.  Every region, and f's sign data, comes from the
+    sector plans of f and its reciprocal (sectors._Estimates).  They decide
+    which sector candidates are built, whether the lens is degenerate, and,
+    where they can, the lens criterion's "vertex-too-large", which only
+    lens_intervals gives; sectors, every candidate, is built only for
     analyze.  f(m) is split once per q_max (arith._Split), and the criteria
     read their witnesses or reasons from that split: at q_max 1 the lens,
     pq and prime_power criteria share one.  f'(m) is evaluated only for a
@@ -203,7 +203,7 @@ class Certifier:
     @cached_property
     def sectors(self) -> list[Sector]:
         """Every applicable producer's sector, in preference order."""
-        return sector_candidates(self.f, digits=self.digits)
+        return _planned_candidates(self.plan, self.digits)
 
     @cached_property
     def plan(self) -> _Estimates:
@@ -236,21 +236,23 @@ class Certifier:
             return None, "lens-degenerate", str(exc)
 
     @cached_property
-    def lens_too_wide(self) -> bool:
-        """Whether the reciprocal's estimates prove lens_intervals None."""
-        return vertex_too_large(self.lens_plan[0], self.digits)
-
-    @cached_property
-    def lens_intervals(self) -> Optional[tuple[AdmissibleInterval, AdmissibleInterval]]:
-        """The lens's disk-in-lens and cot intervals, or None when the
-        reciprocal vertex is too large for them; both check the same vertex
-        bound."""
-        lens = self.lens_status[0]
+    def lens_intervals(self) -> tuple[Optional[tuple[AdmissibleInterval, ...]], str]:
+        """(the lens's disk-in-lens and cot intervals, "ok"), or None and the
+        lens criterion's reason.  The reciprocal's estimates give
+        "vertex-too-large" where they prove every vertex above lens.py's
+        bound, with no lens built; otherwise lens_status's reason, and then
+        the exact vertex decides, checked by both intervals."""
+        plan = self.lens_plan[0]
+        if plan is not None and plan.exceeds(_narrow_bound(plan.n, self.digits)):
+            return None, "vertex-too-large"
+        lens, reason, _ = self.lens_status
+        if lens is None:
+            return None, reason
         try:
             disk = interval_disk_in_lens(lens, self.digits)
         except ValueError:
-            return None
-        return disk, interval_cot(lens, self.digits)
+            return None, "vertex-too-large"
+        return (disk, interval_cot(lens, self.digits)), "ok"
 
     @cached_property
     def _sector_degree(self) -> int:
@@ -339,7 +341,7 @@ def _sector_report(ctx: Certifier, m: int, mode: str, q_max: int,
             else f"m exceeds vertex + {radius}/sin(pi/n)")
     checks = [Check(desc, threshold, Fraction(m))]
     if mode == "pq":
-        tag = _sector_tag(f, ctx.sector, witness, used_sqrt)
+        tag = _sector_tag(ctx.plan, ctx.sector, witness, used_sqrt)
     else:
         tag = CRIT_THM_POWER_SQRT if used_sqrt else CRIT_THM_POWER
     region = {"kind": "sector", "sector": ctx.sector.to_json()}
@@ -362,19 +364,15 @@ def certify_lens_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], 
     lie in the inward-rounded admissible interval.  The cot-based interval is
     recorded as a cross-check and names the criterion when it also contains m.
     The certificate records q_max 1 whatever the context's."""
-    plan = ctx.lens_plan[0]
-    if plan is None:
+    if ctx.lens_plan[0] is None:
         return None, "lens-inapplicable"
     if m < 1:
         raise ValueError("certification needs m >= 1")
-    if ctx.lens_too_wide:
-        return None, "vertex-too-large"
-    lens, reason, _ = ctx.lens_status
-    if lens is None:
+    intervals, reason = ctx.lens_intervals
+    if intervals is None:
         return None, reason
-    if ctx.lens_intervals is None:
-        return None, "vertex-too-large"
-    disk, cot = ctx.lens_intervals
+    disk, cot = intervals
+    lens = ctx.lens_status[0]
     witness, reason = ctx._witness(m, 1, "pq")
     if witness is None:
         return None, reason

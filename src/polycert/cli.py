@@ -21,7 +21,7 @@ from .certify import (DEFAULT_MODES, Certificate, Certifier,
                       certificate_verify, certify_any, certify_negative_m,
                       search_m)
 from .lens import interval_cot, interval_disk_in_lens
-from .poly import ParseError, Polynomial, parse_polynomial, sign_blocks
+from .poly import ParseError, Polynomial, parse_polynomial
 from .rounding import DEFAULT_DIGITS, MAX_DIGITS
 
 ENV_DIGITS = "POLYCERT_DIGITS"
@@ -128,7 +128,7 @@ def _analyze_payload(ctx: Certifier) -> dict:
     payload["sign_blocks"] = [
         {"pos_hi": b.pos_hi, "pos_lo": b.pos_lo, "neg_hi": b.neg_hi,
          "neg_lo": b.neg_lo, "pos_sum": b.pos_sum, "neg_sum": b.neg_sum}
-        for b in sign_blocks(f).blocks
+        for b in ctx.plan.partition.blocks
     ]
     lens, _, note = ctx.lens_status
     payload["lens"] = None if lens is None else lens.to_json()

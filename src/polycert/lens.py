@@ -109,15 +109,9 @@ class AdmissibleInterval(NamedTuple):
 def _narrow_bound(n: int, digits: int) -> Fraction:
     """tan(pi/(2n))/2, rounded down: a lens has admissible intervals just
     when its reciprocal vertex is provably below it.  Memoised beside the
-    trig memo, since every Certifier with a lens asks for it."""
+    trig memo, since every Certifier that tries the lens asks for it, of the
+    reciprocal's estimates first (Certifier.lens_intervals)."""
     return tan_pi_frac(Fraction(1, 2 * n), digits).lower / 2
-
-
-def vertex_too_large(plan: _Estimates, digits: int) -> bool:
-    """Whether the reciprocal's plan proves, from its estimates alone, that
-    planned_lens(plan, digits) fails _check_narrow_vertex.  False means not
-    decided: the exact vertex then decides."""
-    return plan.exceeds(_narrow_bound(plan.n, digits))
 
 
 def _check_narrow_vertex(lens: Lens, digits: int) -> None:

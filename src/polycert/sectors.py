@@ -6,11 +6,13 @@ x >= vertex.upper, where theta is pi/n for a polynomial of degree n.
 Vertices are outward-rounded enclosures, so acting on vertex.upper is always
 conservative.
 
-sector_candidates builds every applicable producer's sector.  best_sector
-builds only those that can win: the same producers first run over
-_Estimates, the digit-free plan of one polynomial, which gives each vertex
-as a float estimate of its log2, and a candidate whose estimate is at least
-2^-19 above log2 of the best vertex.upper built so far is left unbuilt.
+Every sector is built from _Estimates, the digit-free plan of one
+polynomial: its sign data, and the producers run on floats, which give each
+vertex as an estimate of its log2.  _Vertices builds exact vertices from a
+plan at one precision.  sector_candidates builds every applicable
+producer's sector, and best_sector only those that can win: a candidate
+whose estimate is at least 2^-19 above log2 of the best vertex.upper built
+so far is left unbuilt.
 """
 from __future__ import annotations
 
@@ -82,34 +84,34 @@ def _scaled_root(num: int, den: int, e: int, s: int, digits: int) -> tuple[Rat, 
 
 
 class _Vertices:
-    """The sector vertices of one polynomial at one precision, built from
-    radicals base^(1/e) that are each computed once.
+    """The exact sector vertices of a plan's polynomial at one precision,
+    built from radicals base^(1/e) that are each computed once, with the
+    plan's sign sets and partition.
 
     A radical or a vertex is carried as the pair of its ends times 2^s,
     s = max(16, 4*digits): ints for an irrational radical (_scaled_root),
     Fractions only for an exact or a very small one.  max and min of such
-    pairs are taken end by end, and each Sector divides its two ends by 2^s,
-    so it holds the Fractions that enclosing each radical with
+    pairs are taken end by end, and a producer gives its vertex as these
+    scaled ends with its method; as_sector divides the two ends by 2^s, so
+    the Sector holds the Fractions that enclosing each radical with
     nth_root_bounds and combining the enclosures would give.  The memo is
-    keyed on the integers of the base and lives as long as the object, that
-    is one sector_candidates or best_sector call or one producer call.
+    keyed on the integers of the base and lives as long as the object: one
+    planned_sector or candidate list, or one public producer call.
 
     The producers see radicals and constants only through root, sector,
     zero and one.  So the same producers run on float logs in _Estimates,
-    whose docstring gives the 2^-20 margin argument, and on scaled ends
-    without a Sector in _Ends.
+    whose docstring gives the 2^-20 margin argument.
     """
 
-    def __init__(self, f: Polynomial, digits: int):
-        _require_analyzable(f)
-        self.f, self.n, self.sets = f, f.degree(), sign_index_sets(f)
-        self._scale(digits)
-
-    def _scale(self, digits: int) -> None:
-        self.digits = digits
-        self.s = max(16, 4 * digits)
+    def __init__(self, plan: "_Estimates", digits: int):
+        self.plan, self.f, self.n, self.sets = plan, plan.f, plan.n, plan.sets
+        self.digits, self.s = digits, max(16, 4 * digits)
         self.zero, self.one = (0, 0), (1 << self.s, 1 << self.s)
         self._roots: dict[tuple[int, int, int], tuple[Rat, Rat]] = {}
+
+    @property
+    def partition(self) -> SignBlockPartition:
+        return self.plan.partition
 
     def root(self, num: int, den: int, e: int) -> tuple[Rat, Rat]:
         """(num/den)^(1/e), scaled; num/den need not be in lowest terms."""
@@ -120,7 +122,10 @@ class _Vertices:
             out = self._roots[key] = _scaled_root(*key, self.s, self.digits)
         return out
 
-    def sector(self, ends: tuple[Rat, Rat], method: str) -> Sector:
+    def sector(self, ends: tuple[Rat, Rat], method: str) -> tuple[tuple[Rat, Rat], str]:
+        return ends, method
+
+    def as_sector(self, ends: tuple[Rat, Rat], method: str) -> Sector:
         """The Sector whose vertex has the scaled ends."""
         scale = 1 << self.s
         lower, upper = (Fraction(x, scale) if type(x) is int else x / scale for x in ends)
@@ -143,49 +148,45 @@ class _Vertices:
         neg = self.sets.neg_indices
         return self.endpoint_max(num, den, top - neg[0], top - neg[-1])
 
-    @cached_property
-    def partition(self) -> SignBlockPartition:
-        return sign_blocks(self.f)
-
     def require_negative(self, name: str) -> None:
         if not self.sets.neg_indices:
             raise ValueError(f"{name} needs a negative coefficient")
 
-    def shifted(self, alpha: Rat) -> Optional[Sector]:
-        """The sector of vertex alpha >= 0, or None when a partial sum at
-        alpha is negative."""
+    def shifted(self, alpha: Rat):
+        """The vertex alpha >= 0, or None when a partial sum at alpha is
+        negative."""
         if not partial_sums(self.f, alpha).all_nonneg:
             return None
         x = alpha * (1 << self.s)
         return self.sector((x, x), f"shifted:{alpha}")
 
-    def neg_sum(self) -> Sector:
+    def neg_sum(self):
         if not self.sets.neg_indices:
             return self.sector(self.zero, "nonneg")
         ends = self.over_negatives(self.sets.neg_sum_abs, self.f.leading_coefficient(), self.n)
         return self.sector(ends, "neg-sum")
 
-    def parametrized(self, lambdas: Sequence[Fraction]) -> Sector:
+    def parametrized(self, lambdas: Sequence[Fraction]):
         """The vertex for weights that sector_parametrized has checked."""
         an = self.f.leading_coefficient()
         radicals = [self.root(-self.f.coeffs[j] * lam.denominator, lam.numerator * an, self.n - j)
                     for j, lam in zip(self.sets.neg_indices, lambdas)]
         return self.sector(_max(*radicals), "parametrized")
 
-    def min_over_positives(self) -> Sector:
+    def min_over_positives(self):
         self.require_negative("sector_min_over_positives")
         candidates = [self.over_negatives(self.sets.neg_sum_abs, self.f.coeffs[k], k)
                       for k in self.sets.pos_indices_above]
         return self.sector(_min(*candidates), "min-over-positives")
 
-    def summed_denominator(self) -> Sector:
+    def summed_denominator(self):
         self.require_negative("sector_summed_denominator")
         above = self.sets.pos_indices_above
         d = sum(self.f.coeffs[k] for k in above)
         ends = _max(self.one, self.over_negatives(self.sets.neg_sum_abs, d, above[0]))
         return self.sector(ends, "summed-denominator")
 
-    def sign_blocks(self) -> Sector:
+    def sign_blocks(self):
         if self.partition.sign_changes < 1:
             raise ValueError("sector_sign_blocks needs at least one sign change")
         per_block = [_max(self.one, self.endpoint_max(block.neg_sum, block.pos_sum,
@@ -216,14 +217,15 @@ _MAX_BITS = 1 << 28
 
 
 class _Estimates(_Vertices):
-    """The digit-free plan of best_sector for one polynomial, from which
-    planned_sector builds at any digits: its sign sets and partition, its
-    producers, their vertices as floats near their log2 (logs), and the
-    indices in ascending order of estimate, stable (order), and the least
-    estimate (least).  The producers run over the plan itself, with no
-    iroot, no Fraction and no Sector: a radical (num/den)^(1/e) is
-    (log2 num - log2 den)/e, carried as the pair (x, x) so that _max and
-    _min apply, 0 and 1 are -inf and 0.0, and sector gives the float.
+    """The digit-free plan of one polynomial, from which _Vertices builds
+    its sectors at any digits: its sign sets, its partition (built when
+    first read), its producers, their vertices as floats near their log2
+    (logs), and the indices in ascending order of estimate, stable (order),
+    and the least estimate (least).  The producers run over the plan
+    itself, with no iroot, no Fraction and no Sector: a radical
+    (num/den)^(1/e) is (log2 num - log2 den)/e, carried as the pair (x, x)
+    so that _max and _min apply, 0 and 1 are -inf and 0.0, and sector
+    gives the float.
     least is -inf just when the best vertex is exactly 0: with a negative
     coefficient every radical has a positive base, and with none the
     nonneg sector's vertex is the constant 0.
@@ -254,6 +256,10 @@ class _Estimates(_Vertices):
         self.least = self.logs[self.order[0]]
         self.bounded = max(map(abs, f.coeffs)).bit_length() + self.n.bit_length() < _MAX_BITS
 
+    @cached_property
+    def partition(self) -> SignBlockPartition:
+        return sign_blocks(self.f)
+
     def root(self, num: int, den: int, e: int) -> tuple[float, float]:
         x = _log2(num, den) / e
         return x, x
@@ -272,36 +278,25 @@ class _Estimates(_Vertices):
                                  >= _log2(b.numerator, b.denominator) + _MARGIN)
 
 
-class _Ends(_Vertices):
-    """_Vertices of a plan's polynomial, sharing its sign data, whose
-    producers give (scaled ends, method) in place of a Sector, so that
-    planned_sector compares the ends of its candidates as they are and
-    builds one Sector."""
-
-    def __init__(self, plan: _Estimates, digits: int):
-        self.plan, self.f, self.n, self.sets = plan, plan.f, plan.n, plan.sets
-        self._scale(digits)
-
-    @property
-    def partition(self) -> SignBlockPartition:
-        return self.plan.partition
-
-    def sector(self, ends: tuple[Rat, Rat], method: str) -> tuple[tuple[Rat, Rat], str]:
-        return ends, method
+def _produce(f: Polynomial, digits: int, produce) -> Optional[Sector]:
+    """The Sector that one producer builds for f, or None, from f's plan."""
+    vertices = _Vertices(_Estimates(f), digits)
+    built = produce(vertices)
+    return None if built is None else vertices.as_sector(*built)
 
 
 def sector_neg_sum(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
     """Vertex max_i (L/a_n)^(1/(n-j_i)) where L is the absolute value of the
     sum of the negative coefficients; the max is attained at an endpoint
     index, so only those are evaluated."""
-    return _Vertices(f, digits).neg_sum()
+    return _produce(f, digits, methodcaller("neg_sum"))
 
 
 def sector_parametrized(f: Polynomial, lambdas: Sequence[Fraction],
                         digits: int = DEFAULT_DIGITS) -> Sector:
     """Vertex max_i (|a_{j_i}| / (lambda_i * a_n))^(1/(n-j_i)) for a chosen
     positive weight vector summing exactly to 1."""
-    vertices = _Vertices(f, digits)
+    vertices = _Vertices(_Estimates(f), digits)
     vertices.require_negative("sector_parametrized")
     ell = len(vertices.sets.neg_indices)
     lams = [Fraction(l) for l in lambdas]
@@ -311,13 +306,13 @@ def sector_parametrized(f: Polynomial, lambdas: Sequence[Fraction],
         raise ValueError("weights must be positive")
     if sum(lams) != 1:
         raise ValueError("weights must sum exactly to 1")
-    return vertices.parametrized(lams)
+    return vertices.as_sector(*vertices.parametrized(lams))
 
 
 def sector_min_over_positives(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
     """Vertex min over the positive indices k above the last negative index of
     max_i (L/a_k)^(1/(k-j_i))."""
-    return _Vertices(f, digits).min_over_positives()
+    return _produce(f, digits, methodcaller("min_over_positives"))
 
 
 def sector_summed_denominator(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
@@ -327,19 +322,19 @@ def sector_summed_denominator(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Se
     The clamp at 1 stays even when there is a single such positive index;
     that case is weaker than sector_neg_sum but kept for uniformity.
     """
-    return _Vertices(f, digits).summed_denominator()
+    return _produce(f, digits, methodcaller("summed_denominator"))
 
 
 def sector_sign_blocks(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
     """Vertex max over sign blocks of max{1, max_i (S-/S+)^(1/(p-i))}, the
     per-block vertices of the run decomposition."""
-    return _Vertices(f, digits).sign_blocks()
+    return _produce(f, digits, methodcaller("sign_blocks"))
 
 
 def sector_shifted(f: Polynomial, alpha) -> Optional[Sector]:
     """Vertex alpha whenever every partial sum at alpha is non-negative
     (exact check); None otherwise."""
-    return _Vertices(f, DEFAULT_DIGITS).shifted(Fraction(alpha))
+    return _produce(f, DEFAULT_DIGITS, methodcaller("shifted", Fraction(alpha)))
 
 
 def _producers(vertices: _Vertices) -> list:
@@ -360,11 +355,15 @@ def _producers(vertices: _Vertices) -> list:
 
 def sector_candidates(f: Polynomial, digits: int = DEFAULT_DIGITS) -> list[Sector]:
     """Every applicable producer's sector, in the fixed preference order used
-    for tie-breaking.  The radical producers share one _Vertices, so each
-    radical is computed once per call."""
-    vertices = _Vertices(f, digits)
-    return [s for s in (produce(vertices) for produce in _producers(vertices))
-            if s is not None]
+    for tie-breaking: _planned_candidates of f's plan."""
+    return _planned_candidates(_Estimates(f), digits)
+
+
+def _planned_candidates(plan: _Estimates, digits: int) -> list[Sector]:
+    """sector_candidates of the plan's polynomial, sharing one radical memo."""
+    vertices = _Vertices(plan, digits)
+    built = (produce(vertices) for produce in plan.producers)
+    return [vertices.as_sector(*b) for b in built if b is not None]
 
 
 def best_of(sectors: Sequence[Sector]) -> Sector:
@@ -382,7 +381,7 @@ def best_sector(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
 def planned_sector(plan: _Estimates, digits: int) -> Sector:
     """best_sector of the plan's polynomial at digits.
 
-    The candidates are built exactly, as scaled ends (_Ends), in the plan's
+    The candidates are built exactly, as scaled ends, in the plan's
     order, until one's estimate is past the margin above the best upper
     end so far; every later one is too.  The winner is the least upper
     end, the earliest in preference order among equal ones, so an exact
@@ -390,7 +389,7 @@ def planned_sector(plan: _Estimates, digits: int) -> Sector:
     is near or above 1.  Only the winner becomes a Sector.  All built
     candidates share one radical memo.
     """
-    vertices = _Ends(plan, digits)
+    vertices = _Vertices(plan, digits)
     producers, logs = plan.producers, plan.logs
     best, rank, bound = None, 0, math.inf
     for i in plan.order:
@@ -401,4 +400,4 @@ def planned_sector(plan: _Estimates, digits: int) -> Sector:
             best, rank = built, i
             upper = built[0][1]
             bound = _log2(upper.numerator, upper.denominator) - vertices.s + _MARGIN
-    return _Vertices.sector(vertices, *best)
+    return vertices.as_sector(*best)

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -16,7 +17,8 @@ from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
                               certify_any, certify_combined_report,
                               certify_lens_report, certify_negative_m,
                               certify_sector_prime_power_report,
-                              certify_sector_pq_report, search_m, _sector_report)
+                              certify_sector_pq_report, search_m, _negated_form,
+                              _sector_report)
 from polycert import arith, rounding, sectors
 from polycert.lens import reciprocal_plan
 from polycert.oracles import irreducible_bruteforce
@@ -221,6 +223,32 @@ def test_certifier_builds_each_region_once(monkeypatch):
         certify_combined_report(ctx, m)
     assert calls == {"__init__": 2, "planned_sector": 1, "has_rational_root": 1,
                      "_Split": 2 * 30}  # the ray's at q_max 1, the rest at q_max 3
+
+
+@pytest.mark.parametrize("poly", ["X^4-10*X^3+2162", "3*X^8-5*X^7+2*X^6-7*X^4+X^3+4*X^2-6*X+9"])
+def test_analyze_builds_one_plan_per_polynomial(monkeypatch, poly):
+    # analyze lists every sector candidate, the best sector, the sign blocks
+    # and the lens from the plans of f and its reciprocal: one estimate pass
+    # and one sign-block partition each
+    import polycert.certify as certify_module
+    from polycert import cli, poly as poly_module
+    calls = {}
+
+    def counting(module, name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper, raising=False)
+
+    counting(sectors._Estimates, "__init__", sectors._Estimates.__init__)
+    # counted under every module's name for it, the modules that no longer
+    # import it included
+    original = poly_module.sign_blocks
+    for module in (poly_module, sectors, certify_module, cli):
+        counting(module, "sign_blocks", original)
+    payload = cli._analyze_payload(Certifier(parse_polynomial(poly)))
+    assert payload["lens"] is not None and len(payload["sectors"]) == 5
+    assert calls == {"__init__": 2, "sign_blocks": 2}
 
 
 class CountingDerivative:
@@ -491,6 +519,36 @@ def test_a_replay_runs_one_estimate_pass_per_polynomial(monkeypatch, poly, m):
     monkeypatch.setattr(sectors._Estimates, "__init__", counted)
     assert certificate_verify(data)
     assert passes == [reciprocal, f]
+
+
+def _certified(ctx, m):
+    """ctx.certify(m) as (reasons, certificate JSON)."""
+    cert, reasons = ctx.certify(m)
+    return reasons, cert and cert.to_json()
+
+
+def _golden_arguments():
+    """(f, [m]) for each golden certificate, on +-f(-X) at -m when negated."""
+    golden = json.loads((Path(__file__).parent / "golden.json").read_text(encoding="utf-8"))
+    for data in golden["certificates"].values():
+        f, m = Polynomial(data["polynomial"]), data["m"]
+        yield (_negated_form(f), [-m]) if data["negated_argument"] else (f, [m])
+
+
+@pytest.mark.parametrize("digits", [1, 12, 100])
+@pytest.mark.parametrize("q_max", [1, 3])
+def test_at_digits_certifies_as_a_fresh_certifier(fuzz_corpus, q_max, digits):
+    # at_digits carries over only what _DIGIT_FREE names: were a region
+    # listed there, the doubled-digits pass would reuse it at the first
+    # pass's precision, and its certificates or reasons would differ
+    arguments = [(FLAGSHIP, range(2, 14)), *_golden_arguments()]
+    arguments += [(f, range(1, 11)) for f in fuzz_corpus]
+    for f, ms in arguments:
+        ctx, fresh = Certifier(f, q_max, digits), Certifier(f, q_max, 2 * digits)
+        for m in ms:
+            first = _certified(ctx, m)
+            assert _certified(ctx.at_digits(2 * digits), m) == _certified(fresh, m)
+            assert _certified(ctx, m) == first
 
 
 def test_replay_rejects_all_single_field_tampers():

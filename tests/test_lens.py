@@ -293,14 +293,17 @@ def test_combined_region_ends_are_the_inward_ends():
 def test_the_lens_gate_fires_only_where_the_margin_argument_holds(monkeypatch):
     # the reciprocal's estimate refuses this lens with no lens built ...
     f = parse_polynomial("(X-3)*(X^2+X+7)")
-    assert Certifier(f, q_max=3).lens_too_wide
+    ctx = Certifier(f, q_max=3)
+    assert ctx.lens_intervals == (None, "vertex-too-large")
+    assert "lens_status" not in ctx.__dict__
     # ... but not once its ints may be past the bits the margin argument
     # allows: the exact path then gives the same reason
     monkeypatch.setattr(sectors, "_MAX_BITS", 4)
     ctx = Certifier(f, q_max=3)
-    assert not ctx.lens_plan[0].bounded and not ctx.lens_too_wide
+    assert not ctx.lens_plan[0].bounded
+    assert ctx.lens_intervals == (None, "vertex-too-large")
+    assert ctx.lens_status[0] is not None
     assert ctx.certify(1)[1][0] == "vertex-too-large"
-    assert ctx.lens_status[0] is not None and ctx.lens_intervals is None
 
 
 @pytest.mark.parametrize("digits", [1, 12, 100])
@@ -313,7 +316,10 @@ def test_the_lens_gate_does_not_fire_near_the_bound(digits):
     for lo, refused in ((below, False), (below + 1, True)):
         assert abs(math.log2(lo) - 30 - math.log2(bound)) < 2**-22
         ctx = Certifier(Polynomial([2**30, -lo, 0, 0, 1]), digits=digits)
+        intervals, reason = ctx.lens_intervals
+        # lens_intervals went on to build the lens
+        assert "lens_status" in ctx.__dict__
         assert ctx.lens_status[0].v_tilde == BoundedReal.exact(Fraction(lo, 2**30))
-        assert not ctx.lens_too_wide
-        assert (ctx.lens_intervals is None) == refused
+        assert (intervals is None) == refused
+        assert reason == ("vertex-too-large" if refused else "ok")
         assert (ctx.certify(1, ("lens",))[1] == ["vertex-too-large"]) == refused

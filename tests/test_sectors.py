@@ -376,11 +376,13 @@ def assert_the_plan_refuses_as_the_exact_lens(f, digits, ms):
     ctx = Certifier(f, digits=digits)
     plan = ctx.lens_plan[0]
     assert (plan is None) == (want == "lens-inapplicable")
+    assert ctx.lens_intervals[1] == want
     assert (ctx.lens_status[1] == "lens-degenerate") == (want == "lens-degenerate")
-    assert plan is None or not ctx.lens_too_wide or want == "vertex-too-large"
-    # the same certificates and reasons as with the estimate's gate off
+    # the same certificates and reasons as with the estimate's gate off: an
+    # unbounded plan does not refuse
     exact = Certifier(f, digits=digits)
-    exact.lens_too_wide = False
+    if plan is not None:
+        exact.lens_plan[0].bounded = False
     modes = None if f.degree() >= 2 else ("lens",)
     for m in ms:
         got, ref = ctx.certify(m, modes), exact.certify(m, modes)
