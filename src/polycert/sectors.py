@@ -98,9 +98,9 @@ class _Vertices:
     keyed on the integers of the base and lives as long as the object: one
     planned_sector or candidate list, or one public producer call.
 
-    The producers see radicals and constants only through root, sector,
-    zero and one.  So the same producers run on float logs in _Estimates,
-    whose docstring gives the 2^-20 margin argument.
+    The producers see radicals, constants and shifts only through root,
+    zero, one and shifted.  So the same producers run on float logs in
+    _Estimates, whose docstring gives the 2^-20 margin argument.
     """
 
     def __init__(self, plan: "_Estimates", digits: int):
@@ -121,9 +121,6 @@ class _Vertices:
         if out is None:
             out = self._roots[key] = _scaled_root(*key, self.s, self.digits)
         return out
-
-    def sector(self, ends: tuple[Rat, Rat], method: str) -> tuple[tuple[Rat, Rat], str]:
-        return ends, method
 
     def as_sector(self, ends: tuple[Rat, Rat], method: str) -> Sector:
         """The Sector whose vertex has the scaled ends."""
@@ -158,33 +155,33 @@ class _Vertices:
         if not partial_sums(self.f, alpha).all_nonneg:
             return None
         x = alpha * (1 << self.s)
-        return self.sector((x, x), f"shifted:{alpha}")
+        return (x, x), f"shifted:{alpha}"
 
     def neg_sum(self):
         if not self.sets.neg_indices:
-            return self.sector(self.zero, "nonneg")
+            return self.zero, "nonneg"
         ends = self.over_negatives(self.sets.neg_sum_abs, self.f.leading_coefficient(), self.n)
-        return self.sector(ends, "neg-sum")
+        return ends, "neg-sum"
 
     def parametrized(self, lambdas: Sequence[Fraction]):
         """The vertex for weights that sector_parametrized has checked."""
         an = self.f.leading_coefficient()
         radicals = [self.root(-self.f.coeffs[j] * lam.denominator, lam.numerator * an, self.n - j)
                     for j, lam in zip(self.sets.neg_indices, lambdas)]
-        return self.sector(_max(*radicals), "parametrized")
+        return _max(*radicals), "parametrized"
 
     def min_over_positives(self):
         self.require_negative("sector_min_over_positives")
         candidates = [self.over_negatives(self.sets.neg_sum_abs, self.f.coeffs[k], k)
                       for k in self.sets.pos_indices_above]
-        return self.sector(_min(*candidates), "min-over-positives")
+        return _min(*candidates), "min-over-positives"
 
     def summed_denominator(self):
         self.require_negative("sector_summed_denominator")
         above = self.sets.pos_indices_above
         d = sum(self.f.coeffs[k] for k in above)
         ends = _max(self.one, self.over_negatives(self.sets.neg_sum_abs, d, above[0]))
-        return self.sector(ends, "summed-denominator")
+        return ends, "summed-denominator"
 
     def sign_blocks(self):
         if self.partition.sign_changes < 1:
@@ -193,7 +190,7 @@ class _Vertices:
                                                       block.pos_lo - block.neg_lo,
                                                       block.pos_lo - block.neg_hi))
                      for block in self.partition.blocks if block.has_negative_part()]
-        return self.sector(_max(*per_block), "sign-blocks")
+        return _max(*per_block), "sign-blocks"
 
 
 def _max(*ends: tuple[Rat, Rat]) -> tuple[Rat, Rat]:
@@ -224,8 +221,8 @@ class _Estimates(_Vertices):
     and the least estimate (least).  The producers run over the plan
     itself, with no iroot, no Fraction and no Sector: a radical
     (num/den)^(1/e) is (log2 num - log2 den)/e, carried as the pair (x, x)
-    so that _max and _min apply, 0 and 1 are -inf and 0.0, and sector
-    gives the float.
+    so that _max and _min apply, 0 and 1 are -inf and 0.0, and the
+    estimate is the first end of the vertex a producer gives.
     least is -inf just when the best vertex is exactly 0: with a negative
     coefficient every radical has a positive base, and with none the
     nonneg sector's vertex is the constant 0.
@@ -251,7 +248,7 @@ class _Estimates(_Vertices):
         self.f, self.n, self.sets = f, f.degree(), sign_index_sets(f)
         self.zero, self.one = (-math.inf, -math.inf), (0.0, 0.0)
         self.producers = _producers(self)
-        self.logs = [produce(self) for produce in self.producers]
+        self.logs = [produce(self)[0][0] for produce in self.producers]
         self.order = sorted(range(len(self.logs)), key=self.logs.__getitem__)
         self.least = self.logs[self.order[0]]
         self.bounded = max(map(abs, f.coeffs)).bit_length() + self.n.bit_length() < _MAX_BITS
@@ -264,11 +261,8 @@ class _Estimates(_Vertices):
         x = _log2(num, den) / e
         return x, x
 
-    def sector(self, ends: tuple[float, float], method: str) -> float:
-        return ends[0]
-
-    def shifted(self, alpha: Rat) -> float:
-        return _log2(alpha.numerator, alpha.denominator)
+    def shifted(self, alpha: Rat) -> tuple[tuple[float, float], str]:
+        return self.root(alpha.numerator, alpha.denominator, 1), "shifted"
 
     def exceeds(self, b: Fraction) -> bool:
         """Whether the estimates prove every candidate's vertex above
@@ -279,7 +273,8 @@ class _Estimates(_Vertices):
 
 
 def _produce(f: Polynomial, digits: int, produce) -> Optional[Sector]:
-    """The Sector that one producer builds for f, or None, from f's plan."""
+    """The Sector that one producer builds for f, or None, from f's plan:
+    a public producer pays for the plan's float pass over every producer."""
     vertices = _Vertices(_Estimates(f), digits)
     built = produce(vertices)
     return None if built is None else vertices.as_sector(*built)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polycert import sectors
 from polycert.certify import Certifier
-from polycert.lens import (DegenerateLensError, Lens, _check_narrow_vertex,
+from polycert.lens import (DegenerateLensError, Lens, _check_narrow_vertex, _narrow_bound,
                            interval_cot, interval_disk_in_lens, lens_of)
 from polycert.poly import Polynomial, parse_polynomial
 from polycert.rounding import (BoundedReal, cot_pi_frac, nth_root_bounds,
@@ -300,8 +300,11 @@ def test_the_lens_gate_fires_only_where_the_margin_argument_holds(monkeypatch):
     # allows: the exact path then gives the same reason
     monkeypatch.setattr(sectors, "_MAX_BITS", 4)
     ctx = Certifier(f, q_max=3)
-    assert not ctx.lens_plan[0].bounded
+    plan = ctx.lens_plan[0]
+    assert not plan.bounded and not plan.exceeds(_narrow_bound(plan.n, ctx.digits))
     assert ctx.lens_intervals == (None, "vertex-too-large")
+    # lens_intervals built the lens: the estimate did not decide
+    assert "lens_status" in ctx.__dict__
     assert ctx.lens_status[0] is not None
     assert ctx.certify(1)[1][0] == "vertex-too-large"
 
