@@ -12,8 +12,9 @@ grouped in runs of consecutive primes, each with its product; a value meets
 each run in one gcd, and only a run that shares a prime with it is walked.
 A split (_Split) is decided once for both witness modes, each decision made
 only when a mode asks for it; the certifier keeps one per f(m) and q_max,
-and the latest split beyond q_max 1000 is memoised, so a certificate
-replayed in the process that issued it does not split f(m) again.
+and the two passes of a replay share it.  A replay whose checked witness
+is a proven prime p > q_max times q builds its split from q alone
+(_seeded_split), without the runs.
 The factoring that the brute-force oracle needs lives in oracles.py.
 """
 from __future__ import annotations
@@ -316,19 +317,13 @@ def _strip_small(value: int, q_max: int) -> tuple[int, tuple[tuple[int, int], ..
     return smooth, tuple(exps), rest
 
 
-@lru_cache(maxsize=1)
 def _strip_by_runs(value: int, q_max: int) -> tuple[int, tuple[tuple[int, int], ...], int]:
     """_strip_small for q_max > 1000.  g = gcd(rest, product of a run) holds
     the run's primes that divide what is left of the value (after Bernstein,
     "How to find smooth parts of integers", 2004), so a run is walked only
     when g > 1, and only until g is 1; once p^2 > g, g is itself a prime.  A
     rest below the square of the next prime is 1 or a prime, which ends the
-    walk over the runs.
-
-    The latest split is kept, so replaying a certificate in the process that
-    has just issued it (certify, then verify) takes no second walk over the
-    runs.  The two passes of one replay need no memo: they share one _Split
-    (certify.Certifier.at_digits)."""
+    walk over the runs."""
     smooth, exps, rest = 1, [], value
     primes, products = _sieved(q_max)
     for i, product in enumerate(products):
@@ -374,7 +369,9 @@ class _Split:
     asks, and kept: whether the cofactor is prime (pq) and whether it is a
     prime power (prime_power).  Each reuses the other's strong test: a prime
     cofactor is its own prime power, a cofactor with no root taken is tested
-    once, and a proper power is composite without a test."""
+    once, and a proper power is composite without a test.  Replay builds
+    the split of a value p * q whose witness it has checked, p a proven
+    prime past q_max > 1000, from q alone (_seeded_split)."""
 
     __slots__ = ("value", "q_max", "smooth", "exps", "cofactor", "factor", "_prime", "_power")
 
@@ -475,6 +472,26 @@ class _Split:
         s = min(Fraction(ell), Fraction(k, 2))
         return FactorizationWitness(p, k, q, ell, r, s, primality=res,
                                     alternatives=alternatives), "ok"
+
+
+def _seeded_split(p: int, q: int, q_max: int, primality: PrimalityResult) -> _Split:
+    """_Split(p * q, q_max) for a prime p > q_max > 1000 and 1 <= q <= q_max,
+    primality being is_prime(p): by unique factorization q is the q_max-smooth
+    part of p * q and p its cofactor, so only q is stripped.  The primes up
+    to 1000 strip q to 1 or to a rest with no prime factor up to 1000,
+    which below 997^2 is a prime; only a rest past 997^2 (so q_max past
+    10^6) meets the runs of primes up to q_max."""
+    split = object.__new__(_Split)
+    split.value, split.q_max = p * q, q_max
+    smooth, exps, rest = _strip_small(q, 1000)
+    if rest >= _TRIAL_LIMIT:
+        smooth, exps, rest = _strip_small(q, q_max)
+    elif rest > 1:
+        smooth, exps = q, exps + ((rest, 1),)
+    split.smooth, split.exps = smooth, exps
+    split.cofactor, split.factor = p, p if p < _TRIAL_LIMIT else None
+    split._prime, split._power = primality, None
+    return split
 
 
 def extract_witness_report(value: int, derivative_value: int, q_max: int = 1,

@@ -14,14 +14,18 @@ certify_any, search_m, certify_negative_m and replay all run through it.
 
 Every certificate records the region used, the factorization witness, and
 each real-number inequality together with its conservatively rounded bounds
-and a strictly positive margin.  certificate_verify re-derives everything
-from scratch at the recorded precision (field-exact replay), then requires
+and a strictly positive margin.  certificate_verify first checks that the
+recorded witness multiplies out, p^k*q = f(m) modulo 2^61 - 1, so a forged
+certificate fails before any region or split is built.  It then re-derives
+everything at the recorded precision (field-exact replay), and requires
 only that the same criterion still certify m at doubled precision (margin
 discipline), under either of its tags.  The second pass builds its regions
 afresh but reuses what the first pass's own rebuild decided that does not
-depend on digits (Certifier.at_digits): f(m) with its split and primality,
-f', whether f has a rational root, and both sector plans.  None of it is
-read from the certificate.
+depend on digits (Certifier.at_digits): f(m) with its split and
+primality, f', whether f has a rational root, and both sector plans.  From
+the certificate replay takes only what the check proved: f(m), and for a
+proven prime p > q_max > 1000 times the recorded q, the split of f(m)
+built from q.
 """
 from __future__ import annotations
 
@@ -29,8 +33,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import (MAX_Q_MAX, FactorizationWitness, PrimalityStatus, _Split,
-                    has_rational_root)
+from .arith import (DETERMINISTIC_LIMIT, MAX_Q_MAX, FactorizationWitness,
+                    PrimalityStatus, _seeded_split, _Split, has_rational_root, is_prime)
 from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
                    interval_disk_in_lens, _narrow_bound, planned_lens,
                    reciprocal_plan)
@@ -174,7 +178,8 @@ class Certifier:
     which sector candidates are built, whether the lens is degenerate, and,
     where they can, the lens criterion's "vertex-too-large", which only
     lens_intervals gives; sectors, every candidate, is built only for
-    analyze.  f(m) is split once per q_max (arith._Split), and the criteria
+    analyze.  f(m) is split once per q_max (arith._Split), or handed over
+    with its split by replay's witness check (_adopt), and the criteria
     read their witnesses or reasons from that split: at q_max 1 the lens,
     pq and prime_power criteria share one.  f'(m) is evaluated only for a
     prime-power witness.  f(m) and its splits are kept for the latest m
@@ -269,6 +274,12 @@ class Certifier:
     def rational_root_exists(self) -> bool:
         """Whether f has a rational root; the square-root radii need none."""
         return has_rational_root(self.f)[0]
+
+    def _adopt(self, m: int, value: int, split: Optional[_Split]) -> None:
+        """Take value as f(m), and split as its split at q_max, both computed
+        by the caller (replay's witness check)."""
+        self._m, self._value = m, value
+        self._splits = {} if split is None else {self.q_max: split}
 
     def _witness(self, m: int, q_max: int, mode: str,
                  ) -> tuple[Optional[FactorizationWitness], str]:
@@ -581,6 +592,50 @@ def _rebuild(ctx: Certifier, m: int, criterion: str) -> Optional[Certificate]:
         return None
 
 
+# The modulus of replay's witness check: the Mersenne prime 2^61 - 1.
+_MODULUS = (1 << 61) - 1
+# Up to this bound on deg f * bits(m), the witness check reduces the exact
+# f(m), which replay needs anyway; beyond it, it evaluates f over residues.
+_EXACT_BITS = 4096
+
+
+def _witness_fits(ctx: Certifier, m: int, witness, mode: str) -> bool:
+    """Whether the witness object has JSON integers p >= 2, k >= 1, q >= 1
+    with p^k * q = f(m) modulo 2^61 - 1, f = ctx.f.  Where f(m) may be large
+    (_EXACT_BITS), f is evaluated over residues, so the test costs
+    O(deg f + log k) steps whatever the size of m, the coefficients or k.
+    Every witness replay rebuilds passes, so False is replay's verdict too.
+    ctx adopts f(m), and for a pq or prime_power criterion at q_max > 1000
+    whose witness is p * q with k = 1, q <= q_max < p and p proven prime,
+    the split built from q (arith._seeded_split)."""
+    if type(witness) is not dict:
+        return False
+    p, k, q = witness.get("p"), witness.get("k"), witness.get("q")
+    if not (type(p) is int and type(k) is int and type(q) is int
+            and p >= 2 and k >= 1 and q >= 1):
+        return False
+    f = ctx.f
+    if len(f.coeffs) * m.bit_length() <= _EXACT_BITS:
+        value = f.evaluate(m)  # replay needs it anyway
+        residue = value % _MODULUS
+    else:
+        value, residue, x = None, 0, m % _MODULUS
+        for c in reversed(f.coeffs):
+            residue = (residue * x + c) % _MODULUS
+    if residue != pow(p, k, _MODULUS) * q % _MODULUS:
+        return False
+    if value is None:
+        value = f.evaluate(m)
+    split = None
+    if (mode in ("pq", "prime_power") and k == 1 and q <= ctx.q_max
+            and 1000 < ctx.q_max < p < DETERMINISTIC_LIMIT and p * q == value):
+        res = is_prime(p)
+        if res.status is PrimalityStatus.PROVEN_PRIME:
+            split = _seeded_split(p, q, ctx.q_max, res)
+    ctx._adopt(m, value, split)
+    return True
+
+
 def _same_types(a, b) -> bool:
     """Whether the equal JSON values a and b also agree in type throughout:
     == holds between True, 1 and 1.0."""
@@ -592,24 +647,28 @@ def _same_types(a, b) -> bool:
 
 
 def certificate_verify(cert) -> bool:
-    """Re-derive every recorded quantity from scratch.
+    """Check the recorded witness, then re-derive every recorded quantity.
 
-    The certificate is recomputed at its recorded precision, on the negated
-    form +-f(-X) at -m when negated_argument is set, and must match field
-    for field, in value and in type; that pins the criterion tag.  The
-    recorded criterion alone is then run again at doubled precision and must
-    still certify m: its margins stay strictly positive, though a tighter
-    enclosure may name a sibling tag (cor310_cot for thm39_lens, thm31_pq for
-    thm31_sqrt_q).  That second pass runs on Certifier.at_digits of the first
-    pass's Certifier, so f(m) is split and its primality decided once, and
-    f', the rational-root test and the degree check are not repeated; the
-    regions are rebuilt at the doubled digits.  Structural problems raise
+    The witness is checked first (_witness_fits), on the negated form
+    +-f(-X) at -m when negated_argument is set, before any region or split
+    is built.  The certificate is then recomputed at its recorded
+    precision, on the same form, and must match field for field, in value
+    and in type; that pins the criterion tag.  The recorded criterion alone
+    is then run again at doubled precision and must still certify m: its
+    margins stay strictly positive, though a tighter enclosure may name a
+    sibling tag (cor310_cot for thm39_lens, thm31_pq for thm31_sqrt_q).
+    That second pass runs on Certifier.at_digits of the first pass's
+    Certifier, so f(m) is split and its primality decided once, and f', the
+    rational-root test and the degree check are not repeated; the regions
+    are rebuilt at the doubled digits.  Structural problems raise
     MalformedCertificateError; any mismatch returns False.
     """
     data = cert.to_json() if isinstance(cert, Certificate) else cert
     f, m, criterion, q_max, digits, negated = _fields(data)
     g, k = (_negated_form(f), -m) if negated else (f, m)
     ctx = Certifier(g, q_max, digits)
+    if not _witness_fits(ctx, k, data["witness"], _MODE_OF_TAG[criterion]):
+        return False
     replay = _rebuild(ctx, k, criterion)
     if replay is None:
         return False

@@ -354,7 +354,6 @@ def test_sieve_runs_once_per_q_max(monkeypatch):
     calls = []
     monkeypatch.setattr(arith, "_sieve", lambda n: calls.append(n) or _sieve(n))
     arith._sieved.cache_clear()
-    arith._strip_by_runs.cache_clear()
     rng = random.Random(3)
     for _ in range(20):
         extract_witness_report(rng.randrange(2, 10**15), rng.randrange(1, 10**6), 10**5,
@@ -451,11 +450,9 @@ def test_run_gcds_match_the_prime_loop_across_run_edges(q_max):
         values += [rng.randrange(1, 10**30) for _ in range(100)]
     else:  # the prime loop takes ~0.1 s for each value with a cofactor above q_max
         values = run_edge_values(primes, q_max, rng, 1)
-    arith._strip_by_runs.cache_clear()
     for value in values:
         assert _strip_small(value, q_max) == reference_strip_small(value, q_max, primes)
     arith._sieved.cache_clear()
-    arith._strip_by_runs.cache_clear()
 
 
 def test_a_split_is_kept_for_the_pq_and_prime_power_criteria(monkeypatch):
@@ -464,34 +461,35 @@ def test_a_split_is_kept_for_the_pq_and_prime_power_criteria(monkeypatch):
     calls = []
     sieved = arith._sieved
     monkeypatch.setattr(arith, "_sieved", lambda n: calls.append(n) or sieved(n))
-    arith._strip_by_runs.cache_clear()
     f = parse_polynomial("X^2+200005")
     cert, reasons = certify.Certifier(f, 10**5).certify(100002)
     assert reasons == ["lens-inapplicable", "value-composite"]
     assert cert.criterion == "thm35_prime_power"
     assert calls == [10**5]
+    # a second Certifier splits f(m) again: no split outlives its Certifier
     assert certify.certify_any(f, 100002, q_max=10**5) == cert
-    assert calls == [10**5]  # a second certification at the same f(m) splits nothing
+    assert calls == [10**5, 10**5]
 
 
 def test_a_replay_splits_its_value_once(monkeypatch):
+    # f(18) = 221021 * 5: a proven prime past q_max times the recorded q, so
+    # the split is built from q and no run of primes is walked
     f = parse_polynomial("X^4+7*X+1000003")
     cert = certify.certify_any(f, 18, q_max=10**4)
     assert cert.criterion == "thm31_pq" and cert.witness.q == 5
     calls = []
     sieved = arith._sieved
     monkeypatch.setattr(arith, "_sieved", lambda n: calls.append(n) or sieved(n))
-    arith._strip_by_runs.cache_clear()
     assert certify.certificate_verify(cert.to_json())  # rebuilt at 12 and 24 digits
-    assert calls == [10**4]
-
-
-def test_the_split_memo_holds_the_latest_split_immutable():
-    assert arith._strip_by_runs.cache_info().maxsize == 1
-    smooth, exps, rest = _strip_small(2**5 * 3 * 10007**2 * (2**61 - 1), 10**5)
-    assert (smooth, exps, rest) == (2**5 * 3 * 10007**2, ((2, 5), (3, 1), (10007, 2)),
-                                    2**61 - 1)
-    assert isinstance(exps, tuple)
+    assert calls == []
+    # f(100002) = 100003^2: k = 2 takes the full split, walked once for both
+    # passes
+    f = parse_polynomial("X^2+200005")
+    cert = certify.certify_any(f, 100002, q_max=10**5)
+    assert cert.criterion == "thm35_prime_power" and cert.witness.k == 2
+    calls.clear()
+    assert certify.certificate_verify(cert.to_json())
+    assert calls == [10**5]
 
 
 def test_the_cold_split_at_max_q_max_is_fast(deadline):
@@ -506,7 +504,6 @@ def test_the_cold_split_at_max_q_max_is_fast(deadline):
     finally:
         arith._strip_small = real
     arith._sieved.cache_clear()
-    arith._strip_by_runs.cache_clear()
     deadline(3)
     assert extract_witness_report(value, 5, MAX_Q_MAX, "prime_power") == expected
     assert expected[1] == "q-exceeds"

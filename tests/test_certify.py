@@ -486,21 +486,24 @@ def test_replay_accepts_a_sibling_tag_at_doubled_digits(text, m, q_max, digits, 
 @pytest.mark.parametrize("q_max", [1000, 10**5])
 def test_a_replay_decides_the_value_facts_once(monkeypatch, q_max):
     # the doubled-digits pass starts from the first pass's split of f(m),
-    # the primality it decided and whether f has a rational root
+    # the primality it decided and whether f has a rational root; past q_max
+    # 1000 the split is the one built from the recorded q, and the strong
+    # test is the witness check's is_prime(p)
     import polycert.certify as certify_module
     f = parse_polynomial("54*X^4+1961*X^3-2464*X^2+1758*X+2125")
     data = certify_any(f, 21, q_max).to_json()
     assert data["criterion"] == CRIT_THM_PQ_SQRT
     assert data["primality"] == "proven_prime" and data["witness"]["p"] > 997**2
     calls = []
-    for module, name in ((certify_module, "_Split"), (certify_module, "has_rational_root"),
-                         (arith, "_strong_classify")):
+    for module, name in ((certify_module, "_Split"), (certify_module, "_seeded_split"),
+                         (certify_module, "has_rational_root"), (arith, "_strong_classify")):
         def counted(*args, _original=getattr(module, name), _name=name):
             calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
     assert certificate_verify(data)
-    assert sorted(calls) == ["_Split", "_strong_classify", "has_rational_root"]
+    split = "_Split" if q_max <= 1000 else "_seeded_split"
+    assert sorted(calls) == sorted([split, "_strong_classify", "has_rational_root"])
 
 
 @pytest.mark.parametrize("poly, m", [("X^4-10*X^3+2162", 13), ("X^3-X^2-3*X-3", 8)])
