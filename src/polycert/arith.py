@@ -26,7 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import compress
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .poly import Polynomial, _shift_by_one, divide_exact
 from .rounding import iroot
@@ -101,6 +101,28 @@ class PrimalityResult(NamedTuple):
     def is_prime(self) -> bool:
         return self.status in (PrimalityStatus.PROVEN_PRIME,
                                PrimalityStatus.PROBABLE_PRIME)
+
+
+_TRIAL_PRIME = PrimalityResult(PrimalityStatus.PROVEN_PRIME, "trial-division")
+# A number below this with no prime factor up to 1000 is prime.
+_TRIAL_LIMIT = _SMALL_PRIMES[-1] ** 2
+
+
+def _trial_factor(n: int, primes: Sequence[int]) -> Optional[int]:
+    """For n > 1 with no prime factor below primes, the primes from some
+    point up to 997: the least of them that divides n, else n when
+    n < 997^2 (then a prime), else None."""
+    for p in primes:
+        if p * p > n:
+            break
+        if n % p == 0:
+            return p
+    return n if n < _TRIAL_LIMIT else None
+
+
+def _rough_classify(n: int) -> PrimalityResult:
+    """is_prime(n) for an n > 1 with no prime factor up to 1000 but itself."""
+    return _TRIAL_PRIME if n < _TRIAL_LIMIT else _strong_classify(n)
 
 
 def _strong_test(n: int, a: int) -> bool:
@@ -184,7 +206,8 @@ def is_prime(x: int) -> PrimalityResult:
     """Classify x; proven below DETERMINISTIC_LIMIT, probable beyond.
 
     1 is a unit and negatives are never prime; a negative input is classified
-    by |x| with a note recording the sign.
+    by |x| with a note recording the sign.  _trial_factor, which _Split
+    shares, settles x below 997^2 or with a prime factor up to 1000.
     """
     x = int(x)
     if x < 0:
@@ -195,14 +218,12 @@ def is_prime(x: int) -> PrimalityResult:
         return PrimalityResult(PrimalityStatus.UNIT, "unit")
     if x == 0:
         return PrimalityResult(PrimalityStatus.COMPOSITE, "zero")
-    for p in _SMALL_PRIMES:
-        if p * p > x:
-            return PrimalityResult(PrimalityStatus.PROVEN_PRIME, "trial-division")
-        if x % p == 0:
-            if x == p:
-                return PrimalityResult(PrimalityStatus.PROVEN_PRIME, "trial-division")
-            return PrimalityResult(PrimalityStatus.COMPOSITE, "trial-division", factor=p)
-    return _strong_classify(x)
+    factor = _trial_factor(x, _SMALL_PRIMES)
+    if factor is None:
+        return _strong_classify(x)
+    if factor == x:
+        return _TRIAL_PRIME
+    return PrimalityResult(PrimalityStatus.COMPOSITE, "trial-division", factor=factor)
 
 
 def _strong_classify(x: int) -> PrimalityResult:
@@ -353,19 +374,14 @@ def _primes_past(q_max: int) -> tuple[int, ...]:
     return tuple(p for p in _SMALL_PRIMES if p > q_max)
 
 
-_TRIAL_PRIME = PrimalityResult(PrimalityStatus.PROVEN_PRIME, "trial-division")
-# A number below this with no prime factor up to 1000 is prime.
-_TRIAL_LIMIT = _SMALL_PRIMES[-1] ** 2
-
-
 class _Split:
     """A value split at q_max and decided once for both witness modes.
 
     The split is value's q_max-smooth part with its (prime, exponent) pairs
-    and the cofactor; one trial division of the cofactor by the primes from
-    q_max to 1000 then gives its smallest such prime factor (factor), the
-    cofactor itself when that proves it prime, or None when it has no such
-    factor and is at least 997^2.  The rest is decided when a mode first
+    and the cofactor; _trial_factor by the primes from q_max to 1000 then
+    gives its smallest such prime factor (factor), the cofactor itself when
+    that proves it prime, or None when it has no such factor and is at least
+    997^2.  The rest is decided when a mode first
     asks, and kept: whether the cofactor is prime (pq) and whether it is a
     prime power (prime_power).  Each reuses the other's strong test: a prime
     cofactor is its own prime power, a cofactor with no root taken is tested
@@ -383,17 +399,8 @@ class _Split:
         if value <= 0:
             return
         self.smooth, self.exps, rest = _strip_small(value, q_max)
-        factor = None
-        if rest > 1:
-            for p in _primes_past(min(q_max, 1000)):
-                if p * p > rest:
-                    break
-                if rest % p == 0:
-                    factor = p
-                    break
-            if factor is None and rest < _TRIAL_LIMIT:
-                factor = rest
-        self.cofactor, self.factor = rest, factor
+        self.cofactor = rest
+        self.factor = _trial_factor(rest, _primes_past(min(q_max, 1000))) if rest > 1 else None
 
     def prime(self) -> PrimalityResult | bool:
         """is_prime(cofactor) when the cofactor is prime, else False."""
@@ -430,7 +437,7 @@ class _Split:
             res = self.prime()
             return res and (c, 1, res)
         self._prime = False  # a proper power
-        res = _TRIAL_PRIME if c < _TRIAL_LIMIT else _strong_classify(c)
+        res = _rough_classify(c)
         return res.is_prime and (c, k, res)
 
     def witness(self, mode: str, derivative: Callable[[], int],
@@ -460,7 +467,7 @@ class _Split:
             if not splits:
                 return None, "no-split"
             (q, p, k), *others = splits
-            res = _TRIAL_PRIME if p < _TRIAL_LIMIT else _strong_classify(p)
+            res = _rough_classify(p)
             alternatives = tuple((p2, e2, q2) for q2, p2, e2 in others)
         if mode == "pq":
             return FactorizationWitness(p, k, q, primality=res,
@@ -489,7 +496,7 @@ def _seeded_split(p: int, q: int, q_max: int, primality: PrimalityResult) -> _Sp
     elif rest > 1:
         smooth, exps = q, exps + ((rest, 1),)
     split.smooth, split.exps = smooth, exps
-    split.cofactor, split.factor = p, p if p < _TRIAL_LIMIT else None
+    split.cofactor, split.factor = p, _trial_factor(p, ())
     split._prime, split._power = primality, None
     return split
 

@@ -594,16 +594,14 @@ def _rebuild(ctx: Certifier, m: int, criterion: str) -> Optional[Certificate]:
 
 # The modulus of replay's witness check: the Mersenne prime 2^61 - 1.
 _MODULUS = (1 << 61) - 1
-# Up to this bound on deg f * bits(m), the witness check reduces the exact
-# f(m), which replay needs anyway; beyond it, it evaluates f over residues.
-_EXACT_BITS = 4096
 
 
 def _witness_fits(ctx: Certifier, m: int, witness, mode: str) -> bool:
     """Whether the witness object has JSON integers p >= 2, k >= 1, q >= 1
-    with p^k * q = f(m) modulo 2^61 - 1, f = ctx.f.  Where f(m) may be large
-    (_EXACT_BITS), f is evaluated over residues, so the test costs
-    O(deg f + log k) steps whatever the size of m, the coefficients or k.
+    with p^k * q = f(m) modulo 2^61 - 1, f = ctx.f.  f is evaluated at m by
+    Horner's rule over residues, so the test costs O(deg f + log k) steps
+    whatever the size of m, the coefficients or k; only a witness that
+    passes it has f(m) evaluated exactly, once, for replay to adopt.
     Every witness replay rebuilds passes, so False is replay's verdict too.
     ctx adopts f(m), and for a pq or prime_power criterion at q_max > 1000
     whose witness is p * q with k = 1, q <= q_max < p and p proven prime,
@@ -614,18 +612,12 @@ def _witness_fits(ctx: Certifier, m: int, witness, mode: str) -> bool:
     if not (type(p) is int and type(k) is int and type(q) is int
             and p >= 2 and k >= 1 and q >= 1):
         return False
-    f = ctx.f
-    if len(f.coeffs) * m.bit_length() <= _EXACT_BITS:
-        value = f.evaluate(m)  # replay needs it anyway
-        residue = value % _MODULUS
-    else:
-        value, residue, x = None, 0, m % _MODULUS
-        for c in reversed(f.coeffs):
-            residue = (residue * x + c) % _MODULUS
+    residue, x = 0, m % _MODULUS
+    for c in reversed(ctx.f.coeffs):
+        residue = (residue * x + c) % _MODULUS
     if residue != pow(p, k, _MODULUS) * q % _MODULUS:
         return False
-    if value is None:
-        value = f.evaluate(m)
+    value = ctx.f.evaluate(m)
     split = None
     if (mode in ("pq", "prime_power") and k == 1 and q <= ctx.q_max
             and 1000 < ctx.q_max < p < DETERMINISTIC_LIMIT and p * q == value):

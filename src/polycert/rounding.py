@@ -26,6 +26,9 @@ one precondition: each doubling must make the enclosure narrower, with no
 lower limit on the width, or the loop never ends, so every producer takes
 an exact rational argument.
 
+`_root_ends` is the one radical kernel, under `nth_root_bounds` and the
+sector vertices alike; it calls `_refine` only for a root below 2^-s.
+
 `sin_pi_frac`, `tan_pi_frac` and `cot_pi_frac` check their argument in
 integers, then call `_pi_frac(fn, num, den, digits)` on c = num/den, one
 `lru_cache` of at most `TRIG_MEMO_SIZE` entries over sin, cos, tan and cot,
@@ -184,35 +187,49 @@ def _refine(build, start: int, digits: int, positive: bool = False) -> BoundedRe
         p *= 2
 
 
+def _root_ends(num: int, den: int, e: int, s: int) -> tuple[Rat, Rat]:
+    """The ends of an enclosure of (num/den)^(1/e) times 2^s, for coprime
+    num >= 0 and den >= 1, e >= 1 and s >= 16.
+
+    One iroot gives lo = floor(2^s (num/den)^(1/e)).  When den divides
+    num * 2^(e*s) the root is rational just when lo is exact; otherwise
+    just when den and num are perfect e-th powers, den tested first.  An exact root is
+    both ends; an irrational one at or above 2^-s is the ints [lo, lo + 1].
+    A root below 2^-s is refined from 2^-s on until its lower end is
+    positive, every build at most 2^-s wide, which meets the digits target
+    of s // 4; its ends are Fractions, like those of an exact root off the
+    2^-s grid."""
+    a, rem = divmod(num << (e * s), den)
+    if e == 1:
+        x = a if rem == 0 else Fraction(num << s, den)
+        return x, x
+    lo = iroot(a, e)
+    if rem == 0 and lo**e == a:
+        return lo, lo
+    if rem and (rd := iroot(den, e))**e == den and (rn := iroot(num, e))**e == num:
+        x = Fraction(rn << s, rd)
+        return x, x
+    if lo:
+        return lo, lo + 1
+
+    def build(p: int) -> BoundedReal:
+        lo = iroot((num << (e * p)) // den, e)
+        return BoundedReal(Fraction(lo, 1 << p), Fraction(lo + 1, 1 << p))
+    root = _refine(build, s, s // 4, positive=True)
+    return root.lower * (1 << s), root.upper * (1 << s)
+
+
 def nth_root_bounds(x: Rat, k: int, digits: int = DEFAULT_DIGITS) -> BoundedReal:
     """Enclosure of x^(1/k) for x >= 0; exact for perfect rational powers.
-
-    x = num/den in lowest terms is a rational k-th power only when den is
-    one, so den is tested first and num only after it.  Off perfect powers
-    the root is irrational, and the build on the 2^-s grid takes one iroot:
-    lo = floor(2^s x^(1/k)) gives [lo, lo + 1] / 2^s.  The first build, at
-    s = max(16, 4*digits), meets the width target; only a root below 2^-s
-    needs more."""
+    The kernel's ends at s = max(16, 4*digits) meet the width target."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("nth_root_bounds expects x >= 0")
     if k < 1:
         raise ValueError("root order must be >= 1")
-    if x == 0:
-        return BoundedReal.exact(0)
-    if k == 1:
-        return BoundedReal.exact(x)
-    num, den = x.numerator, x.denominator
-    rd = iroot(den, k)
-    if rd**k == den:
-        rn = iroot(num, k)
-        if rn**k == num:
-            return BoundedReal.exact(Fraction(rn, rd))
-
-    def build(s: int) -> BoundedReal:
-        lo = iroot((num << (k * s)) // den, k)
-        return BoundedReal(Fraction(lo, 1 << s), Fraction(lo + 1, 1 << s))
-    return _refine(build, max(16, 4 * digits), digits, positive=True)
+    s = max(16, 4 * digits)
+    lower, upper = _root_ends(x.numerator, x.denominator, k, s)
+    return BoundedReal(Fraction(lower, 1 << s), Fraction(upper, 1 << s))
 
 
 def pow_upper(base: int, exponent: Fraction, digits: int = DEFAULT_DIGITS) -> Fraction:

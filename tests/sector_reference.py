@@ -2,7 +2,10 @@
 sectors.py against, kept verbatim from before the vertices were carried
 in integers: each radical is an nth_root_bounds enclosure of Fractions,
 built by the old two-iroot grid step, and composite vertices combine
-them with enclose_max and enclose_min."""
+them with enclose_max and enclose_min.  _scaled_root is the integer
+radical that sectors.py kept beside rounding's nth_root_bounds before the
+two became one kernel (rounding._root_ends), kept verbatim; its
+nth_root_bounds is the one here."""
 from fractions import Fraction
 from typing import Sequence
 
@@ -52,6 +55,27 @@ def nth_root_bounds(x: Rat, k: int, digits: int = DEFAULT_DIGITS) -> BoundedReal
         return BoundedReal(Fraction(iroot(shifted // den, k), 1 << s),
                            Fraction(_iroot_ceil(-(-shifted // den), k), 1 << s))
     return _refine(build, max(16, 4 * digits), digits, positive=True)
+
+
+def _scaled_root(num: int, den: int, e: int, s: int, digits: int) -> tuple[Rat, Rat]:
+    """The ends of nth_root_bounds(num/den, e, digits) times 2^s, for
+    coprime num >= 0 and den >= 1 and s = max(16, 4*digits).
+
+    For e = 1 both ends are the base.  Otherwise, off perfect powers, the
+    root is irrational, and at or above 2^-s one iroot gives it as the ints
+    [lo, lo + 1].  When den divides 2^(e*s) the root is rational exactly
+    when lo^e = num * 2^(e*s) / den, and otherwise only if den is a perfect
+    e-th power.  Those roots, and roots below 2^-s, are left to
+    nth_root_bounds.  An end off the 2^-s grid is a Fraction."""
+    a, rem = divmod(num << (e * s), den)
+    if e == 1:
+        x = a if rem == 0 else Fraction(num << s, den)
+        return x, x
+    lo = iroot(a, e)
+    if lo and (lo**e != a if rem == 0 else iroot(den, e)**e != den):
+        return lo, lo + 1
+    root = nth_root_bounds(Fraction(num, den), e, digits)
+    return root.lower * (1 << s), root.upper * (1 << s)
 
 
 _ONE = BoundedReal.exact(1)

@@ -54,6 +54,45 @@ def test_exhaustive_agreement_to_one_million():
         assert is_prime(x).is_prime == (x in truth)
 
 
+def reference_is_prime(x: int) -> arith.PrimalityResult:
+    """is_prime as it was when it wrote out its own trial division, kept
+    verbatim."""
+    PrimalityResult = arith.PrimalityResult
+    x = int(x)
+    if x < 0:
+        inner = reference_is_prime(-x)
+        return PrimalityResult(inner.status, inner.method, inner.factor,
+                               "negative input classified by absolute value")
+    if x == 1:
+        return PrimalityResult(PrimalityStatus.UNIT, "unit")
+    if x == 0:
+        return PrimalityResult(PrimalityStatus.COMPOSITE, "zero")
+    for p in _SMALL_PRIMES:
+        if p * p > x:
+            return PrimalityResult(PrimalityStatus.PROVEN_PRIME, "trial-division")
+        if x % p == 0:
+            if x == p:
+                return PrimalityResult(PrimalityStatus.PROVEN_PRIME, "trial-division")
+            return PrimalityResult(PrimalityStatus.COMPOSITE, "trial-division", factor=p)
+    return arith._strong_classify(x)
+
+
+def test_is_prime_is_the_trial_division_it_was_for_small_x():
+    for x in range(-1000, 200_001):
+        assert is_prime(x) == reference_is_prime(x), x  # status, method, factor, note
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.integers(-2**90, 2**90), st.integers(997**2 - 10**4, 997**2 + 10**4),
+                 st.builds(lambda p, k: p * k, st.sampled_from(_SMALL_PRIMES),
+                           st.integers(1, 2**80))))
+@example(997**2 - 1)
+@example(997**2)
+@example(997**2 + 2)
+def test_is_prime_is_the_trial_division_it_was(x):
+    assert is_prime(x) == reference_is_prime(x)
+
+
 def test_probable_beyond_deterministic_limit():
     assert DETERMINISTIC_LIMIT > 33 * 10**23
     p = int(sympy.nextprime(DETERMINISTIC_LIMIT))

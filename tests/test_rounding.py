@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from polycert.rounding import (BoundedReal, cot_pi_frac, format_decimal,
                                iroot, nth_root_bounds, sin_pi_frac,
                                tan_pi_frac)
 from polycert.sectors import sector_neg_sum
-from sector_reference import nth_root_bounds as reference_nth_root_bounds
+from sector_reference import _scaled_root, nth_root_bounds as reference_nth_root_bounds
 
 mpmath.mp.dps = 50
 
@@ -103,6 +104,47 @@ def test_nth_root_width_discipline():
 @example(Fraction(27, 64 * 2**96), 3, 1)  # 3/2^34: exact, off the first grid
 def test_nth_root_bounds_matches_the_two_root_build(x, k, digits):
     assert nth_root_bounds(x, k, digits) == reference_nth_root_bounds(x, k, digits)
+
+
+# s = max(16, 4*digits) for each s drawn below
+DIGITS_OF = {16: 4, 48: 12, 400: 100}
+
+
+def coprime(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+@st.composite
+def radicands(draw, e: int, s: int) -> tuple[int, int]:
+    """Coprime num >= 0 and den >= 1: any, perfect e-th powers, den a power
+    of two, or a root below 2^-s."""
+    kind = draw(st.sampled_from(["any", "power", "two", "tiny"]))
+    if kind == "any":
+        num, den = draw(st.integers(0, 10**30)), draw(st.integers(1, 10**30))
+    elif kind == "power":
+        num, den = draw(st.integers(0, 10**6)) ** e, draw(st.integers(1, 10**6)) ** e
+    elif kind == "two":
+        num, den = draw(st.integers(0, 10**30)), 2 ** draw(st.integers(0, e * s + 64))
+    else:  # num/den < 2^(-e*s)
+        num = draw(st.integers(1, 10**6))
+        den = (num << (e * s)) + draw(st.integers(1, 10**40))
+        den <<= draw(st.integers(0, 3 * e * s))
+    return coprime(num, den)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.integers(1, 12), st.sampled_from(sorted(DIGITS_OF)))
+def test_the_root_kernel_is_the_scaled_root(data, e, s):
+    num, den = data.draw(radicands(e, s))
+    assert rounding._root_ends(num, den, e, s) == _scaled_root(num, den, e, s, DIGITS_OF[s])
+
+
+@pytest.mark.parametrize("num, den, e, s", [
+    (2, 10**200, 2, 48), (27, 64 * 2**96, 3, 16), (1, 2**100, 5, 16), (0, 1, 3, 400),
+    (7, 1, 1, 16), (7, 3, 1, 48), (2, 1, 12, 400), (10, 2162, 3, 48), (1, 3**120, 3, 48)])
+def test_the_root_kernel_is_the_scaled_root_at_the_edges(num, den, e, s):
+    assert rounding._root_ends(num, den, e, s) == _scaled_root(num, den, e, s, DIGITS_OF[s])
 
 
 @pytest.mark.parametrize("root", [

@@ -215,15 +215,16 @@ def test_sector_json_shape():
 @pytest.fixture
 def radical_calls(monkeypatch):
     """The (base, e, digits) of every radical the producers compute, one
-    _scaled_root call each."""
+    call of the radical kernel each; its s is 4*digits at every digits
+    used here."""
     import polycert.sectors as sectors_module
     calls = []
-    original = sectors_module._scaled_root
+    original = sectors_module._root_ends
 
-    def counting(num, den, e, s, digits):
-        calls.append((Fraction(num, den), e, digits))
-        return original(num, den, e, s, digits)
-    monkeypatch.setattr(sectors_module, "_scaled_root", counting)
+    def counting(num, den, e, s):
+        calls.append((Fraction(num, den), e, s // 4))
+        return original(num, den, e, s)
+    monkeypatch.setattr(sectors_module, "_root_ends", counting)
     return calls
 
 

@@ -84,16 +84,7 @@ def honest_certificates() -> list[dict]:
 HONEST = honest_certificates()
 
 
-@pytest.fixture(params=["exact", "residues"])
-def evaluation(request, monkeypatch):
-    """The witness check reducing the exact f(m), or forced to evaluate f
-    over residues as it does when f(m) may be large."""
-    if request.param == "residues":
-        monkeypatch.setattr(certify, "_EXACT_BITS", -1)
-    return request.param
-
-
-def test_every_honest_certificate_keeps_its_verdict(fuzz_corpus, evaluation):
+def test_every_honest_certificate_keeps_its_verdict(fuzz_corpus):
     fuzzed = [cert.to_json() for f in fuzz_corpus[:300] for m in range(1, 11)
               if (cert := certify_any(f, m, 3)) is not None]
     assert len(fuzzed) == GOLDEN["fuzz"][0]
@@ -161,22 +152,27 @@ TAMPERS = st.one_of(
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(range(len(HONEST))), st.booleans(), st.lists(TAMPERS, min_size=1,
-                                                                    max_size=2),
-       st.sampled_from([certify._EXACT_BITS, -1]))
-def test_a_tampered_certificate_keeps_its_verdict(index, negated, tampers, exact_bits):
-    # negated_argument both ways: as issued and flipped, before the tampers;
-    # the check reduces the exact f(m) or evaluates f over residues
+                                                                    max_size=2))
+def test_a_tampered_certificate_keeps_its_verdict(index, negated, tampers):
+    # negated_argument both ways: as issued and flipped, before the tampers
     data = HONEST[index]
     if negated:
         data = tamper(data, "negated", not data["negated_argument"])
     for kind, arg in tampers:
         data = tamper(data, kind, arg)
-    expected = outcome(reference_verify, data)
-    default, certify._EXACT_BITS = certify._EXACT_BITS, exact_bits
-    try:
-        assert outcome(certificate_verify, data) == expected
-    finally:
-        certify._EXACT_BITS = default
+    assert outcome(certificate_verify, data) == outcome(reference_verify, data)
+
+
+def test_an_honest_replay_evaluates_f_at_m_once(monkeypatch):
+    # the check runs over residues; f(m) is evaluated exactly only after it
+    # passes, and both passes of the replay take that value
+    data = certify_any(FLAGSHIP, 3).to_json()
+    points = []
+    evaluate = Polynomial.evaluate
+    monkeypatch.setattr(Polynomial, "evaluate",
+                        lambda f, x: points.append(x) or evaluate(f, x))
+    assert certificate_verify(data) is True
+    assert points.count(3) == 1
 
 
 # -- the seeded split ---------------------------------------------------------------
