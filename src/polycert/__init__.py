@@ -12,12 +12,9 @@ from .lens import (AdmissibleInterval, DegenerateLensError, Lens, interval_cot,
                    interval_disk_in_lens, lens_of)
 from .poly import (ParseError, PartialSums, Polynomial, SignBlock,
                    SignBlockPartition, SignIndexSets, parse_polynomial,
-                   partial_sums, shift_coeffs, sign_blocks, sign_index_sets)
+                   partial_sums, sign_blocks, sign_index_sets)
 from .rounding import BoundedReal, nth_root_bounds
-from .sectors import (Sector, best_of, best_sector, sector_candidates,
-                      sector_min_over_positives, sector_neg_sum, sector_nonneg,
-                      sector_parametrized, sector_shifted, sector_sign_blocks,
-                      sector_summed_denominator)
+from .sectors import Sector, best_sector, sector_candidates
 
 __version__ = "0.1.0"
 

@@ -377,6 +377,7 @@ def certify_lens_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], 
     The certificate records q_max 1 whatever the context's."""
     if ctx.lens_plan[0] is None:
         return None, "lens-inapplicable"
+    ctx._sector_degree  # the sector criteria's contract on f: ValueError
     if m < 1:
         raise ValueError("certification needs m >= 1")
     intervals, reason = ctx.lens_intervals

@@ -2,7 +2,7 @@
 
 Coefficients are stored densely by exponent, constant term first, as
 arbitrary-precision ints.  Everything in this module is exact: evaluation,
-shifts, partial sums, and the sign bookkeeping that feeds the zero-free
+the shift by one, partial sums, and the sign bookkeeping that feeds the zero-free
 region producers.
 """
 from __future__ import annotations
@@ -106,10 +106,6 @@ class Polynomial:
         """The polynomial with X replaced by -X."""
         return Polynomial([c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)])
 
-    def shift(self, alpha: Rat) -> tuple[Fraction, ...]:
-        """Coefficients of f(X + alpha), exact rationals."""
-        return shift_coeffs(self.coeffs, alpha)
-
     # -- arithmetic (the parser's +, - and *, negation, and tests; powers are
     # _ExprParser.power, which charges the parse budget) -------------------
 
@@ -189,18 +185,6 @@ def _shift_by_one(cs: list[Rat]) -> list[Rat]:
         for j in range(n - 1, i - 1, -1):
             cs[j] += cs[j + 1]
     return cs
-
-
-def shift_coeffs(coeffs: Sequence[Rat], alpha: Rat) -> tuple[Fraction, ...]:
-    """Coefficients of f(X + alpha), alpha >= 0: those of f(alpha*X),
-    shifted by one, then scaled back."""
-    alpha = Fraction(alpha)
-    if alpha < 0:
-        raise ValueError("shift expects alpha >= 0")
-    if alpha == 0:
-        return tuple(Fraction(c) for c in coeffs)
-    shifted = _shift_by_one([c * alpha**i for i, c in enumerate(coeffs)])
-    return tuple(b / alpha**k for k, b in enumerate(shifted))
 
 
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial | None:

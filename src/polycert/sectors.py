@@ -9,10 +9,12 @@ conservative.
 Every sector is built from _Estimates, the digit-free plan of one
 polynomial: its sign data, and the producers run on floats, which give each
 vertex as an estimate of its log2.  _Vertices builds exact vertices from a
-plan at one precision, with the radical kernel of nth_root_bounds.
+plan at one precision, with the radical kernel of nth_root_bounds.  The
+producers are _Vertices methods, reached only through a plan:
 sector_candidates builds every applicable producer's sector, and
 best_sector only those that can win: a candidate whose estimate is at least
 2^-19 above log2 of the best vertex.upper built so far is left unbuilt.
+The best sector is the first candidate with the least vertex.upper.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from operator import methodcaller
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple
 
 from .poly import (Polynomial, SignBlockPartition, partial_sums, sign_blocks,
                    sign_index_sets)
@@ -52,15 +54,6 @@ def _require_analyzable(f: Polynomial) -> None:
         raise ValueError("sector producers need a positive leading coefficient")
 
 
-def sector_nonneg(f: Polynomial) -> Sector:
-    """Vertex 0 for polynomials with non-negative coefficients: the imaginary
-    part of f is sign-definite off the positive real axis within the sector."""
-    _require_analyzable(f)
-    if any(c < 0 for c in f.coeffs):
-        raise ValueError("sector_nonneg needs all coefficients >= 0")
-    return Sector(BoundedReal.exact(0), f.degree(), "nonneg")
-
-
 class _Vertices:
     """The exact sector vertices of a plan's polynomial at one precision,
     built from radicals base^(1/e) that are each computed once, with the
@@ -74,9 +67,9 @@ class _Vertices:
     two ends by 2^s, so the Sector holds the Fractions that enclosing each
     radical with nth_root_bounds and combining the enclosures would give.
     The memo is keyed on the integers of the base and lives as long as the
-    object: one planned_sector or candidate list, or one public producer
-    call.  Producers share radicals: 28-67% of the requests in the
-    benchmark workloads are found in it.
+    object: one planned_sector or candidate list.  Producers share
+    radicals: 28-67% of the requests in the benchmark workloads are found
+    in it.
 
     The producers see radicals, constants and shifts only through root,
     zero, one and shifted.  So the same producers run on float logs in
@@ -125,10 +118,6 @@ class _Vertices:
         neg = self.sets.neg_indices
         return self.endpoint_max(num, den, top - neg[0], top - neg[-1])
 
-    def require_negative(self, name: str) -> None:
-        if not self.sets.neg_indices:
-            raise ValueError(f"{name} needs a negative coefficient")
-
     def shifted(self, alpha: Rat):
         """The vertex alpha >= 0, or None when a partial sum at alpha is
         negative."""
@@ -138,34 +127,39 @@ class _Vertices:
         return (x, x), f"shifted:{alpha}"
 
     def neg_sum(self):
+        """Vertex max_i (L/a_n)^(1/(n-j_i)), L = |sum of the negative a_j|;
+        0 (nonneg) when no a_j is negative."""
         if not self.sets.neg_indices:
             return self.zero, "nonneg"
         ends = self.over_negatives(self.sets.neg_sum_abs, self.f.leading_coefficient(), self.n)
         return ends, "neg-sum"
 
-    def parametrized(self, lambdas: Sequence[Fraction]):
-        """The vertex for weights that sector_parametrized has checked."""
-        an = self.f.leading_coefficient()
-        radicals = [self.root(-self.f.coeffs[j] * lam.denominator, lam.numerator * an, self.n - j)
-                    for j, lam in zip(self.sets.neg_indices, lambdas)]
+    def parametrized(self):
+        """Vertex max_i (l*|a_{j_i}|/a_n)^(1/(n-j_i)): the weights 1/l over
+        the l negative indices j_i."""
+        an, ell = self.f.leading_coefficient(), len(self.sets.neg_indices)
+        radicals = [self.root(-self.f.coeffs[j] * ell, an, self.n - j)
+                    for j in self.sets.neg_indices]
         return _max(*radicals), "parametrized"
 
     def min_over_positives(self):
-        self.require_negative("sector_min_over_positives")
+        """Vertex min over the positive indices k above the last negative
+        index of max_i (L/a_k)^(1/(k-j_i))."""
         candidates = [self.over_negatives(self.sets.neg_sum_abs, self.f.coeffs[k], k)
                       for k in self.sets.pos_indices_above]
         return _min(*candidates), "min-over-positives"
 
     def summed_denominator(self):
-        self.require_negative("sector_summed_denominator")
+        """Vertex max{1, max_i (L/d)^(1/(k_1-j_i))}, d the sum of the positive
+        a_k above the last negative index and k_1 the least such k; clamped
+        at 1 even for a single such k, where it is weaker than neg-sum."""
         above = self.sets.pos_indices_above
         d = sum(self.f.coeffs[k] for k in above)
         ends = _max(self.one, self.over_negatives(self.sets.neg_sum_abs, d, above[0]))
         return ends, "summed-denominator"
 
     def sign_blocks(self):
-        if self.partition.sign_changes < 1:
-            raise ValueError("sector_sign_blocks needs at least one sign change")
+        """Vertex max over the sign blocks of max{1, max_i (S-/S+)^(1/(p-i))}."""
         per_block = [_max(self.one, self.endpoint_max(block.neg_sum, block.pos_sum,
                                                       block.pos_lo - block.neg_lo,
                                                       block.pos_lo - block.neg_hi))
@@ -216,7 +210,8 @@ class _Estimates(_Vertices):
     end, so a candidate whose estimate less 2^-20 is at or above
     log2(b) + 2^-20, for the computed log2 of a rational b of few bits, has
     V > b: its upper end exceeds b.  Any choice of sector is sound; the
-    margin only keeps best_sector equal to best_of(sector_candidates).
+    margin only keeps best_sector equal to the first candidate with the
+    least upper end.
     exceeds, which refuses, checks bounded first: past it no estimate
     refuses, and the exact vertex decides.  The shifted sectors are
     estimated at their vertex alpha whether or not the shift applies; the
@@ -252,80 +247,19 @@ class _Estimates(_Vertices):
                                  >= _log2(b.numerator, b.denominator) + _MARGIN)
 
 
-def _produce(f: Polynomial, digits: int, produce) -> Optional[Sector]:
-    """The Sector that one producer builds for f, or None, from f's plan:
-    a public producer pays for the plan's float pass over every producer."""
-    vertices = _Vertices(_Estimates(f), digits)
-    built = produce(vertices)
-    return None if built is None else vertices.as_sector(*built)
-
-
-def sector_neg_sum(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
-    """Vertex max_i (L/a_n)^(1/(n-j_i)) where L is the absolute value of the
-    sum of the negative coefficients; the max is attained at an endpoint
-    index, so only those are evaluated."""
-    return _produce(f, digits, methodcaller("neg_sum"))
-
-
-def sector_parametrized(f: Polynomial, lambdas: Sequence[Fraction],
-                        digits: int = DEFAULT_DIGITS) -> Sector:
-    """Vertex max_i (|a_{j_i}| / (lambda_i * a_n))^(1/(n-j_i)) for a chosen
-    positive weight vector summing exactly to 1."""
-    vertices = _Vertices(_Estimates(f), digits)
-    vertices.require_negative("sector_parametrized")
-    ell = len(vertices.sets.neg_indices)
-    lams = [Fraction(l) for l in lambdas]
-    if len(lams) != ell:
-        raise ValueError(f"expected {ell} weights, got {len(lams)}")
-    if any(l <= 0 for l in lams):
-        raise ValueError("weights must be positive")
-    if sum(lams) != 1:
-        raise ValueError("weights must sum exactly to 1")
-    return vertices.as_sector(*vertices.parametrized(lams))
-
-
-def sector_min_over_positives(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
-    """Vertex min over the positive indices k above the last negative index of
-    max_i (L/a_k)^(1/(k-j_i))."""
-    return _produce(f, digits, methodcaller("min_over_positives"))
-
-
-def sector_summed_denominator(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
-    """Vertex max{1, max_i (L/d)^(1/(k_1-j_i))} where d sums the positive
-    coefficients above the last negative index and k_1 is the lowest of them.
-
-    The clamp at 1 stays even when there is a single such positive index;
-    that case is weaker than sector_neg_sum but kept for uniformity.
-    """
-    return _produce(f, digits, methodcaller("summed_denominator"))
-
-
-def sector_sign_blocks(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
-    """Vertex max over sign blocks of max{1, max_i (S-/S+)^(1/(p-i))}, the
-    per-block vertices of the run decomposition."""
-    return _produce(f, digits, methodcaller("sign_blocks"))
-
-
-def sector_shifted(f: Polynomial, alpha) -> Optional[Sector]:
-    """Vertex alpha whenever every partial sum at alpha is non-negative
-    (exact check); None otherwise."""
-    return _produce(f, DEFAULT_DIGITS, methodcaller("shifted", Fraction(alpha)))
-
-
 def _producers(vertices: _Vertices) -> list:
     """The producers that apply to the polynomial of vertices, each a call
     on a _Vertices, in the fixed preference order used for tie-breaking.
     The shifted sectors use alpha in {0, 1}; a shift by 1 that does not
     apply gives None."""
-    ell = len(vertices.sets.neg_indices)
-    if not ell:
+    if not vertices.sets.neg_indices:
         # a shift by 0 applies just when no coefficient is negative: the
         # partial sums at 0 are the coefficients
         return [methodcaller("neg_sum"), methodcaller("shifted", 0), methodcaller("shifted", 1)]
     # the leading coefficient is positive, so a negative one is a sign change
     return [*map(methodcaller, ("neg_sum", "min_over_positives", "summed_denominator",
                                 "sign_blocks")),
-            methodcaller("shifted", 1), methodcaller("parametrized", [Fraction(1, ell)] * ell)]
+            methodcaller("shifted", 1), methodcaller("parametrized")]
 
 
 def sector_candidates(f: Polynomial, digits: int = DEFAULT_DIGITS) -> list[Sector]:
@@ -341,15 +275,9 @@ def _planned_candidates(plan: _Estimates, digits: int) -> list[Sector]:
     return [vertices.as_sector(*b) for b in built if b is not None]
 
 
-def best_of(sectors: Sequence[Sector]) -> Sector:
-    """The sector with the smallest conservative vertex; ties go to the one
-    listed earliest."""
-    return min(sectors, key=lambda s: s.vertex.upper)
-
-
 def best_sector(f: Polynomial, digits: int = DEFAULT_DIGITS) -> Sector:
-    """best_of(sector_candidates(f, digits)), building only the candidates
-    that can win: planned_sector of f's plan."""
+    """The first of sector_candidates(f, digits) with the least vertex.upper,
+    building only the candidates that can win: planned_sector of f's plan."""
     return planned_sector(_Estimates(f), digits)
 
 

@@ -5,15 +5,50 @@ built by the old two-iroot grid step, and composite vertices combine
 them with enclose_max and enclose_min.  _scaled_root is the integer
 radical that sectors.py kept beside rounding's nth_root_bounds before the
 two became one kernel (rounding._root_ends), kept verbatim; its
-nth_root_bounds is the one here."""
+nth_root_bounds is the one here.  sector_nonneg, sector_shifted and
+best_of are the public producers and rule that sectors.py had before its
+plan became the only way to a sector, kept verbatim (sector_shifted from
+before the plan), so nothing here imports the code it checks."""
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from polycert.poly import Polynomial, sign_blocks, sign_index_sets
+from polycert.poly import Polynomial, partial_sums, sign_blocks, sign_index_sets
 from polycert.rounding import (DEFAULT_DIGITS, BoundedReal, Rat, _refine,
                                iroot)
-from polycert.sectors import (Sector, _require_analyzable, sector_nonneg,
-                              sector_shifted)
+from polycert.sectors import Sector
+
+
+def _require_analyzable(f: Polynomial) -> None:
+    if f.degree() < 1:
+        raise ValueError("sector producers need degree >= 1")
+    if f.leading_coefficient() <= 0:
+        raise ValueError("sector producers need a positive leading coefficient")
+
+
+def sector_nonneg(f: Polynomial) -> Sector:
+    """Vertex 0 for polynomials with non-negative coefficients: the imaginary
+    part of f is sign-definite off the positive real axis within the sector."""
+    _require_analyzable(f)
+    if any(c < 0 for c in f.coeffs):
+        raise ValueError("sector_nonneg needs all coefficients >= 0")
+    return Sector(BoundedReal.exact(0), f.degree(), "nonneg")
+
+
+def sector_shifted(f: Polynomial, alpha) -> Optional[Sector]:
+    """Vertex alpha whenever every partial sum at alpha is non-negative
+    (exact check); None otherwise."""
+    _require_analyzable(f)
+    alpha = Fraction(alpha)
+    ps = partial_sums(f, alpha)
+    if not ps.all_nonneg:
+        return None
+    return Sector(BoundedReal.exact(alpha), f.degree(), f"shifted:{alpha}")
+
+
+def best_of(sectors: Sequence[Sector]) -> Sector:
+    """The sector with the smallest conservative vertex; ties go to the one
+    listed earliest."""
+    return min(sectors, key=lambda s: s.vertex.upper)
 
 
 def enclose_max(*values: BoundedReal) -> BoundedReal:

@@ -11,6 +11,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from sympy import Poly, symbols
+
 from polycert.arith import is_prime, next_prime
 from polycert.certify import (Certifier, certificate_verify, certify_any,
                               certify_combined_report, certify_negative_m,
@@ -21,8 +23,7 @@ from polycert.lens import (DegenerateLensError, Lens, interval_cot,
 from polycert.oracles import in_sector, irreducible_bruteforce, roots_numeric
 from polycert.poly import Polynomial, parse_polynomial, partial_sums
 from polycert.rounding import BoundedReal, _pi_bits, cot_pi_frac, sin_pi_frac
-from polycert.sectors import (sector_candidates, sector_min_over_positives,
-                              sector_neg_sum)
+from polycert.sectors import sector_candidates
 from polycert.poly import sign_index_sets
 
 from conftest import random_polynomial
@@ -181,8 +182,8 @@ def test_acceptance_7_dominance_and_inclusion(fuzz_corpus):
         for f in fuzz_corpus:
             if not sign_index_sets(f).neg_indices:
                 continue
-            assert sector_min_over_positives(f).vertex.upper \
-                <= sector_neg_sum(f).vertex.upper, f
+            upper = {s.method: s.vertex.upper for s in sector_candidates(f)}
+            assert upper["min-over-positives"] <= upper["neg-sum"], f
         for n in range(3, 13):
             for vt in _vt_grid(n):
                 lens = Lens(BoundedReal.exact(vt), n)
@@ -196,6 +197,7 @@ def test_acceptance_8_partial_sum_shift_exhaustive():
     with criterion(8, "all degree-3 polynomials with coefficients in [-3,3]: "
                       "non-negative partial sums imply non-negative shift"):
         t0 = time.monotonic()
+        x = symbols("x")
         span = range(-3, 4)
         checked = 0
         for a3 in range(1, 4):
@@ -205,7 +207,8 @@ def test_acceptance_8_partial_sum_shift_exhaustive():
                         f = Polynomial([a0, a1, a2, a3])
                         if partial_sums(f, 1).all_nonneg:
                             checked += 1
-                            assert all(c >= 0 for c in f.shift(1)), f
+                            shifted = Poly([a3, a2, a1, a0], x).shift(1)
+                            assert all(c >= 0 for c in shifted.all_coeffs()), f
         assert checked > 0
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0, f"took {elapsed:.2f}s"

@@ -13,21 +13,18 @@ PUBLIC = [
     "Lens", "MalformedCertificateError", "ParseError", "PartialSums",
     "Polynomial", "PrimalityResult", "PrimalityStatus", "RootSet",
     "SearchReport", "Sector", "SignBlock", "SignBlockPartition",
-    "SignIndexSets", "arith", "best_of", "best_sector", "certificate_verify",
+    "SignIndexSets", "arith", "best_sector", "certificate_verify",
     "certify", "certify_any", "certify_negative_m", "extract_witness_report",
     "has_rational_root", "in_sector", "interval_cot", "interval_disk_in_lens",
     "irreducible_bruteforce", "is_prime", "lens", "lens_of", "nth_root_bounds",
     "oracles", "p_adic_valuation", "parse_polynomial", "partial_sums", "poly",
-    "roots_numeric", "rounding", "search_m", "sector_candidates",
-    "sector_min_over_positives", "sector_neg_sum", "sector_nonneg",
-    "sector_parametrized", "sector_shifted", "sector_sign_blocks",
-    "sector_summed_denominator", "sectors", "shift_coeffs", "sign_blocks",
-    "sign_index_sets",
+    "roots_numeric", "rounding", "search_m", "sector_candidates", "sectors",
+    "sign_blocks", "sign_index_sets",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC) == 58
+    assert len(PUBLIC) == 49
     assert sorted(polycert.__all__) == PUBLIC
 
 

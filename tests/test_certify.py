@@ -360,6 +360,39 @@ def test_search_validates_range():
         search_m(FLAGSHIP, 0, 4)
 
 
+# The thm39_lens certificate that certify_any issued for -X^4 + 700 at m = 3
+# while the lens criterion did not check the leading coefficient's sign.
+NEGATIVE_LEADING_LENS = json.loads('''{"schema": 1, "polynomial": [700, 0, 0, 0, -1],
+ "m": 3, "criterion": "thm39_lens", "region": {"kind": "lens-interval", "lens":
+ {"v_tilde_lower": "0.194413084181395134", "v_tilde_upper": "0.194413084181398688",
+ "n": 4, "method": "neg-sum"}, "intervals": [{"lo": "1.988656639963049624",
+ "hi": "3.155030083647338223", "source": "thm_disk_in_lens", "empty": false},
+ {"lo": "2.414213562373095049", "hi": "2.729473161237245800", "source": "cor_cot",
+ "empty": false}]}, "witness": {"p": 619, "k": 1, "q": 1, "ell": null, "r": null,
+ "s": null, "alternatives": []}, "checks": [{"description":
+ "reciprocal vertex below tan(pi/(2n))/2", "left": "0.194413084181398688",
+ "right": "0.207106781186547524", "margin": "0.012693697005148836"},
+ {"description": "m above disk-in-lens interval lower end",
+ "left": "1.988656639963049624", "right": "3.000000000000000000",
+ "margin": "1.011343360036950376"}, {"description":
+ "m below disk-in-lens interval upper end", "left": "3.000000000000000000",
+ "right": "3.155030083647338223", "margin": "0.155030083647338223"}],
+ "primality": "proven_prime", "conditional": false, "q_max": 1, "digits": 12,
+ "negated_argument": false}''')
+
+
+def test_a_negative_leading_coefficient_is_refused_at_every_m():
+    # the lens criterion checks the sector criteria's contract, so the answer
+    # does not depend on whether the lens admits m
+    f = Polynomial([700, 0, 0, 0, -1])
+    for m in range(1, 6):
+        with pytest.raises(ValueError, match="needs a positive leading coefficient"):
+            certify_any(f, m)
+    with pytest.raises(ValueError, match="needs a positive leading coefficient"):
+        search_m(f, 1, 10)
+    assert certificate_verify(NEGATIVE_LEADING_LENS) is False
+
+
 def test_search_modes_restriction():
     f = parse_polynomial("X^2+X+1")
     report = search_m(f, 2, 2, modes=("prime_power",))

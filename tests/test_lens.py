@@ -14,9 +14,9 @@ from polycert.lens import (DegenerateLensError, Lens, _check_narrow_vertex, _nar
 from polycert.poly import Polynomial, parse_polynomial
 from polycert.rounding import (BoundedReal, cot_pi_frac, nth_root_bounds,
                                sin_pi_frac, tan_pi_frac)
-from polycert.sectors import best_of, best_sector
+from polycert.sectors import best_sector
 
-from sector_reference import reference_candidates
+from sector_reference import best_of, reference_candidates
 
 mpmath.mp.dps = 50
 

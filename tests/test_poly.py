@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 from polycert import poly
 from polycert.poly import (MAX_NESTING, MAX_PARSE_WORK, ParseError, PartialSums,
                            Polynomial, divide_exact, parse_polynomial,
-                           partial_sums, shift_coeffs, sign_blocks,
-                           sign_index_sets)
+                           partial_sums, sign_blocks, sign_index_sets)
 
 coeff_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=9)
 
@@ -152,17 +151,11 @@ def test_reciprocal_involution(coeffs):
 
 
 def test_shift_examples():
-    assert parse_polynomial("X^2-2*X+1").shift(1) == (0, 0, 1)
-    # (X+2)^3 - 2(X+2)^2 expands to X^3 + 4X^2 + 4X
-    assert parse_polynomial("X^3-2*X^2").shift(2) == (0, 4, 4, 1)
-    assert parse_polynomial("X^2").shift(Fraction(1, 2)) == (Fraction(1, 4), 1, 1)
-
-
-@given(coeff_lists, st.fractions(0, 3), st.fractions(0, 3))
-def test_shift_composes(coeffs, alpha, beta):
-    one = shift_coeffs(shift_coeffs(coeffs, alpha), beta)
-    two = shift_coeffs(coeffs, alpha + beta)
-    assert one == two
+    # the shift by one that Descartes' root isolation in arith uses
+    assert poly._shift_by_one([1, -2, 1]) == [0, 0, 1]
+    # (X+1)^3 - 2(X+1)^2 expands to X^3 + X^2 - X - 1
+    assert poly._shift_by_one([0, 0, -2, 1]) == [-1, -1, 1, 1]
+    assert poly._shift_by_one([Fraction(1, 2), 0, 1]) == [Fraction(3, 2), 2, 1]
 
 
 def test_divide_exact_examples():

@@ -11,7 +11,7 @@ from polycert.poly import Polynomial
 from polycert.rounding import (BoundedReal, cot_pi_frac, format_decimal,
                                iroot, nth_root_bounds, sin_pi_frac,
                                tan_pi_frac)
-from polycert.sectors import sector_neg_sum
+from polycert.sectors import sector_candidates
 from sector_reference import _scaled_root, nth_root_bounds as reference_nth_root_bounds
 
 mpmath.mp.dps = 50
@@ -149,8 +149,8 @@ def test_the_root_kernel_is_the_scaled_root_at_the_edges(num, den, e, s):
 
 @pytest.mark.parametrize("root", [
     pytest.param(lambda x: nth_root_bounds(x, 2), id="nth_root_bounds"),
-    pytest.param(lambda x: sector_neg_sum(Polynomial([-x.numerator, 0, x.denominator])).vertex,
-                 id="sector_neg_sum")])
+    pytest.param(lambda x: {s.method: s.vertex for s in sector_candidates(
+        Polynomial([-x.numerator, 0, x.denominator]))}["neg-sum"], id="sector_neg_sum")])
 def test_refine_doubles_until_the_lower_end_is_positive(root, monkeypatch):
     # sqrt(2 * 10^-200) ~ 2^-332: the builds at 48, 96 and 192 bits meet the
     # width target with a lower end of 0, and the one at 384 bits settles it

@@ -1,43 +1,63 @@
 import math
 import random
 from fractions import Fraction
+from operator import methodcaller
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy import Poly, symbols
 
 from polycert.certify import Certifier
 from polycert.lens import Lens, interval_disk_in_lens
 from polycert.poly import Polynomial, parse_polynomial, sign_blocks, sign_index_sets
 from polycert.rounding import nth_root_bounds
-from polycert.sectors import (_Estimates, best_of, best_sector,
-                              sector_candidates, sector_min_over_positives,
-                              sector_neg_sum, sector_nonneg,
-                              sector_parametrized, sector_shifted,
-                              sector_sign_blocks, sector_summed_denominator)
+from polycert.sectors import _Estimates, _Vertices, best_sector, sector_candidates
 
 from conftest import random_polynomial
-from sector_reference import reference_candidates
+from sector_reference import best_of, reference_candidates
+
+
+def candidate(f, method, digits=12):
+    """The sector of f's candidates with the method, or None."""
+    return {s.method: s for s in sector_candidates(f, digits)}.get(method)
+
+
+def methods(f):
+    return [s.method for s in sector_candidates(f)]
+
+
+def shifted(f, alpha):
+    """The plan's sector of vertex alpha for f, or None where a partial sum
+    at alpha is negative."""
+    vertices = _Vertices(_Estimates(f), 12)
+    built = vertices.shifted(Fraction(alpha))
+    return None if built is None else vertices.as_sector(*built)
+
+
+def sympy_shift(f, alpha):
+    """The coefficients of f(X + alpha), from sympy."""
+    x = symbols("x")
+    return Poly(list(reversed(f.coeffs)), x).shift(alpha).all_coeffs()
 
 
 def test_nonneg_digit_cubic():
-    s = sector_nonneg(parse_polynomial("X^3+9*X^2+7*X+3"))
+    s = candidate(parse_polynomial("X^3+9*X^2+7*X+3"), "nonneg")
     assert s.vertex.lower == s.vertex.upper == 0
     assert s.angle_denominator == 3
     assert s.half_angle_radians() == math.pi / 3
 
 
 def test_nonneg_linear():
-    s = sector_nonneg(parse_polynomial("X"))
+    s = candidate(parse_polynomial("X"), "nonneg")
     assert s.angle_denominator == 1 and s.vertex.upper == 0
 
 
 def test_nonneg_rejects_negative_coeff():
-    with pytest.raises(ValueError):
-        sector_nonneg(parse_polynomial("X^2-1"))
+    assert "nonneg" not in methods(parse_polynomial("X^2-1"))
 
 
 def test_neg_sum_reciprocal_quartic():
-    s = sector_neg_sum(parse_polynomial("2162*X^4-10*X+1"))
+    s = candidate(parse_polynomial("2162*X^4-10*X+1"), "neg-sum")
     cube = nth_root_bounds(Fraction(10, 2162), 3)
     assert s.vertex.lower == cube.lower and s.vertex.upper == cube.upper
     assert abs(float(s.vertex.upper) - 0.16661) < 1e-4
@@ -45,49 +65,28 @@ def test_neg_sum_reciprocal_quartic():
 
 def test_neg_sum_two_negatives_exact():
     # both negative endpoints: max(sqrt(5), 5) = 5; real roots are 3 and -1
-    s = sector_neg_sum(parse_polynomial("X^2-2*X-3"))
+    s = candidate(parse_polynomial("X^2-2*X-3"), "neg-sum")
     assert s.vertex.upper == 5
 
 
 def test_neg_sum_quartic_family():
-    s = sector_neg_sum(parse_polynomial("X^4-10*X^3+2162"))
+    s = candidate(parse_polynomial("X^4-10*X^3+2162"), "neg-sum")
     assert s.vertex.lower == s.vertex.upper == 10
 
 
 def test_parametrized_even_split():
-    s = sector_parametrized(parse_polynomial("2*X^2-X-1"),
-                            [Fraction(1, 2), Fraction(1, 2)])
+    # weights 1/2 each: max(2*1/2, (2*1/2)^(1/2)) = 1
+    s = candidate(parse_polynomial("2*X^2-X-1"), "parametrized")
     assert s.vertex.upper == 1
 
 
 def test_parametrized_single_weight():
-    s = sector_parametrized(parse_polynomial("X^3-X"), [Fraction(1)])
+    s = candidate(parse_polynomial("X^3-X"), "parametrized")
     assert s.vertex.upper == 1
 
 
-def test_parametrized_proportional_matches_neg_sum(fuzz_corpus):
-    for f in fuzz_corpus[:200]:
-        sets = sign_index_sets(f)
-        if not sets.neg_indices:
-            continue
-        lams = [Fraction(-f.coeffs[j], sets.neg_sum_abs) for j in sets.neg_indices]
-        prop = sector_parametrized(f, lams)
-        base = sector_neg_sum(f)
-        assert prop.vertex == base.vertex
-
-
-def test_parametrized_validates_weights():
-    f = parse_polynomial("2*X^2-X-1")
-    with pytest.raises(ValueError):
-        sector_parametrized(f, [Fraction(1)])
-    with pytest.raises(ValueError):
-        sector_parametrized(f, [Fraction(1, 2), Fraction(1, 3)])
-    with pytest.raises(ValueError):
-        sector_parametrized(f, [Fraction(3, 2), Fraction(-1, 2)])
-
-
 def test_min_over_positives_uses_big_coefficient():
-    s = sector_min_over_positives(parse_polynomial("X^3+100*X^2-X-1"))
+    s = candidate(parse_polynomial("X^3+100*X^2-X-1"), "min-over-positives")
     root = nth_root_bounds(Fraction(2, 100), 2)
     assert s.vertex.upper == root.upper
     assert abs(float(s.vertex.upper) - math.sqrt(0.02)) < 1e-9
@@ -95,67 +94,67 @@ def test_min_over_positives_uses_big_coefficient():
 
 def test_min_over_positives_single_k_matches_neg_sum():
     f = parse_polynomial("2162*X^4-10*X+1")
-    assert sector_min_over_positives(f).vertex == sector_neg_sum(f).vertex
+    assert candidate(f, "min-over-positives").vertex == candidate(f, "neg-sum").vertex
 
 
 def test_summed_denominator_clamps_at_one():
-    s = sector_summed_denominator(parse_polynomial("X^3+100*X^2-X-1"))
+    s = candidate(parse_polynomial("X^3+100*X^2-X-1"), "summed-denominator")
     assert s.vertex.upper == 1
 
 
 def test_summed_denominator_cubic():
     # roots are -1, 2, -2; L=8 over d=2 at k1=2 gives max(2, 4) = 4
-    s = sector_summed_denominator(parse_polynomial("X^3+X^2-4*X-4"))
+    s = candidate(parse_polynomial("X^3+X^2-4*X-4"), "summed-denominator")
     assert s.vertex.upper == 4
 
 
 def test_summed_denominator_single_variation_balanced():
     # positive run sums to 3 >= L = 2, so the clamp takes over
-    s = sector_summed_denominator(parse_polynomial("X^3+2*X^2-X-1"))
+    s = candidate(parse_polynomial("X^3+2*X^2-X-1"), "summed-denominator")
     assert s.vertex.upper == 1
 
 
 def test_sign_blocks_worked_example():
-    s = sector_sign_blocks(parse_polynomial("2*X^9+5*X^8-7*X^5-3*X^3+X^2-8*X-1"))
+    s = candidate(parse_polynomial("2*X^9+5*X^8-7*X^5-3*X^3+X^2-8*X-1"), "sign-blocks")
     assert s.vertex.upper == 9
     assert s.angle_denominator == 9
 
 
 def test_sign_blocks_single_change_dominant():
-    s = sector_sign_blocks(parse_polynomial("5*X^3+2*X^2-X-2"))
+    s = candidate(parse_polynomial("5*X^3+2*X^2-X-2"), "sign-blocks")
     assert s.vertex.upper == 1
 
 
 def test_sign_blocks_balanced_ratio():
-    s = sector_sign_blocks(parse_polynomial("X^2-X"))
+    s = candidate(parse_polynomial("X^2-X"), "sign-blocks")
     assert s.vertex.upper == 1
 
 
 def test_sign_blocks_need_a_change():
-    with pytest.raises(ValueError):
-        sector_sign_blocks(parse_polynomial("X^2+1"))
+    assert "sign-blocks" not in methods(parse_polynomial("X^2+1"))
 
 
 def test_shifted_zero_for_nonneg():
-    s = sector_shifted(parse_polynomial("X^2+3*X+1"), 0)
+    s = candidate(parse_polynomial("X^2+3*X+1"), "shifted:0")
     assert s is not None and s.vertex.upper == 0
 
 
 def test_shifted_absent_when_sums_dip():
-    assert sector_shifted(parse_polynomial("X^3-X^2-X+2"), 1) is None
+    f = parse_polynomial("X^3-X^2-X+2")
+    assert "shifted:1" not in methods(f) and shifted(f, 1) is None
 
 
 def test_shifted_square():
-    s = sector_shifted(parse_polynomial("X^2-2*X+1"), 2)
-    assert s is not None and s.vertex.upper == 2
+    s = shifted(parse_polynomial("X^2-2*X+1"), 2)
+    assert s is not None and s.vertex.upper == 2 and s.method == "shifted:2"
 
 
 def test_shift_soundness(fuzz_corpus):
     for f in fuzz_corpus[:300]:
         for alpha in (0, 1, 2):
-            s = sector_shifted(f, alpha)
+            s = shifted(f, alpha)
             if s is not None:
-                assert all(c >= 0 for c in f.shift(alpha))
+                assert all(c >= 0 for c in sympy_shift(f, alpha)), (f, alpha)
 
 
 def test_best_sector_nonneg():
@@ -179,7 +178,7 @@ def test_dominance_min_over_vs_neg_sum(fuzz_corpus):
     for f in fuzz_corpus[:300]:
         if not sign_index_sets(f).neg_indices:
             continue
-        assert sector_min_over_positives(f).vertex.upper <= sector_neg_sum(f).vertex.upper
+        assert candidate(f, "min-over-positives").vertex.upper <= candidate(f, "neg-sum").vertex.upper
 
 
 def test_endpoint_rule_matches_full_max():
@@ -193,7 +192,7 @@ def test_endpoint_rule_matches_full_max():
         base = Fraction(sets.neg_sum_abs, f.leading_coefficient())
         full_upper = max(nth_root_bounds(base, n - j).upper for j in sets.neg_indices)
         full_lower = max(nth_root_bounds(base, n - j).lower for j in sets.neg_indices)
-        v = sector_neg_sum(f).vertex
+        v = candidate(f, "neg-sum").vertex
         # both enclose the same true maximum, so they must overlap
         assert full_lower <= v.upper and v.lower <= full_upper
 
@@ -241,13 +240,11 @@ def test_candidates_compute_each_radical_once_per_call(radical_calls):
     f = parse_polynomial("3*X^8-5*X^7+2*X^6-7*X^4+X^3+4*X^2-6*X+9")
     assert sum(b.has_negative_part() for b in sign_blocks(f).blocks) == 3
     needed = set()
-    for producer in (sector_neg_sum, sector_min_over_positives,
-                     sector_summed_denominator, sector_sign_blocks):
-        producer(f)
+    for method in ("neg_sum", "min_over_positives", "summed_denominator",
+                   "sign_blocks", "parametrized"):
+        methodcaller(method)(_Vertices(_Estimates(f), 12))
         needed.update(radical_calls)
         radical_calls.clear()
-    sector_parametrized(f, [Fraction(1, 3)] * 3)
-    needed.update(radical_calls)
     for _ in range(2):  # the second call computes them again: no memo outlives a call
         radical_calls.clear()
         sector_candidates(f)
