@@ -12,7 +12,7 @@ grouped in runs of consecutive primes, each with its product; a value meets
 each run in one gcd, and only a run that shares a prime with it is walked.
 A split (_Split) is decided once for both witness modes, each decision made
 only when a mode asks for it; the certifier keeps one per f(m) and q_max,
-and the two passes of a replay share it.  A replay whose checked witness
+and a replay builds one.  A replay whose checked witness
 is a proven prime p > q_max times q builds its split from q alone
 (_seeded_split), without the runs.
 The factoring that the brute-force oracle needs lives in oracles.py.

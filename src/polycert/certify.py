@@ -17,14 +17,9 @@ each real-number inequality together with its conservatively rounded bounds
 and a strictly positive margin.  certificate_verify first checks that the
 recorded witness multiplies out, p^k*q = f(m) modulo 2^61 - 1, so a forged
 certificate fails before any region or split is built.  It then re-derives
-everything at the recorded precision (field-exact replay), and requires
-only that the same criterion still certify m at doubled precision (margin
-discipline), under either of its tags.  The second pass builds its regions
-afresh but reuses what the first pass's own rebuild decided that does not
-depend on digits (Certifier.at_digits): f(m) with its split and
-primality, f', whether f has a rational root, and both sector plans.  From
-the certificate replay takes only what the check proved: f(m), and for a
-proven prime p > q_max > 1000 times the recorded q, the split of f(m)
+everything at the recorded precision, once, and compares field for field.
+From the certificate replay takes only what the check proved: f(m), and for
+a proven prime p > q_max > 1000 times the recorded q, the split of f(m)
 built from q.
 """
 from __future__ import annotations
@@ -163,9 +158,6 @@ def _validate_sector_input(f: Polynomial) -> None:
 
 # The order criteria are tried in: the lens admits the smallest arguments.
 DEFAULT_MODES = ("lens", "pq", "prime_power")
-# The attributes of a Certifier that do not depend on its digits.
-_DIGIT_FREE = ("_m", "_value", "_splits", "_sector_degree", "derivative",
-               "rational_root_exists", "plan", "lens_plan")
 
 
 class Certifier:
@@ -193,17 +185,6 @@ class Certifier:
         self._m: Optional[int] = None  # the argument f(m) and _splits belong to
         self._value = 0
         self._splits: dict[int, _Split] = {}
-
-    def at_digits(self, digits: int) -> "Certifier":
-        """A Certifier of f and q_max at other digits that starts with this
-        one's state that does not depend on digits: f(m) with its splits
-        and whatever they have decided, f', whether f has a rational root,
-        the degree check and the sector plans.  Its regions are built
-        afresh from those plans."""
-        other = Certifier(self.f, self.q_max, digits)
-        mine = self.__dict__
-        other.__dict__.update((name, mine[name]) for name in _DIGIT_FREE if name in mine)
-        return other
 
     @cached_property
     def sectors(self) -> list[Sector]:
@@ -646,15 +627,9 @@ def certificate_verify(cert) -> bool:
     +-f(-X) at -m when negated_argument is set, before any region or split
     is built.  The certificate is then recomputed at its recorded
     precision, on the same form, and must match field for field, in value
-    and in type; that pins the criterion tag.  The recorded criterion alone
-    is then run again at doubled precision and must still certify m: its
-    margins stay strictly positive, though a tighter enclosure may name a
-    sibling tag (cor310_cot for thm39_lens, thm31_pq for thm31_sqrt_q).
-    That second pass runs on Certifier.at_digits of the first pass's
-    Certifier, so f(m) is split and its primality decided once, and f', the
-    rational-root test and the degree check are not repeated; the regions
-    are rebuilt at the doubled digits.  Structural problems raise
-    MalformedCertificateError; any mismatch returns False.
+    and in type; that pins the criterion tag, and every recorded inequality
+    is proved from outward-rounded enclosures at those digits.  Structural
+    problems raise MalformedCertificateError; any mismatch returns False.
     """
     data = cert.to_json() if isinstance(cert, Certificate) else cert
     f, m, criterion, q_max, digits, negated = _fields(data)
@@ -666,6 +641,4 @@ def certificate_verify(cert) -> bool:
     if replay is None:
         return False
     rebuilt = (_restated(replay, f, m) if negated else replay).to_json()
-    if rebuilt != data or not _same_types(rebuilt, data):
-        return False
-    return _rebuild(ctx.at_digits(2 * digits), k, criterion) is not None
+    return rebuilt == data and _same_types(rebuilt, data)

@@ -55,8 +55,9 @@ MAX_DIGITS = 200
 # The entries of each of the two trig memos: sin, cos, tan and cot per
 # (fn, num, den, digits), and pi on the 2^-bits grid.  The keys hold
 # c = num/den = 1/n or 1/(2n) for n up to a degree and digits up to
-# 2*MAX_DIGITS (replay doubles the digits); a fixed bound keeps a process
-# that walks through degrees or digits from growing either memo.
+# MAX_DIGITS (replay computes at the recorded digits only); a fixed bound
+# keeps a process that walks through degrees or digits from growing either
+# memo.
 TRIG_MEMO_SIZE = 256
 # The extra bits of the fixed-point series sums; at least 1, or a series
 # never stops.  The rounding error of J terms, about J * 2^-(bits+_GUARD),

@@ -144,6 +144,15 @@ def test_sized_bases_agree_with_sympy_and_with_all_bases():
             assert res.is_prime == sympy.isprime(x)
 
 
+def test_the_lucas_test_refuses_a_square_at_once(deadline):
+    # (D/n) is never -1 for a square n, so without the perfect-square guard
+    # the Selfridge search walks D up to n's least prime factor: about 1.5 s
+    # for 1000003 and ten times that for 10000019
+    deadline(1)
+    assert arith._strong_lucas_test(1000003**2) is False
+    assert arith._strong_lucas_test(10000019**2) is False
+
+
 def test_p_adic_examples():
     assert p_adic_valuation(12, 2) == (2, 3)
     assert p_adic_valuation(1973, 2) == (0, 1973)
@@ -519,10 +528,9 @@ def test_a_replay_splits_its_value_once(monkeypatch):
     calls = []
     sieved = arith._sieved
     monkeypatch.setattr(arith, "_sieved", lambda n: calls.append(n) or sieved(n))
-    assert certify.certificate_verify(cert.to_json())  # rebuilt at 12 and 24 digits
+    assert certify.certificate_verify(cert.to_json())  # rebuilt at 12 digits
     assert calls == []
-    # f(100002) = 100003^2: k = 2 takes the full split, walked once for both
-    # passes
+    # f(100002) = 100003^2: k = 2 takes the full split, walked once
     f = parse_polynomial("X^2+200005")
     cert = certify.certify_any(f, 100002, q_max=10**5)
     assert cert.criterion == "thm35_prime_power" and cert.witness.k == 2

@@ -1,9 +1,11 @@
 """Golden enclosure endpoints at the precisions test_golden_rounding.py leaves
-out: pi and the sin/tan/cot constants for n = 4 and 7 at 400 digits (the
-doubled precision certificate_verify reaches for a digits-200 certificate).
-They were recorded from the Fraction-based series code before the series
-were summed over unreduced integers, and the data file is never regenerated
-to make this test pass.
+out: pi and the sin/tan/cot constants for n = 4 and 7 at 400 digits, twice
+the largest digits a certificate records.  Replay asks for no more than a
+certificate's own digits, so these cases are goldens of the rounding code
+alone, at a precision past every certificate's.  They were recorded from
+the Fraction-based series code before the series were summed over
+unreduced integers, and the data file is never regenerated to make this
+test pass.
 """
 import json
 from fractions import Fraction as F

@@ -4,7 +4,10 @@ certificate_verify first asks whether the recorded p^k * q equals f(m)
 modulo 2^61 - 1, and a proven prime p > q_max times the recorded q gives the
 split of f(m) without the runs of primes up to q_max.  The verdicts must be
 those of the replay alone: reference_verify below is certificate_verify as
-it was before the check, kept verbatim.
+it was before the check, with its second pass, which ran the recorded
+criterion again at doubled digits, on a fresh Certifier.  So the
+differential tests also pin that dropping that pass changed no verdict on
+their honest and tampered certificates.
 """
 import copy
 import json
@@ -36,7 +39,7 @@ def reference_verify(cert) -> bool:
     rebuilt = (_restated(replay, f, m) if negated else replay).to_json()
     if rebuilt != data or not _same_types(rebuilt, data):
         return False
-    return _rebuild(ctx.at_digits(2 * digits), k, criterion) is not None
+    return _rebuild(Certifier(g, q_max, 2 * digits), k, criterion) is not None
 
 
 def outcome(verify, data):
@@ -165,7 +168,7 @@ def test_a_tampered_certificate_keeps_its_verdict(index, negated, tampers):
 
 def test_an_honest_replay_evaluates_f_at_m_once(monkeypatch):
     # the check runs over residues; f(m) is evaluated exactly only after it
-    # passes, and both passes of the replay take that value
+    # passes, and the replay takes that value
     data = certify_any(FLAGSHIP, 3).to_json()
     points = []
     evaluate = Polynomial.evaluate
@@ -242,7 +245,7 @@ def test_a_proven_prime_past_q_max_is_seeded(monkeypatch):
     data = issued(THREE_TIMES, 5, 10**4)
     assert (data["witness"]["p"], data["witness"]["q"]) == (P_PRIME, 3)
     assert certificate_verify(data) is True
-    assert len(calls) == 1  # both passes share it
+    assert len(calls) == 1  # one seeded split per replay
 
 
 @pytest.mark.parametrize("case", ["p = 3*P'", "p past DETERMINISTIC_LIMIT", "k > 1",
