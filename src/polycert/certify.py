@@ -7,10 +7,13 @@ f, and the lens comes from the reciprocal's sector.  A Certifier holds that
 per-polynomial part for one f (the sector plans of f and its reciprocal,
 the best sector, the lens and its admissible intervals or why there are
 none, and whether f has a rational root), builds each piece at most
-once, and not at all when the estimate decides, and tries the criteria at
-each m in one fixed order; the sin and tan bounds come from the trig memo in
-rounding.
-certify_any, search_m, certify_negative_m and replay all run through it.
+once, and not at all when the estimate decides; the sin and tan bounds come
+from the trig memo in rounding.  It decides each m once, from one record of
+f(m) and its split: the criteria are taken in one fixed order, and one is
+entered only when its witness exists, so a composite f(m) costs its split
+and no criterion.  certify_any, search_m and certify_negative_m check their
+modes once per call and run through that decision; replay enters the
+recorded criterion directly.
 
 Every certificate records the region used, the factorization witness, and
 each real-number inequality together with its conservatively rounded bounds
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import (DETERMINISTIC_LIMIT, MAX_Q_MAX, FactorizationWitness,
                     PrimalityStatus, _seeded_split, _Split, has_rational_root, is_prime)
@@ -158,6 +161,7 @@ def _validate_sector_input(f: Polynomial) -> None:
 
 # The order criteria are tried in: the lens admits the smallest arguments.
 DEFAULT_MODES = ("lens", "pq", "prime_power")
+_KNOWN_MODES = frozenset(DEFAULT_MODES)
 
 
 class Certifier:
@@ -170,21 +174,32 @@ class Certifier:
     which sector candidates are built, whether the lens is degenerate, and,
     where they can, the lens criterion's "vertex-too-large", which only
     lens_intervals gives; sectors, every candidate, is built only for
-    analyze.  f(m) is split once per q_max (arith._Split), or handed over
-    with its split by replay's witness check (_adopt), and the criteria
-    read their witnesses or reasons from that split: at q_max 1 the lens,
-    pq and prime_power criteria share one.  f'(m) is evaluated only for a
-    prime-power witness.  f(m) and its splits are kept for the latest m
-    only, so memory stays flat over any range of arguments.
+    analyze.
+
+    Each m is decided once (_decide), from one record: f(m), split once per
+    q_max (arith._Split) or handed over with its split by replay's witness
+    check (_adopt), and the last witness found.  At q_max 1 the lens, pq
+    and prime_power criteria share one split.  The criteria are taken in
+    DEFAULT_MODES order.  Where the record, or the lens's refusal on f
+    alone (lens_intervals), gives a criterion's reason, the reason is
+    appended and the criterion is not entered; a criterion is entered only
+    when its witness exists, and reads that witness from the record.  So
+    f'(m) is evaluated once, and only for a prime-power witness.  The
+    modes, digits, q_max and f are checked once per call (_criteria), not
+    once per m.  The record is kept for the latest m only, so memory stays
+    flat over any range of arguments.
     """
 
     def __init__(self, f: Polynomial, q_max: int = 1, digits: int = DEFAULT_DIGITS):
         self.f = f
         self.q_max = q_max
         self.digits = digits
-        self._m: Optional[int] = None  # the argument f(m) and _splits belong to
+        # the record of the latest m: f(m), its split per q_max, and the
+        # last witness found with its (q_max, mode)
+        self._m: Optional[int] = None
         self._value = 0
         self._splits: dict[int, _Split] = {}
+        self._found: Optional[tuple[tuple[int, str], tuple[FactorizationWitness, str]]] = None
 
     @cached_property
     def sectors(self) -> list[Sector]:
@@ -259,42 +274,89 @@ class Certifier:
     def _adopt(self, m: int, value: int, split: Optional[_Split]) -> None:
         """Take value as f(m), and split as its split at q_max, both computed
         by the caller (replay's witness check)."""
-        self._m, self._value = m, value
+        self._m, self._value, self._found = m, value, None
         self._splits = {} if split is None else {self.q_max: split}
 
     def _witness(self, m: int, q_max: int, mode: str,
                  ) -> tuple[Optional[FactorizationWitness], str]:
-        """extract_witness_report on f(m), from one split per (m, q_max)."""
+        """extract_witness_report on f(m), read from the record of m: the
+        split at q_max decides the mode once, and the witness found is kept
+        for the criterion that _decide enters next, so f'(m) is evaluated
+        once."""
         if self._m != m:
-            self._m, self._value, self._splits = m, self.f.evaluate(m), {}
+            self._m, self._value, self._splits, self._found = m, self.f.evaluate(m), {}, None
+        found = self._found
+        if found is not None and found[0] == (q_max, mode):
+            return found[1]
         split = self._splits.get(q_max)
         if split is None:
             split = self._splits[q_max] = _Split(self._value, q_max)
-        return split.witness(mode, lambda: self.derivative.evaluate(m))
+        result = split.witness(mode, self._derivative_value)
+        if result[0] is not None:
+            self._found = (q_max, mode), result
+        return result
 
-    def certify(self, m: int, modes: Optional[Sequence[str]] = None,
-                ) -> tuple[Optional[Certificate], list[str]]:
-        """The first certificate at m from the enabled criteria, tried in
-        DEFAULT_MODES order, and the reason of each criterion that failed;
-        ValueError for digits or q_max outside the ranges replay accepts."""
+    def _derivative_value(self) -> int:
+        """f'(m) for the m of the record.  _witness passes this bound method:
+        a closure over m would make _witness's locals cells, which measured
+        about 3% slower on planted_sweep's searches (Python 3.11)."""
+        return self.derivative.evaluate(self._m)
+
+    def _criteria(self, modes: Optional[Sequence[str]]) -> list[tuple[str, Callable]]:
+        """(mode, criterion) for each enabled mode, in DEFAULT_MODES order;
+        ValueError for no modes, an unknown mode, digits or q_max outside
+        the ranges replay accepts, or an f outside the criteria's contract,
+        in the order the criteria would raise."""
         if not (1 <= self.digits <= MAX_DIGITS and 1 <= self.q_max <= MAX_Q_MAX):
             raise ValueError(f"digits must be in 1..{MAX_DIGITS} and q_max in 1..{MAX_Q_MAX}")
         if modes is None:
             modes = DEFAULT_MODES
         else:
             modes = tuple(modes)
-            unknown = set(modes) - set(DEFAULT_MODES)
-            if unknown:
-                raise ValueError(f"unknown modes {sorted(unknown)}; known: {list(DEFAULT_MODES)}")
+            if not _KNOWN_MODES.issuperset(modes):
+                unknown = sorted(set(modes) - _KNOWN_MODES)
+                raise ValueError(f"unknown modes {unknown}; known: {list(DEFAULT_MODES)}")
+            if not modes:
+                raise ValueError(f"no modes given; known: {list(DEFAULT_MODES)}")
+        # the criteria's contract on f (ValueError), which the lens criterion
+        # checks only when f has a lens plan
+        if ("lens" in modes and self.lens_plan[0] is not None
+                or "pq" in modes or "prime_power" in modes):
+            self._sector_degree
         namespace = globals()
+        return [(mode, namespace[_CRITERIA[mode]]) for mode in DEFAULT_MODES
+                if mode in modes]
+
+    def _decide(self, m: int, criteria: list[tuple[str, Callable]],
+                ) -> tuple[Optional[Certificate], list[str]]:
+        """certify at m with criteria from _criteria.  A criterion is entered
+        only when its witness exists; otherwise its reason is read from the
+        record of m, or, for the lens, first from lens_intervals.  Below
+        m = 1 every criterion is entered, and raises or refuses itself."""
         reasons: list[str] = []
-        for mode in DEFAULT_MODES:
-            if mode in modes:
-                cert, reason = namespace[_CRITERIA[mode]](self, m)
+        for mode, criterion in criteria:
+            if m < 1:
+                reason = "ok"
+            elif mode == "lens":
+                intervals, reason = self.lens_intervals
+                if intervals is not None:
+                    reason = self._witness(m, 1, "pq")[1]
+            else:
+                reason = self._witness(m, self.q_max, mode)[1]
+            if reason == "ok":
+                cert, reason = criterion(self, m)
                 if cert is not None:
                     return cert, reasons
-                reasons.append(reason)
+            reasons.append(reason)
         return None, reasons
+
+    def certify(self, m: int, modes: Optional[Sequence[str]] = None,
+                ) -> tuple[Optional[Certificate], list[str]]:
+        """The first certificate at m from the enabled criteria, tried in
+        DEFAULT_MODES order, and the reason of each criterion that failed;
+        ValueError for no modes, an unknown mode, or digits or q_max outside
+        the ranges replay accepts."""
+        return self._decide(m, self._criteria(modes))
 
 
 # -- criteria ------------------------------------------------------------------
@@ -312,10 +374,10 @@ def _sector_report(ctx: Certifier, m: int, mode: str, q_max: int,
     witness, reason = ctx._witness(m, q_max, mode)
     if witness is None:
         return None, reason
-    s = Fraction(0) if mode == "pq" else witness.s
+    s = 0 if mode == "pq" else witness.s
     vertex = ctx.sector.vertex.upper
     sine = sin_pi_frac(Fraction(1, n), digits).lower
-    radius_up = pow_upper(witness.p, s, digits) * witness.q
+    radius_up = pow_upper(witness.p, s, digits) * witness.q if s else witness.q
     threshold = vertex + radius_up / sine
     used_sqrt = False
     if not m > threshold:
@@ -371,17 +433,18 @@ def certify_lens_report(ctx: Certifier, m: int) -> tuple[Optional[Certificate], 
         return None, reason
     if not disk.contains_int(m):
         return None, "outside-region"
+    at = Fraction(m)
     checks = [
         Check("reciprocal vertex below tan(pi/(2n))/2", lens.v_tilde.upper,
               _narrow_bound(lens.n, ctx.digits)),
-        Check("m above disk-in-lens interval lower end", disk.lo, Fraction(m)),
-        Check("m below disk-in-lens interval upper end", Fraction(m), disk.hi),
+        Check("m above disk-in-lens interval lower end", disk.lo, at),
+        Check("m below disk-in-lens interval upper end", at, disk.hi),
     ]
     tag = CRIT_LENS
     if cot.contains_int(m):
         tag = CRIT_LENS_COT
-        checks.append(Check("m above cot interval lower end", cot.lo, Fraction(m)))
-        checks.append(Check("m below cot interval upper end", Fraction(m), cot.hi))
+        checks.append(Check("m above cot interval lower end", cot.lo, at))
+        checks.append(Check("m below cot interval upper end", at, cot.hi))
     region = {
         "kind": "lens-interval",
         "lens": lens.to_json(),
@@ -410,8 +473,11 @@ def _as_combined(cert: Certificate, branch: str, q_max: int) -> Certificate:
     return cert._replace(criterion=CRIT_COMBINED, region=region, q_max=q_max)
 
 
-# Mode -> the name of its criterion, looked up in globals() at each call so
-# that wrappers installed on this module's functions apply.
+# Mode -> the name of its criterion, looked up in globals() once per
+# certify or search_m call (Certifier._criteria), so that wrappers installed
+# on this module's functions apply.  The criteria stay self-contained: each
+# checks its region and witness itself, and the decision enters one only
+# when its witness exists.
 _CRITERIA = {"lens": "certify_lens_report", "pq": "certify_sector_pq_report",
              "prime_power": "certify_sector_prime_power_report",
              "combined": "certify_combined_report"}
@@ -467,19 +533,20 @@ def search_m(f: Polynomial, lo: int, hi: int, q_max: int = 1,
              modes: Optional[Sequence[str]] = None,
              digits: int = DEFAULT_DIGITS,
              exhaustive: bool = False) -> SearchReport:
-    """Scan m ascending through one Certifier; stops at the first
-    certificate unless exhaustive.  The range may span at most
-    MAX_SEARCH_SPAN values."""
+    """Scan m ascending through one Certifier, whose modes are checked
+    once for the whole range; stops at the first certificate unless
+    exhaustive.  The range may span at most MAX_SEARCH_SPAN values."""
     _check_search_range(lo, hi)
     _validate_sector_input(f)
 
     ctx = Certifier(f, q_max, digits)
+    criteria = ctx._criteria(modes)
     outcomes: list[SearchOutcome] = []
     certificate = None
     scanned_hi = lo - 1
     for m in range(lo, hi + 1):
         scanned_hi = m
-        cert, reasons = ctx.certify(m, modes)
+        cert, reasons = ctx._decide(m, criteria)
         if cert is None:
             outcomes.append(SearchOutcome(m, *_classify(reasons)))
             continue

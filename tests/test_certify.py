@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import random
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from polycert.arith import MAX_Q_MAX, extract_witness_report, is_prime
-from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT,
+from polycert.certify import (CRIT_COMBINED, CRIT_LEADING_DOMINANT, DEFAULT_MODES,
                               CRIT_LENS_COT, CRIT_NONNEG, CRIT_PARTIAL_SUMS,
                               MAX_SEARCH_SPAN,
                               CRIT_SINGLE_VARIATION, CRIT_THM_POWER,
@@ -255,10 +256,11 @@ class CountingDerivative:
     """Stands in for Certifier.derivative and counts its evaluations."""
 
     def __init__(self, f):
-        self.poly, self.calls = f.derivative(), 0
+        self.poly, self.calls, self.args = f.derivative(), 0, []
 
     def evaluate(self, m):
         self.calls += 1
+        self.args.append(m)
         return self.poly.evaluate(m)
 
 
@@ -283,6 +285,131 @@ def test_the_derivative_is_evaluated_only_for_a_prime_power_witness():
     ctx.derivative = counting = CountingDerivative(ctx.f)
     assert ctx.certify(2, ("prime_power",))[1] == ["outside-region"]
     assert counting.calls == 1
+
+
+class CountingModes(tuple):
+    """A set of modes that counts how often it is read whole."""
+
+    def __iter__(self):
+        self.reads = getattr(self, "reads", 0) + 1
+        return super().__iter__()
+
+
+def test_search_decides_each_m_once(monkeypatch):
+    # a search reads its modes once, splits f(m) once per m, enters a
+    # criterion only at an m where its witness exists, and evaluates f'(m)
+    # only at a prime-power witness, once
+    import polycert.certify as certify_module
+    f = parse_polynomial("(X^2+1)*(X^2+3)")
+    entered, values = [], []
+
+    def recording(name):
+        original = getattr(certify_module, name)
+
+        def wrapper(ctx, m):
+            entered.append((name, m))
+            return original(ctx, m)
+        monkeypatch.setattr(certify_module, name, wrapper)
+
+    for name in ("certify_lens_report", "certify_sector_pq_report",
+                 "certify_sector_prime_power_report"):
+        recording(name)
+    split = certify_module._Split
+
+    def counting_split(value, q_max):
+        values.append(value)
+        return split(value, q_max)
+    monkeypatch.setattr(certify_module, "_Split", counting_split)
+    counting = CountingDerivative(f)
+    monkeypatch.setattr(Certifier, "derivative", property(lambda ctx: counting))
+    modes = CountingModes(DEFAULT_MODES)
+
+    report = search_m(f, 1, 50, q_max=3, modes=modes, exhaustive=True)
+    assert report.certificate is None and len(report.outcomes) == 50
+    witnessed = {mode: [m for m in range(1, 51) if extract_witness_report(
+                     f.evaluate(m), f.derivative().evaluate(m), 3, mode)[0] is not None]
+                 for mode in ("pq", "prime_power")}
+    # the lens is degenerate, so its criterion is never entered
+    assert entered == sorted(
+        [("certify_sector_pq_report", m) for m in witnessed["pq"]]
+        + [("certify_sector_prime_power_report", m) for m in witnessed["prime_power"]],
+        key=lambda entry: (entry[1], entry[0] != "certify_sector_pq_report"))
+    composite = {o.m for o in report.outcomes if o.outcome == "value-composite"}
+    assert len(composite) > 40
+    assert not composite & {m for _, m in entered}
+    assert values == [f.evaluate(m) for m in range(1, 51)]
+    assert counting.args == witnessed["prime_power"]
+    assert modes.reads == 1
+
+
+MODE_SUBSETS = [subset for size in (1, 2, 3)
+                for subset in itertools.combinations(DEFAULT_MODES, size)]
+
+
+def reference_search(f, lo, hi, q_max, modes, exhaustive):
+    """search_m composed from the public criteria: at each m a fresh
+    Certifier, every enabled criterion entered in DEFAULT_MODES order up to
+    the first certificate.  Returns the outcomes and the first certificate."""
+    criteria = [criterion for mode, criterion in (
+        ("lens", certify_lens_report), ("pq", certify_sector_pq_report),
+        ("prime_power", certify_sector_prime_power_report)) if mode in modes]
+    outcomes, first = [], None
+    for m in range(lo, hi + 1):
+        ctx, reasons, cert = Certifier(f, q_max), [], None
+        for criterion in criteria:
+            cert, reason = criterion(ctx, m)
+            if cert is not None:
+                break
+            reasons.append(reason)
+        if cert is None:
+            for outcome in ("outside-region", "value-composite"):
+                if outcome in reasons:
+                    outcomes.append((m, outcome, outcome))
+                    break
+            else:
+                outcomes.append((m, "witness-absent", ";".join(sorted(set(reasons)))))
+            continue
+        outcomes.append((m, "certified", cert.criterion))
+        first = first or cert
+        if not exhaustive:
+            break
+    return outcomes, first
+
+
+def assert_search_matches_reference(f, lo, hi, q_max, modes, exhaustive):
+    report = search_m(f, lo, hi, q_max, modes, exhaustive=exhaustive)
+    outcomes, first = reference_search(f, lo, hi, q_max, modes, exhaustive)
+    assert [tuple(o) for o in report.outcomes] == outcomes, (f, q_max, modes, exhaustive)
+    assert report.scanned_hi == outcomes[-1][0]
+    assert (report.certificate is None) == (first is None)
+    if first is not None:
+        assert report.certificate.to_json() == first.to_json()
+
+
+def test_search_agrees_with_the_public_criteria(fuzz_corpus):
+    # each polynomial takes one of the 42 settings in turn: q_max 1, 3 or
+    # 1000, a non-empty subset of the modes, exhaustive or not
+    settings_ = list(itertools.product((1, 3, 1000), MODE_SUBSETS, (False, True)))
+    rng = random.Random(32)
+    planted = [random_polynomial(rng, 1, 3, 10) * random_polynomial(rng, 1, 3, 10)
+               for _ in range(2 * len(settings_))]
+    # quartics X^4 - a*X^3 + b with b > 216a, whose lens admits m = 3
+    lenses = [Polynomial([rng.randint(216 * a + 1, 216 * a + 3000), 0, 0, -a, 1])
+              for a in (rng.randint(1, 30) for _ in range(len(settings_)))]
+    polys = fuzz_corpus + [f for f in planted if f.degree() >= 2] + lenses
+    for i, f in enumerate(polys):
+        q_max, modes, exhaustive = settings_[i % len(settings_)]
+        assert_search_matches_reference(f, 1, 30, q_max, modes, exhaustive)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=7), st.integers(1, 30),
+       st.integers(1, 60), st.integers(0, 15), st.sampled_from([1, 3, 1000]),
+       st.sampled_from(MODE_SUBSETS), st.booleans())
+def test_search_agrees_with_the_public_criteria_hypothesis(low, lead, lo, span, q_max,
+                                                           modes, exhaustive):
+    assert_search_matches_reference(Polynomial(low + [lead]), lo, lo + span, q_max,
+                                    modes, exhaustive)
 
 
 def test_a_prime_power_request_tests_only_the_root_of_the_value(monkeypatch):
@@ -409,6 +536,18 @@ def test_unknown_modes_are_rejected_everywhere(modes):
                     lambda: Certifier(f).certify(3, modes),
                     lambda: search_m(f, 1, 3, modes=modes)):
         with pytest.raises(ValueError, match="unknown modes"):
+            attempt()
+
+
+@pytest.mark.parametrize("modes", [(), []])
+def test_empty_modes_are_rejected_everywhere(modes):
+    # no enabled criterion must not read as "no certificate" either
+    f = parse_polynomial("X^4-10*X^3+2162")
+    for attempt in (lambda: certify_any(f, 3, modes=modes),
+                    lambda: certify_negative_m(f, -3, modes=modes),
+                    lambda: Certifier(f).certify(3, modes),
+                    lambda: search_m(f, 1, 3, modes=modes)):
+        with pytest.raises(ValueError, match="no modes given"):
             attempt()
 
 
