@@ -11,7 +11,9 @@ q_max.  Beyond q_max 1000, those primes are sieved once per q_max and
 grouped in runs of consecutive primes, each with its product; a value meets
 each run in one gcd, and only a run that shares a prime with it is walked.
 A split (_Split) is decided once for both witness modes, each decision made
-only when a mode asks for it; the certifier keeps one per f(m) and q_max,
+only when a mode asks for it, or at once when its trial division finds a
+prime below 1000 and another prime in the cofactor (settled: no witness in
+either mode); the certifier keeps one per f(m) and q_max,
 and a replay builds one.  A replay whose checked witness
 is a proven prime p > q_max times q builds its split from q alone
 (_seeded_split), without the runs.
@@ -381,7 +383,12 @@ class _Split:
     and the cofactor; _trial_factor by the primes from q_max to 1000 then
     gives its smallest such prime factor (factor), the cofactor itself when
     that proves it prime, or None when it has no such factor and is at least
-    997^2.  The rest is decided when a mode first
+    997^2.  A factor that divides the cofactor along with another prime
+    settles the split (settled): the cofactor is then neither a prime nor a
+    prime power, so neither mode has a witness ("value-composite"), and the
+    value, with two prime factors past q_max, has none at q_max 1 either.
+    Only q_max below 997 leaves primes to find such a factor.  Otherwise
+    the rest is decided when a mode first
     asks, and kept: whether the cofactor is prime (pq) and whether it is a
     prime power (prime_power).  Each reuses the other's strong test: a prime
     cofactor is its own prime power, a cofactor with no root taken is tested
@@ -389,18 +396,25 @@ class _Split:
     the split of a value p * q whose witness it has checked, p a proven
     prime past q_max > 1000, from q alone (_seeded_split)."""
 
-    __slots__ = ("value", "q_max", "smooth", "exps", "cofactor", "factor", "_prime", "_power")
+    __slots__ = ("value", "q_max", "smooth", "exps", "cofactor", "factor", "settled",
+                 "_prime", "_power")
 
     def __init__(self, value: int, q_max: int):
         if not 1 <= q_max <= MAX_Q_MAX:
             raise ValueError(f"q_max must be in 1..{MAX_Q_MAX}")
         self.value, self.q_max = value, q_max
         self._prime = self._power = None  # undecided; False when decided no
+        self.settled = False
         if value <= 0:
             return
         self.smooth, self.exps, rest = _strip_small(value, q_max)
         self.cofactor = rest
-        self.factor = _trial_factor(rest, _primes_past(min(q_max, 1000))) if rest > 1 else None
+        past = _primes_past(q_max if q_max < 1000 else 1000)
+        self.factor = p = _trial_factor(rest, past) if rest > 1 else None
+        if p is not None and p != rest:
+            while rest % p == 0:
+                rest //= p
+            self.settled = rest != 1
 
     def prime(self) -> PrimalityResult | bool:
         """is_prime(cofactor) when the cofactor is prime, else False."""
@@ -421,8 +435,7 @@ class _Split:
     def _decompose(self) -> tuple[int, int, PrimalityResult] | bool:
         c, p = self.cofactor, self.factor
         if p is not None:
-            k, rest = p_adic_valuation(c, p)
-            return rest == 1 and (p, k, _TRIAL_PRIME)
+            return not self.settled and (p, p_adic_valuation(c, p)[0], _TRIAL_PRIME)
         if self._prime:
             return c, 1, self._prime
         k, bound = 1, c.bit_length() // 9
@@ -447,6 +460,8 @@ class _Split:
         if self.value <= 0:
             return None, "value-nonpositive"
         if self.cofactor > 1:
+            if self.settled:
+                return None, "value-composite"
             if mode == "pq":
                 res = self.prime()
                 found = res and (self.cofactor, 1, res)
@@ -496,7 +511,7 @@ def _seeded_split(p: int, q: int, q_max: int, primality: PrimalityResult) -> _Sp
     elif rest > 1:
         smooth, exps = q, exps + ((rest, 1),)
     split.smooth, split.exps = smooth, exps
-    split.cofactor, split.factor = p, _trial_factor(p, ())
+    split.cofactor, split.factor, split.settled = p, _trial_factor(p, ()), False
     split._prime, split._power = primality, None
     return split
 

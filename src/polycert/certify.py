@@ -11,9 +11,11 @@ once, and not at all when the estimate decides; the sin and tan bounds come
 from the trig memo in rounding.  It decides each m once, from one record of
 f(m) and its split: the criteria are taken in one fixed order, and one is
 entered only when its witness exists, so a composite f(m) costs its split
-and no criterion.  certify_any, search_m and certify_negative_m check their
-modes once per call and run through that decision; replay enters the
-recorded criterion directly.
+and no criterion.  When the split's own trial division settles f(m), a
+composite with no witness in any mode, it costs no witness either.
+certify_any, search_m and certify_negative_m check their modes once per
+call and run through that decision; replay enters the recorded criterion
+directly.
 
 Every certificate records the region used, the factorization witness, and
 each real-number inequality together with its conservatively rounded bounds
@@ -125,7 +127,7 @@ class Certificate(NamedTuple):
 def _finish(f: Polynomial, m: int, criterion: str, region: dict,
             witness: FactorizationWitness, checks: Sequence[Check],
             q_max: int, digits: int) -> Certificate:
-    if any(c.margin <= 0 for c in checks):
+    if any(not c.left < c.right for c in checks):
         raise AssertionError("internal error: non-positive margin recorded")
     return Certificate(
         polynomial=f, m=m, criterion=criterion, region=region, witness=witness,
@@ -178,16 +180,18 @@ class Certifier:
 
     Each m is decided once (_decide), from one record: f(m), split once per
     q_max (arith._Split) or handed over with its split by replay's witness
-    check (_adopt), and the last witness found.  At q_max 1 the lens, pq
-    and prime_power criteria share one split.  The criteria are taken in
-    DEFAULT_MODES order.  Where the record, or the lens's refusal on f
-    alone (lens_intervals), gives a criterion's reason, the reason is
-    appended and the criterion is not entered; a criterion is entered only
-    when its witness exists, and reads that witness from the record.  So
-    f'(m) is evaluated once, and only for a prime-power witness.  The
-    modes, digits, q_max and f are checked once per call (_criteria), not
-    once per m.  The record is kept for the latest m only, so memory stays
-    flat over any range of arguments.
+    check (_adopt), and the last witness found.  A settled split at q_max,
+    whose trial division alone proves f(m) composite with no witness in any
+    mode, gives every reason at once, and no witness is asked for.  At
+    q_max 1 the lens, pq and prime_power criteria share one split.  The
+    criteria are taken in DEFAULT_MODES order.  Where the record, or the
+    lens's refusal on f alone (lens_intervals), gives a criterion's reason,
+    the reason is appended and the criterion is not entered; a criterion is
+    entered only when its witness exists, and reads that witness from the
+    record.  So f'(m) is evaluated once, and only for a prime-power
+    witness.  The modes, digits, q_max and f are checked once per call
+    (_criteria), not once per m.  The record is kept for the latest m
+    only, so memory stays flat over any range of arguments.
     """
 
     def __init__(self, f: Polynomial, q_max: int = 1, digits: int = DEFAULT_DIGITS):
@@ -329,11 +333,28 @@ class Certifier:
 
     def _decide(self, m: int, criteria: list[tuple[str, Callable]],
                 ) -> tuple[Optional[Certificate], list[str]]:
-        """certify at m with criteria from _criteria.  A criterion is entered
-        only when its witness exists; otherwise its reason is read from the
-        record of m, or, for the lens, first from lens_intervals.  Below
-        m = 1 every criterion is entered, and raises or refuses itself."""
-        reasons: list[str] = []
+        """certify at m with criteria from _criteria.  f(m) is split at
+        q_max once.  A settled split (arith._Split) leaves no witness in any
+        mode, at q_max or at 1, so every reason is "value-composite", but
+        the lens's refusal on f alone, and no witness is asked for.
+        Otherwise a criterion is entered only when its witness exists; its
+        reason is read from the record of m, or, for the lens, first from
+        lens_intervals.  Below m = 1 every criterion is entered, and raises
+        or refuses itself."""
+        if m >= 1:
+            if self._m != m:
+                value = self.f.evaluate(m)
+                split = _Split(value, self.q_max)
+                self._m, self._value, self._splits, self._found = m, value, {self.q_max: split}, None
+            else:
+                split = self._splits.get(self.q_max)
+            if split is not None and split.settled:
+                reasons = ["value-composite"] * len(criteria)
+                # the lens comes first in DEFAULT_MODES order
+                if criteria[0][0] == "lens" and self.lens_intervals[0] is None:
+                    reasons[0] = self.lens_intervals[1]
+                return None, reasons
+        reasons = []
         for mode, criterion in criteria:
             if m < 1:
                 reason = "ok"

@@ -463,6 +463,71 @@ def test_witnesses_match_a_fresh_sieve(value, derivative, q_max, mode):
         arith._strip_small = real
 
 
+SETTLED_Q_MAXES = [1, 2, 3, 996, 997, 1000, 1001, 10**5]
+
+
+def reference_settled(value, q_max):
+    """Whether the primes past q_max up to 997 prove value's q_max-rough part
+    neither a prime nor a prime power: the least of them that divides it
+    leaves another prime factor (sympy's primes, nothing factored)."""
+    if value <= 0:
+        return False
+    small = [p for p in sympy.primerange(q_max + 1, 998) if value % p == 0]
+    if not small:
+        return False
+    rough = value
+    for p in sympy.primerange(2, q_max + 1):
+        while rough % p == 0:
+            rough //= p
+    return rough != small[0] ** sympy.multiplicity(small[0], rough)
+
+
+def check_settled_rule(value, q_max):
+    """The split of value at q_max is settled exactly when reference_settled
+    says so, and a settled value has no witness in either mode, at q_max or
+    at 1 (the lens's), by the reference extraction, and is not prime."""
+    settled = arith._Split(value, q_max).settled
+    assert settled == reference_settled(value, q_max)
+    if settled:
+        for at in (q_max, 1):
+            primes = _sieve(at)
+            for mode in ("pq", "prime_power"):
+                assert extract_witness_report(value, 6, at, mode) == (None, "value-composite")
+                assert reference_witness(value, 6, at, mode, primes) == (None, "value-composite")
+        assert not is_prime(value).is_prime
+    return settled
+
+
+SETTLED_CASES = [
+    3**7, 997**3, 2**40,  # p^k with p <= 997
+    1009**3, 1000003**2,  # p^k with p > 997
+    5**3 * 7, 3**4 * 1009, 997**2 * 1000003, 2**5 * 3**2 * 11**3,  # p^k * r
+    2**10 * 3**5, 30, 6,  # smooth at q_max 3 and beyond
+    1, 0, -1, -35,
+    1009 * 1013, 1000003 * 1000033, (2**61 - 1) * (2**89 - 1),  # past 997^2, no small factor
+    2 * 1009 * 1013, 3**2 * (2**61 - 1)**2,
+]
+
+
+@pytest.mark.parametrize("q_max", SETTLED_Q_MAXES)
+def test_a_settled_split_has_no_witness(q_max):
+    settled = [value for value in SETTLED_CASES if check_settled_rule(value, q_max)]
+    # the rule fires below q_max 997, and never from there on: no prime past
+    # q_max is left to trial division
+    assert bool(settled) == (q_max < 997)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-10, 10**18), smooth_times_large,
+                 st.builds(lambda ps, k: math.prod(ps) ** k,
+                           st.lists(st.sampled_from([2, 3, 5, 7, 991, 997, 1009]),
+                                    min_size=1, max_size=3),
+                           st.integers(1, 5))),
+       st.sampled_from(SETTLED_Q_MAXES))
+def test_a_settled_split_matches_the_reference(value, q_max):
+    check_settled_rule(value, q_max)
+
+
 def run_edge_values(primes, q_max, rng, n):
     """Values whose primes sit at the edges of runs (the first three runs, the
     last two and n others), in several runs (3n values), in one run together

@@ -57,8 +57,10 @@ def test_sqrt_variant_needs_no_rational_root():
     assert cert is not None and cert.criterion == CRIT_THM_PQ_SQRT
     assert (cert.witness.p, cert.witness.q) == (3, 4)
     # with a rational root the sqrt variant must not fire: (X-1)(X-5)+small...
-    # f = X^2-2X-3 has roots 3 and -1; nothing should certify anywhere
+    # f = X^2-2X-3 has roots 3 and -1; nothing should certify anywhere, not
+    # even at m = 6, where f(6) = 7*3 and the square-root disk would fit
     assert certify_any(parse_polynomial("X^2-2*X-3"), 9, q_max=4, modes=("pq",)) is None
+    assert certify_any(parse_polynomial("X^2-2*X-3"), 6, q_max=4, modes=("pq",)) is None
 
 
 def test_plain_pq_with_cofactor():
@@ -340,6 +342,54 @@ def test_search_decides_each_m_once(monkeypatch):
     assert values == [f.evaluate(m) for m in range(1, 51)]
     assert counting.args == witnessed["prime_power"]
     assert modes.reads == 1
+
+
+@pytest.mark.parametrize("poly, q_max, m, reasons", [
+    ("X^4-10*X^3+2162", 1, 2, ["value-composite"] * 3),
+    ("X^4-1000*X^3+2162", 1, 1001, ["vertex-too-large", "value-composite", "value-composite"]),
+    ("(X^2+1)*(X^2+3)", 3, 2, ["lens-degenerate", "value-composite", "value-composite"]),
+])
+def test_a_settled_m_asks_for_no_witness(monkeypatch, poly, q_max, m, reasons):
+    # f(m) split at q_max leaves a cofactor with a prime factor below 1000
+    # and another prime factor, so no mode has a witness: neither certify
+    # nor search_m asks for one or enters a criterion, and the lens keeps
+    # the refusal that f alone decides
+    import polycert.certify as certify_module
+    f = parse_polynomial(poly)
+    assert arith._Split(f.evaluate(m), q_max).settled
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(Certifier, "_witness")
+    counting(arith._Split, "witness")
+    for name in ("certify_lens_report", "certify_sector_pq_report",
+                 "certify_sector_prime_power_report"):
+        counting(certify_module, name)
+    ctx = Certifier(f, q_max)
+    assert ctx.certify(m) == (None, reasons)
+    assert ctx.certify(m) == (None, reasons)  # from the record of m
+    report = search_m(f, m, m, q_max)
+    assert report.outcomes == ((m, "value-composite", "value-composite"),)
+    assert calls == []
+
+
+def test_a_check_without_a_positive_margin_is_refused():
+    from fractions import Fraction
+    from polycert.certify import Check, _finish
+    witness = extract_witness_report(1973, 0)[0]
+    fits = Check("fits", Fraction(1), Fraction(10**30 + 1, 10**30))
+    assert _finish(FLAGSHIP, 3, CRIT_THM_PQ, {}, witness, [fits], 1, 12).checks == (fits,)
+    for left, right in ((1, 1), (2, 1)):
+        with pytest.raises(AssertionError, match="non-positive margin"):
+            _finish(FLAGSHIP, 3, CRIT_THM_PQ, {}, witness,
+                    [fits, Check("x", Fraction(left), Fraction(right))], 1, 12)
 
 
 MODE_SUBSETS = [subset for size in (1, 2, 3)
